@@ -93,13 +93,23 @@ class Character:
 
     def phase_fraction(self, g: GroupElement) -> Fraction:
         """Exponent t of chi(g) = e^(2*pi*i*t), reduced into [0, 1)."""
-        if g.group != self.group:
-            raise ValueError("element and character belong to different groups")
-        t = sum(
-            Fraction(j * e, n)
-            for j, e, n in zip(self.exponents, g.exponents, self.group.orders)
-        )
-        return t % 1
+        return Fraction(*_phase(self, g))
+
+
+def _phase_weights(group: FiniteAbelianGroup) -> tuple[int, tuple[int, ...]]:
+    """L = lcm of the factor orders and the weights L / n_i: chi_j(g_e) =
+    e^(2*pi*i*t/L) with t = sum_i j_i * e_i * L / n_i mod L."""
+    modulus = math.lcm(*group.orders)
+    return modulus, tuple(modulus // n for n in group.orders)
+
+
+def _phase(chi: Character, g: GroupElement) -> tuple[int, int]:
+    """(t, L) with chi(g) = e^(2*pi*i*t/L) and 0 <= t < L."""
+    if g.group != chi.group:
+        raise ValueError("element and character belong to different groups")
+    modulus, weights = _phase_weights(chi.group)
+    t = sum(j * e * w for j, e, w in zip(chi.exponents, g.exponents, weights))
+    return t % modulus, modulus
 
 
 def enumerate_elements(group: FiniteAbelianGroup) -> list[GroupElement]:
@@ -119,11 +129,11 @@ def characters(group: FiniteAbelianGroup) -> list[Character]:
 
 
 def char_eval(chi: Character, g: GroupElement) -> Scalar:
-    """Evaluate a character; exact Gaussian integer when every n_i divides 4."""
-    if g.group != chi.group:
-        raise ValueError("element and character belong to different groups")
-    t = chi.phase_fraction(g)
-    return root_of_unity(t.numerator, t.denominator)
+    """Evaluate a character; exact Gaussian integer when its reduced order
+    divides 4, so chi(g) = 1 is always exact."""
+    t, modulus = _phase(chi, g)
+    common = math.gcd(t, modulus)
+    return root_of_unity(t // common, modulus // common)
 
 
 def _subgroup_closure(group: FiniteAbelianGroup, generators) -> set[tuple[int, ...]]:

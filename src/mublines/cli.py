@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 
 from . import abelian, constructions, framecore, weylheisenberg
-from .exprs import ExpressionError, parse_constant
-from .scalars import Scalar
+from .exprs import parse_constant
+from .scalars import Scalar, _gauss_if_integral
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -22,9 +21,7 @@ EXIT_USAGE = 2
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage or input error; exits with EXIT_USAGE."""
 
 
 def _resolve_rds(ref: str) -> abelian.RelativeDifferenceSet:
@@ -33,18 +30,13 @@ def _resolve_rds(ref: str) -> abelian.RelativeDifferenceSet:
             d = int(ref.split(":", 1)[1])
         except ValueError:
             raise CliError(f"bad builtin RDS reference {ref!r}")
-        try:
-            return abelian.builtin_rds(d)
-        except (abelian.UnsupportedDimension, abelian.RdsError) as exc:
-            raise CliError(str(exc))
+        return abelian.builtin_rds(d)
     if ref.startswith("file:"):
         path = ref.split(":", 1)[1]
         try:
             with open(path) as fh:
                 data = json.load(fh)
-            rds = abelian.rds_from_json(data)
-            abelian.rds_verify(rds)
-            return rds
+            return abelian.rds_from_json(data)
         except OSError as exc:
             raise CliError(f"cannot read RDS file: {exc}")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -63,13 +55,8 @@ def _parse_perm(text: str, d: int) -> tuple[int, ...]:
 
 
 def _parse_v(text: str) -> Scalar:
-    try:
-        z = parse_constant(text)
-    except ExpressionError as exc:
-        raise CliError(str(exc))
-    if z.real == int(z.real) and z.imag == int(z.imag):
-        return Scalar.gauss(int(z.real), int(z.imag))
-    return Scalar.from_complex(z)
+    z = parse_constant(text)
+    return _gauss_if_integral(z.real, z.imag)
 
 
 def _emit(data: dict, out_path: str | None) -> None:
@@ -93,10 +80,7 @@ def _report_summary(report: framecore.GramReport, fmt: str) -> None:
 
 def cmd_mubs(args) -> int:
     rds = _resolve_rds(args.rds)
-    try:
-        family = constructions.mubs_from_rds(rds)
-    except constructions.InvalidRds as exc:
-        raise CliError(str(exc))
+    family = constructions.mubs_from_rds(rds)
     ok = framecore.verify_mubs(list(family.bases), args.tol)
     payload = {
         "dim": family.dim,
@@ -110,12 +94,14 @@ def cmd_mubs(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+def _family(args) -> constructions.MubFamily:
+    return constructions.mubs_from_rds(_resolve_rds(args.rds or f"builtin:{args.d}"))
+
+
 def _build_lines(args) -> framecore.LineSet:
     kind = args.kind
     if kind == "c1":
-        family = constructions.mubs_from_rds(
-            _resolve_rds(args.rds or f"builtin:{args.d}")
-        )
+        family = _family(args)
         if args.perm is None or args.v is None:
             raise CliError("construct c1 requires --perm and --v")
         spec = constructions.ScalingSpec(
@@ -125,9 +111,7 @@ def _build_lines(args) -> framecore.LineSet:
     if kind == "c2":
         return constructions.construction2_family(args.a if args.a is not None else 0.0)
     if kind == "c3":
-        family = constructions.mubs_from_rds(
-            _resolve_rds(args.rds or f"builtin:{args.d}")
-        )
+        family = _family(args)
         if args.perm is None:
             raise CliError("construct c3 requires --perm")
         if args.a is None or args.b is None:
@@ -164,27 +148,14 @@ def cmd_verify(args) -> int:
         raise CliError(f"cannot read line set: {exc}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed line set: {exc}")
-    try:
-        report = framecore.gram_analyze(lines, args.tol)
-    except (framecore.ZeroVectorError, ValueError) as exc:
-        raise CliError(str(exc))
+    report = framecore.gram_analyze(lines, args.tol)
     print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_OK if report.equiangular else EXIT_FAILED
 
 
 def cmd_search(args) -> int:
-    if args.what != "c1":
-        raise CliError(f"unknown search kind {args.what!r}")
-    family = constructions.mubs_from_rds(
-        _resolve_rds(args.rds or f"builtin:{args.d}")
-    )
-    budget = args.budget
-    if args.force:
-        budget = max(
-            budget,
-            math.factorial(family.dim) * args.phase_roots
-            * len(constructions.c1_magnitudes(family.dim)),
-        )
+    family = _family(args)
+    budget = math.inf if args.force else args.budget
     try:
         hits = constructions.c1_search(family, args.phase_roots, budget, args.tol)
     except constructions.BudgetExceeded as exc:
@@ -238,21 +209,12 @@ def _resolve_fiducial(ref: str | None) -> weylheisenberg.Fiducial:
     raise CliError(f"fiducial must be builtin:d4 or file:<path>, got {ref!r}")
 
 
-def cmd_wh(args) -> int:
-    lines = weylheisenberg.wh_orbit(_resolve_fiducial(args.fiducial))
-    report = framecore.gram_analyze(lines, args.tol)
-    _emit(framecore.lineset_to_json(lines), args.out)
-    _report_summary(report, args.format)
-    return EXIT_OK if report.equiangular else EXIT_FAILED
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mublines",
         description="Construct and verify complex equiangular lines and MUBs",
     )
     parser.add_argument("--tol", type=float, default=framecore.DEFAULT_TOL)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="write JSON output here")
     parser.add_argument("--format", choices=["json", "summary"],
                         default="summary")
@@ -294,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wh", help="Weyl-Heisenberg orbit of a fiducial")
     p.add_argument("--fiducial", default="builtin:d4")
-    p.set_defaults(func=cmd_wh)
+    p.set_defaults(func=cmd_construct, kind="wh")
 
     return parser
 
@@ -302,15 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (abelian.RdsError, constructions.InvalidRds,
-            framecore.DimensionMismatch) as exc:
+    except (CliError, ValueError) as exc:
+        # RdsError, InvalidRds, ZeroVectorError, ExpressionError and the Gram's
+        # non-finite check are all ValueErrors: bad input, not a "no"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,17 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import RelativeDifferenceSet, characters, rds_verify
+from .abelian import (
+    Character,
+    FiniteAbelianGroup,
+    RelativeDifferenceSet,
+    _phase_weights,
+    builtin_rds,
+    char_eval,
+    characters,
+    rds_verify,
+)
 from .framecore import (
     DEFAULT_TOL,
     CVector,
     GramReport,
     LineSet,
+    _gram,
     gram_analyze,
-    inner,
     verify_mubs,
 )
-from .scalars import Scalar
+from .scalars import Scalar, _gauss_if_integral
 
 
 class InvalidRds(ValueError):
@@ -72,24 +81,33 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
         raise InvalidRds(f"need a (d,d,d,1)-RDS, got {(m, n, k, lam)}")
     d = m
 
-    subgroup = sorted(rds.forbidden_subgroup())
-    sub_elements = [rds.group.element(e) for e in subgroup]
+    # every character value is an integer phase numerator t mod L, so the
+    # restrictions to N and the rows are two integer matrix products; their
+    # entries stay below rank * |G|^2, far inside int64 for any listable G
+    modulus, weights = _phase_weights(rds.group)
+    chars = np.array([chi.exponents for chi in characters(rds.group)]) * weights
+    subgroup = np.array(sorted(rds.forbidden_subgroup()))
+    elements = np.array([g.exponents for g in rds.elements])
+    signatures = chars @ subgroup.T % modulus
+    rows = (chars @ elements.T % modulus).tolist()
 
-    groups: dict[tuple, list] = {}
-    for chi in characters(rds.group):
-        signature = tuple(chi.phase_fraction(g) for g in sub_elements)
-        groups.setdefault(signature, []).append(chi)
-
-    if any(len(chars) != d for chars in groups.values()) or len(groups) != d:
+    # characters are lexicographic, so first-seen order of the signatures
+    # orders the groups by their lexicographically smallest member
+    groups: dict[bytes, list[int]] = {}
+    for index, signature in enumerate(signatures):
+        groups.setdefault(signature.tobytes(), []).append(index)
+    if any(len(members) != d for members in groups.values()) or len(groups) != d:
         raise InvalidRds("character grouping by restriction to N is not d-by-d")
 
-    # characters within a group are already lexicographic; order the groups
-    # by their lexicographically smallest member
-    ordered = sorted(groups.values(), key=lambda chars: chars[0].exponents)
+    # the L-th roots of unity are the values of the generating character of
+    # Z_L; char_eval reduces t / L, so phase 0 stays the exact Gaussian 1
+    cyclic = FiniteAbelianGroup((modulus,))
+    root = Character(cyclic, (1,))
+    values = [char_eval(root, cyclic.element((t,))) for t in range(modulus)]
     bases = []
-    for j, chars in enumerate(ordered, start=1):
+    for j, members in enumerate(groups.values(), start=1):
         vectors = tuple(
-            CVector(tuple(chi(r) for r in rds.elements)) for chi in chars
+            CVector(tuple(values[t] for t in rows[index])) for index in members
         )
         bases.append(
             LineSet(d, vectors, {"construction": "rds-mub", "basis": j,
@@ -178,22 +196,17 @@ def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
         raise ValueError("the criterion applies only in dimension 4")
     d = family.dim
     lines = l_block(family, ScalingSpec(tuple(perm), Scalar.gauss(0, 0)))
-    vecs = lines.vectors
-    for j in range(len(vecs)):
-        for k in range(j + 1, len(vecs)):
-            if j // d == k // d:
-                continue
-            if inner(vecs[j], vecs[k]).abs2() != 2:
-                return False
-    return True
+    _, _, mag, _, _ = next(_gram([lines]))
+    # exact blocks hold squared magnitudes, float blocks magnitudes
+    mag2 = mag if lines.exact else mag ** 2
+    basis = np.arange(len(lines)) // d
+    return bool(np.all(mag2[basis[:, None] != basis[None, :]] == 2))
 
 
 # --- Construction 2 (dimension 8) -------------------------------------------
 
 
 def _mub4_float() -> list[np.ndarray]:
-    from .abelian import builtin_rds
-
     family = mubs_from_rds(builtin_rds(4))
     return [basis.to_matrix() for basis in family.bases]
 
@@ -279,13 +292,10 @@ def construction3_pair(family: MubFamily, spec: BlockPairSpec) -> LineSet:
     else:
         raise ValueError(f"unknown variant {spec.variant!r}")
 
-    def scalar(z: complex) -> Scalar:
-        if z.real == int(z.real) and z.imag == int(z.imag):
-            return Scalar.gauss(int(z.real), int(z.imag))
-        return Scalar.from_complex(z)
-
-    lblk = l_block(family, ScalingSpec(spec.perm, scalar(left)))
-    rblk = l_block(family, ScalingSpec(spec.perm, scalar(right)))
+    lblk, rblk = (
+        l_block(family, ScalingSpec(spec.perm, _gauss_if_integral(z.real, z.imag)))
+        for z in (left, right)
+    )
     return _concat_blocks(
         lblk,
         rblk,
@@ -321,8 +331,6 @@ def construction3_d4_extension() -> LineSet:
     Block order follows the published table: [L(2+i) L(-i)], [L(-1+2i) -L(1)],
     [L(-i) L(2+i)], [L(1) -L(-1+2i)].
     """
-    from .abelian import builtin_rds
-
     family = mubs_from_rds(builtin_rds(4))
     perm = (1, 3, 4, 2)
 

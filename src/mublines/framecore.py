@@ -1,21 +1,24 @@
 """Complex vectors, line sets, Gram-angle analysis and equivalence moves.
 
-The Gram analysis has two paths: an exact one over the Gaussian integers
-(squared magnitudes are compared as rational numbers, tolerance ignored) and
-a double-precision one with transitive-closure clustering at a tolerance.
+gram_analyze, verify_mubs and constructions.theorem46_predicate all read one
+Gram computation, _gram: exact on Gaussian-integer input (Python ints, the
+tolerance ignored), double precision otherwise.  Zero vectors, non-finite
+entries and non-integral gaussian-int JSON entries raise, never read as "yes".
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .scalars import Scalar
+from .scalars import Scalar, _gauss_if_integral
 
 DEFAULT_TOL = 1e-9
 
@@ -145,6 +148,53 @@ def _cluster_float(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return clusters
 
 
+def _gram(sets: list[LineSet], cross: bool = False):
+    """The one Gram computation behind every verifier.
+
+    Yields (j, k, mag, norms_j, norms_k), one Gram block at a time: every set
+    against itself, then, if cross, every set against each later one.  When
+    every entry is a Gaussian integer the block is exact, on Python ints:
+    mag[a, b] = |<x_a, y_b>|^2 and the norms are squared.  Otherwise it is
+    float64, mag[a, b] = |<x_a, y_b>| and the norms are not squared.  Either
+    way mag / outer(norms_j, norms_k) is the normalized value.
+
+    Raises ZeroVectorError on a zero vector and ValueError on a non-finite
+    entry or a squared norm that overflows float64.
+    """
+    exact = all(s.exact for s in sets)
+    if exact:  # (re, im) parts, shape (2, n, d)
+        parts = [np.array([[(e.re, e.im) for e in v.entries] for v in s.vectors],
+                          dtype=object).transpose(2, 0, 1) for s in sets]
+    else:
+        parts = [(mat, mat.conj().T) for mat in (s.to_matrix() for s in sets)]
+
+    def block(a, b):
+        if exact:
+            (ar, ai), (br, bi) = a, b
+            gr = ar @ br.T + ai @ bi.T
+            gi = ai @ br.T - ar @ bi.T
+            return gr * gr + gi * gi
+        return np.abs(a[0] @ b[1])
+
+    norms = []
+    for j, a in enumerate(parts):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            mag = block(a, a)
+        if exact:
+            nj = (a * a).sum(axis=(0, 2))
+        elif not np.isfinite(mag).all():  # a bad entry spoils its whole row
+            raise ValueError("line set has a non-finite entry")
+        else:
+            nj = np.sqrt(np.diag(mag))
+        if (nj == 0).any():
+            raise ZeroVectorError("line sets may not contain the zero vector")
+        norms.append(nj)
+        yield j, j, mag, nj, nj
+    if cross:  # |<x, y>| <= |x| |y|: blocks between checked sets are finite
+        for j, k in itertools.combinations(range(len(parts)), 2):
+            yield j, k, block(parts[j], parts[k]), norms[j], norms[k]
+
+
 def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     """Cluster the normalized pairwise inner-product magnitudes.
 
@@ -154,37 +204,17 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     m = len(lines)
     if m < 2:
         raise ValueError("need at least two vectors")
-    for v in lines.vectors:
-        if v.is_zero():
-            raise ZeroVectorError("line sets may not contain the zero vector")
-
+    _, _, mag, norms, _ = next(_gram([lines]))
+    upper = ~np.tri(m, dtype=bool)  # the pairs j < k
     if lines.exact:
-        norms2 = [v.norm2() for v in lines.vectors]
-        counts: dict[Fraction, int] = {}
-        for j in range(m):
-            for k in range(j + 1, m):
-                mag2 = inner(lines.vectors[j], lines.vectors[k]).abs2()
-                key = Fraction(mag2, norms2[j] * norms2[k])
-                counts[key] = counts.get(key, 0) + 1
-        clusters = tuple(
-            (math.sqrt(float(key)), counts[key]) for key in sorted(counts)
-        )
-        equi = len(clusters) == 1
-        return GramReport(
-            size=m,
-            norms=tuple(math.sqrt(n2) for n2 in norms2),
-            angle_clusters=clusters,
-            equiangular=equi,
-            common_angle=clusters[0][0] if equi else None,
-            exact=True,
-        )
-
-    a = lines.to_matrix()
-    gram = a @ a.conj().T
-    norms = np.sqrt(np.abs(np.diag(gram)).real)
-    normalized = np.abs(gram) / np.outer(norms, norms)
-    upper = normalized[np.triu_indices(m, k=1)]
-    clusters = tuple(_cluster_float(upper, tol))
+        counts: Counter[Fraction] = Counter()
+        for (num, den), count in Counter(
+                zip(mag[upper], np.outer(norms, norms)[upper])).items():
+            counts[Fraction(num, den)] += count
+        clusters = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
+        norms = [math.sqrt(n2) for n2 in norms]
+    else:
+        clusters = tuple(_cluster_float((mag / np.outer(norms, norms))[upper], tol))
     equi = len(clusters) == 1
     return GramReport(
         size=m,
@@ -192,13 +222,14 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
         angle_clusters=clusters,
         equiangular=equi,
         common_angle=clusters[0][0] if equi else None,
-        exact=False,
+        exact=lines.exact,
     )
 
 
 def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
     """True iff each basis is orthogonal and all cross-basis normalized
-    magnitudes equal 1/sqrt(d)."""
+    magnitudes equal 1/sqrt(d); exact, with the tolerance ignored, when every
+    entry is a Gaussian integer."""
     if not bases:
         raise ValueError("no bases supplied")
     d = bases[0].dim
@@ -208,18 +239,17 @@ def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
         if len(basis) != d:
             raise ValueError(f"a basis of C^{d} must have exactly {d} vectors")
 
-    mats = [b.to_matrix() for b in bases]
-    norms = [np.linalg.norm(mat, axis=1) for mat in mats]
+    exact = all(basis.exact for basis in bases)
+    off = ~np.eye(d, dtype=bool)
     target = 1.0 / math.sqrt(d)
-    for bi, (mat, nrm) in enumerate(zip(mats, norms)):
-        cross = np.abs(mat @ mat.conj().T) / np.outer(nrm, nrm)
-        off = cross[np.triu_indices(d, k=1)]
-        if off.size and np.max(off) > tol:
+    for j, k, mag, nj, nk in _gram(bases, cross=True):
+        if exact:
+            ok = (mag[off] == 0) if j == k else (mag * d == np.outer(nj, nk))
+        else:
+            cos = mag / np.outer(nj, nk)
+            ok = (cos[off] <= tol) if j == k else (np.abs(cos - target) <= tol)
+        if not ok.all():
             return False
-        for mat2, nrm2 in zip(mats[bi + 1:], norms[bi + 1:]):
-            cross = np.abs(mat @ mat2.conj().T) / np.outer(nrm, nrm2)
-            if np.max(np.abs(cross - target)) > tol:
-                return False
     return True
 
 
@@ -371,7 +401,9 @@ def lineset_from_json(data: dict) -> LineSet:
     vectors = []
     for entries in data["vectors"]:
         if exact and scale is None:
-            vec = CVector.gauss([(int(re), int(im)) for re, im in entries])
+            vec = CVector(tuple(_gauss_if_integral(re, im) for re, im in entries))
+            if not vec.exact:
+                raise ValueError("gaussian-int line set has a non-integer entry")
         else:
             mult = 1.0 if scale is None else float(scale)
             vec = CVector.make([complex(re, im) * mult for re, im in entries])

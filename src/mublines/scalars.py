@@ -92,6 +92,15 @@ GAUSSIAN_UNITS = (Scalar.gauss(1, 0), Scalar.gauss(0, 1),
                   Scalar.gauss(-1, 0), Scalar.gauss(0, -1))
 
 
+def _gauss_if_integral(re, im) -> Scalar:
+    """Exact re + im*i when both parts are integral, a float scalar otherwise
+    (NaN and infinities included, which the Gram check then rejects)."""
+    if all(isinstance(p, int) or (isinstance(p, float) and p.is_integer())
+           for p in (re, im)):
+        return Scalar.gauss(int(re), int(im))
+    return Scalar(float(re), float(im), False)
+
+
 def root_of_unity(numerator: int, denominator: int) -> Scalar:
     """e^(2*pi*i*numerator/denominator), exact when the order divides 4."""
     numerator %= denominator

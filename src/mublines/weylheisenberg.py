@@ -60,18 +60,10 @@ def wh_orbit(fiducial: Fiducial) -> LineSet:
     """The d^2 vectors U^j V^k x over the coset representatives of the
     center, in (j, k)-lexicographic order."""
     d = fiducial.dim
-    u, v = wh_generators(d)
     x = fiducial.vector.to_array()
-    vectors = []
-    for j in range(d):
-        uj = np.linalg.matrix_power(u, j)
-        for k in range(d):
-            vectors.append(
-                CVector.make(uj @ np.linalg.matrix_power(v, k) @ x)
-            )
     return LineSet(
         d,
-        tuple(vectors),
+        tuple(CVector.make(rep @ x) for rep in _coset_representatives(d)),
         {"construction": "wh-orbit", "fiducial": fiducial.source},
     )
 

@@ -205,3 +205,22 @@ def test_parse_group_word():
     assert parse_group_word(g, "x^2y").exponents == (2, 1)
     with pytest.raises(ValueError):
         parse_group_word(g, "q^2")
+
+
+def test_char_eval_matches_fraction_definition():
+    """chi(g) = e^(2*pi*i*t) with t = sum_i j_i e_i / n_i mod 1, evaluated at
+    the reduced fraction, so phase 0 and the quarter turns stay exact."""
+    from fractions import Fraction
+
+    from mublines.scalars import root_of_unity
+
+    g = FiniteAbelianGroup((4, 6, 3))
+    elements = enumerate_elements(g)
+    for chi in characters(g)[::7]:
+        for e in elements:
+            t = sum(Fraction(j * x, n) for j, x, n in
+                    zip(chi.exponents, e.exponents, g.orders)) % 1
+            assert chi.phase_fraction(e) == t
+            value = char_eval(chi, e)
+            assert value == root_of_unity(t.numerator, t.denominator)
+            assert value.exact == (4 % t.denominator == 0)

@@ -151,3 +151,30 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_construct_nan_parameter_exits_2(capsys):
+    code, out, err = run(capsys, "construct", "c2", "--a", "nan")
+    assert code == 2 and out == ""
+    assert "non-finite" in err
+    code, _, err = run(capsys, "construct", "c3", "--perm", "1,2,3,4",
+                       "--a", "nan", "--b", "1")
+    assert code == 2
+    assert "non-finite" in err
+
+
+def test_verify_rejects_non_integer_gaussian_entry(capsys, tmp_path):
+    path = tmp_path / "c3ext.json"
+    run(capsys, "--out", str(path), "construct", "c3ext")
+    data = json.loads(path.read_text())
+    data["vectors"][7][1][0] = 1.7
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert "non-integer" in err
+
+
+def test_seed_option_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "bounds", "--d", "4"])
+    assert exc.value.code == 2

@@ -368,3 +368,31 @@ def test_construction3_i_twist_variant(fam4):
     got = lines.to_matrix()
     want = np.array([[e.to_complex() for e in v.entries] for v in expected])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _reference_bases(rds):
+    """The Godsil-Roy bases one character value at a time: characters grouped
+    by their restriction to N, groups in order of their smallest member."""
+    from mublines.abelian import char_eval, characters
+
+    subgroup = [rds.group.element(e) for e in sorted(rds.forbidden_subgroup())]
+    groups = {}
+    for chi in characters(rds.group):
+        key = tuple(chi.phase_fraction(g) for g in subgroup)
+        groups.setdefault(key, []).append(chi)
+    ordered = sorted(groups.values(), key=lambda chars: chars[0].exponents)
+    return [[[char_eval(chi, r) for r in rds.elements] for chi in chars]
+            for chars in ordered]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_mubs_from_rds_entries_equal_char_eval(d):
+    rds = builtin_rds(d)
+    family = mubs_from_rds(rds)
+    reference = _reference_bases(rds)
+    assert len(family.bases) == len(reference) == d
+    for basis, ref_basis in zip(family.bases, reference):
+        assert len(basis.vectors) == len(ref_basis) == d
+        for vec, ref_vec in zip(basis.vectors, ref_basis):
+            assert vec.entries == tuple(ref_vec)
+            assert [e.exact for e in vec.entries] == [e.exact for e in ref_vec]

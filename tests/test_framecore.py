@@ -236,3 +236,36 @@ def test_lineset_json_roundtrip_float():
     data = json.loads(json.dumps(lineset_to_json(lines)))
     back = lineset_from_json(data)
     assert np.max(np.abs(back.to_matrix() - lines.to_matrix())) == 0.0
+
+
+@pytest.mark.parametrize("d", [3, 4])  # float and exact families
+def test_verify_mubs_rejects_zero_vector(d):
+    from mublines.abelian import builtin_rds
+    from mublines.constructions import mubs_from_rds
+
+    bases = list(mubs_from_rds(builtin_rds(d)).bases)
+    bases[1] = LineSet(d, (CVector.make([0] * d),) + bases[1].vectors[1:])
+    with pytest.raises(ZeroVectorError):
+        verify_mubs(bases)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_gram_analyze_rejects_non_finite_entries(bad):
+    lines = basis_lineset([[1, 0], [bad, 1], [0, 1]])
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_analyze(lines)
+
+
+def test_lineset_from_json_rejects_non_integer_gaussian_entries():
+    data = lineset_to_json(fixtures.lines64_d8())
+    data["vectors"][7][1][0] = 1.7
+    with pytest.raises(ValueError, match="non-integer"):
+        lineset_from_json(data)
+
+
+def test_lineset_from_json_reads_integral_floats_exactly():
+    data = lineset_to_json(fixtures.lines64_d8())
+    data["vectors"] = [[[float(re), float(im)] for re, im in v] for v in data["vectors"]]
+    back = lineset_from_json(data)
+    assert back.exact
+    assert back.vectors == fixtures.lines64_d8().vectors
