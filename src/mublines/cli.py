@@ -63,8 +63,7 @@ def _emit(data: dict, out_path: str | None) -> None:
     if out_path:
         framecore.dump_json(data, out_path)
     else:
-        json.dump(data, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def _report_summary(report: framecore.GramReport, fmt: str) -> None:

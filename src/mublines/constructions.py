@@ -164,7 +164,16 @@ def c1_search(
 ) -> list[tuple[ScalingSpec, GramReport]]:
     """Exhaustive Construction-1 search over all permutations and all
     v = zeta * |v| on the phase grid; returns the equiangular hits in
-    lexicographic (perm, magnitude-desc, phase) order."""
+    lexicographic (perm, magnitude-desc, phase) order.
+
+    The blocks of bases j and k depend on pi only through (pi(j), pi(k)),
+    and gram_analyze says "no" to every float set whose values spread more
+    than 10*tol.  So a table of the column pairs whose own three blocks
+    spread more (_PairTable) rules out every permutation through them,
+    and backtracking visits only the permutations no pair rules out.  Each
+    survivor is certified by l_block + gram_analyze, which alone decides
+    the hits and their reports: the table can skip work, never say "yes".
+    """
     d = family.dim
     mags = c1_magnitudes(d)
     space = math.factorial(d) * phase_roots * len(mags)
@@ -173,18 +182,118 @@ def c1_search(
             f"search space {space} exceeds budget {budget}; raise the budget "
             "to proceed"
         )
+    values = [cmath.exp(2j * cmath.pi * p / phase_roots) * mag
+              for mag in mags for p in range(phase_roots) if mag != 0.0 or p == 0]
+    if not values:
+        return []
+    # the certifier's input checks, so that a zero vector or a non-finite
+    # entry raises whatever the table rules out
+    for _ in _gram(list(family.bases)):
+        pass
+    mats = np.stack([basis.to_matrix() for basis in family.bases])
+    table = _PairTable(mats, np.array(values), 10 * tol + _C1_SLACK)
+
     hits = []
-    for perm in itertools.permutations(range(1, d + 1)):
-        for mag in mags:
-            for p in range(phase_roots):
-                if mag == 0.0 and p > 0:
+    perm: list[int] = []  # 0-based columns pi(1), ..., pi(len(perm))
+
+    def extend(alive: int) -> None:
+        k = len(perm)
+        if k == d:
+            for i, v in enumerate(values):
+                if alive >> i & 1:
+                    spec = ScalingSpec(tuple(p + 1 for p in perm), Scalar.from_complex(v))
+                    report = gram_analyze(l_block(family, spec), tol)
+                    if report.equiangular:
+                        hits.append((spec, report))
+            return
+        for q in range(d):
+            if q in perm:
+                continue
+            mask = alive
+            for j, p in enumerate(perm):
+                mask &= table[j, k][p][q]
+                if not mask:
                     break
-                zeta = cmath.exp(2j * cmath.pi * p / phase_roots)
-                spec = ScalingSpec(perm, Scalar.from_complex(zeta * mag))
-                report = gram_analyze(l_block(family, spec), tol)
-                if report.equiangular:
-                    hits.append((spec, report))
+            if mask:
+                perm.append(q)
+                extend(mask)
+                perm.pop()
+
+    extend((1 << len(values)) - 1)
     return hits
+
+
+#: the table's values and gram_analyze's differ by rounding, a few d * eps on
+#: magnitudes normalized to at most 1; this keeps the table on the safe side
+_C1_SLACK = 1e-12
+
+
+class _PairTable(dict):
+    """table[j, k][p][q] for bases j < k: a bit mask over the candidates,
+    bit i clear iff scaling column p of basis j and column q of basis k by
+    values[i] spreads the normalized magnitudes of the blocks (j, j), (k, k)
+    and (j, k) by more than bound.  An undefined (NaN) spread keeps its bit.
+
+    A pair's masks, and a basis's own block, are made on first use, so a
+    search that dies early builds few of them.  A pair is one vectorised
+    evaluation over (v, p, q, a, b), in chunks of columns p to keep memory
+    O(|v| d^3).  Only p != q is ever read: a permutation sends j and k to
+    different columns.
+    """
+
+    def __init__(self, mats: np.ndarray, values: np.ndarray, bound: float):
+        super().__init__()  # mats[j, a, l]: entry l of vector a of basis j
+        self.mats, self.bound = mats, bound
+        self.vm1 = (values - 1)[:, None, None, None, None]
+        self.w = (np.abs(values) ** 2 - 1)[:, None, None]  # |v|^2 - 1, (V, 1, 1)
+        norm2 = (np.abs(mats) ** 2).sum(axis=2)  # (j, a)
+        # scaled norms nrm[j][V, p, a] = sqrt(|x_a|^2 + (|v|^2 - 1) |x_a[p]|^2)
+        self.nrm = [np.sqrt(n2 + self.w * np.abs(x.T) ** 2) for n2, x in zip(norm2, mats)]
+        self.spreads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def spread(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (V, p): the extremes of block (j, j) with column p
+        scaled, over its pairs a < b; made on first use."""
+        if j not in self.spreads:
+            x, nrm = self.mats[j], self.nrm[j]
+            upper = ~np.tri(len(x), dtype=bool)
+            inner = x @ x.conj().T + self.w[..., None] * _outer(x, x)  # (V, p, a, b)
+            cos = (np.abs(inner)[..., upper]
+                   / (nrm[:, :, :, None] * nrm[:, :, None, :])[..., upper])
+            self.spreads[j] = cos.min(axis=-1), cos.max(axis=-1)
+        return self.spreads[j]
+
+    def __missing__(self, key: tuple[int, int]) -> list[list[int]]:
+        j, k = key
+        x, y, vm1 = self.mats[j], self.mats[k], self.vm1
+        d = len(x)
+        g, t = x @ y.conj().T, _outer(x, y)
+        ok = np.empty((len(vm1), d, d), dtype=bool)
+        step = max(1, 2**16 // ok.size // d)  # columns p per chunk: O(V d^3) memory
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero norms read NaN
+            (lo_j, hi_j), (lo_k, hi_k) = self.spread(j), self.spread(k)
+            for p in range(0, d, step):
+                ps = slice(p, p + step)
+                # <x', y'> = G + (v - 1) x_p conj(y_p) + (conj v - 1) x_q conj(y_q),
+                # indexed (V, p, q, a, b)
+                inner = g + vm1 * t[ps, None] + vm1.conj() * t[None, :]
+                cos = np.abs(inner) / (self.nrm[j][:, ps, None, :, None]
+                                       * self.nrm[k][:, None, :, None, :])
+                low = np.minimum(cos.min(axis=(3, 4)),
+                                 np.minimum(lo_j[:, ps, None], lo_k[:, None, :]))
+                high = np.maximum(cos.max(axis=(3, 4)),
+                                  np.maximum(hi_j[:, ps, None], hi_k[:, None, :]))
+                ok[:, ps] = ~(high - low > self.bound)
+        bits = np.packbits(ok, axis=0, bitorder="little")
+        masks = [[int.from_bytes(bits[:, p, q].tobytes(), "little") for q in range(d)]
+                 for p in range(d)]
+        self[key] = masks
+        return masks
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(p, a, b) -> x[a, p] * conj(y[b, p])."""
+    return x.T[:, :, None] * y.conj().T[:, None, :]
 
 
 def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:

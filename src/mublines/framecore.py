@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,21 +130,8 @@ class GramReport:
 def _cluster_float(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     """Transitive-closure clustering: sorted values split at gaps > tol."""
     order = np.sort(values)
-    clusters = []
-    start = 0
-    for idx in range(1, len(order) + 1):
-        if idx == len(order) or order[idx] - order[idx - 1] > tol:
-            chunk = order[start:idx]
-            spread = float(chunk[-1] - chunk[0])
-            if spread > 10 * tol:
-                warnings.warn(
-                    f"angle cluster spread {spread:.3e} exceeds 10*tol; "
-                    "possible tolerance-chaining artifact",
-                    RuntimeWarning,
-                )
-            clusters.append((float(chunk.mean()), len(chunk)))
-            start = idx
-    return clusters
+    cuts = np.flatnonzero(np.diff(order) > tol) + 1
+    return [(float(chunk.mean()), len(chunk)) for chunk in np.split(order, cuts)]
 
 
 def _gram(sets: list[LineSet], cross: bool = False):
@@ -214,8 +200,11 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
         clusters = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
         norms = [math.sqrt(n2) for n2 in norms]
     else:
-        clusters = tuple(_cluster_float((mag / np.outer(norms, norms))[upper], tol))
-    equi = len(clusters) == 1
+        values = (mag / np.outer(norms, norms))[upper]
+        clusters = tuple(_cluster_float(values, tol))
+    # transitive closure can chain values far apart into one cluster; such a
+    # set is not equiangular (c1_search's pruning table relies on this rule)
+    equi = len(clusters) == 1 and (lines.exact or bool(np.ptp(values) <= 10 * tol))
     return GramReport(
         size=m,
         norms=tuple(float(n) for n in norms),
@@ -364,16 +353,23 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
     bm = b.to_matrix()
     am = am / np.linalg.norm(am, axis=1, keepdims=True)
     bm = bm / np.linalg.norm(bm, axis=1, keepdims=True)
-    # form the rank-1 projectors explicitly; the algebraic shortcut
-    # 2 - 2|<x,y>|^2 cancels catastrophically near equality
-    pa = am[:, :, None] * am[:, None, :].conj()
-    pb = bm[:, :, None] * bm[:, None, :].conj()
-    diff = pa[:, None, :, :] - pb[None, :, :, :]
-    dist = np.linalg.norm(diff.reshape(len(a), len(b), -1), axis=2)
-    unmatched = list(range(len(b)))
+    # for unit x, y and theta = arg<x, y>, |P_x - P_y|_F equals
+    # |x - e^(i theta) y| * |x + e^(i theta) y| / sqrt(2), which, unlike
+    # 2 - 2|<x, y>|^2, does not cancel near equality; rows go in chunks so
+    # memory stays O(chunk * n * d)
+    n = len(b)
+    chunk = max(1, 2**16 // (n * a.dim))
+    dist = np.empty((len(a), n))
+    for start in range(0, len(a), chunk):
+        x = am[start:start + chunk, None, :]
+        phase = np.exp(1j * np.angle(am[start:start + chunk] @ bm.conj().T))
+        y = phase[:, :, None] * bm[None, :, :]
+        dist[start:start + chunk] = (np.linalg.norm(x - y, axis=2)
+                                     * np.linalg.norm(x + y, axis=2) / math.sqrt(2))
+    unmatched = list(range(n))
     for j in range(len(a)):
         best = min(unmatched, key=lambda k: (dist[j, k], k))
-        if dist[j, best] > tol:
+        if not dist[j, best] <= tol:  # a NaN distance is no match
             return False
         unmatched.remove(best)
     return True
@@ -412,6 +408,6 @@ def lineset_from_json(data: dict) -> LineSet:
 
 
 def dump_json(obj: dict, path) -> None:
+    # json.dumps runs the C encoder; json.dump to a file never does
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")

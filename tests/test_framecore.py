@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,45 @@ def test_lines_equal_detects_replacement():
     vectors = list(a.vectors[:15]) + [CVector.make([1, 0, 0, 0])]
     b = LineSet(4, tuple(vectors))
     assert not lines_equal(a, b)
+
+
+def test_lines_equal_memory_stays_bounded_on_256_lines_in_c16():
+    union = [v.to_array() for v in fixtures.sixteen_lines_d4().vectors]
+    a = LineSet(16, tuple(CVector.make(np.kron(x, y)) for x in union for y in union))
+    rng = random.Random(7)
+    b = apply_equivalence(
+        LineSet(16, a.vectors[::-1]),
+        VectorPhases(tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(256))))
+    tracemalloc.start()
+    try:
+        same = lines_equal(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert peak < 64 * 2**20
+    assert not lines_equal(a, LineSet(16, a.vectors[:-1] + (CVector.make([1] + [0] * 15),)))
+
+
+def test_lines_equal_says_no_to_zero_vectors():
+    a = LineSet(2, (CVector.make([0, 0]), CVector.make([1, 0])))
+    b = LineSet(2, (CVector.make([0, 1]), CVector.make([0, 0])))
+    with np.errstate(invalid="ignore"):
+        assert not lines_equal(a, b)
+
+
+def test_gram_analyze_says_no_to_a_chained_cluster():
+    # 30 lines in a real plane, 0.01 rad apart: the magnitudes cos(0.01 k),
+    # k = 1..29, are never more than tol apart, yet spread over 10 * tol
+    tol = 0.003
+    lines = LineSet(2, tuple(CVector.make([math.cos(0.01 * k), math.sin(0.01 * k)])
+                             for k in range(30)))
+    values = np.sort([math.cos(0.01 * k) for k in range(1, 30)])
+    assert np.diff(values).max() <= tol < (values[-1] - values[0]) / 10
+    report = gram_analyze(lines, tol)
+    assert len(report.angle_clusters) == 1
+    assert not report.equiangular
+    assert report.common_angle is None
 
 
 def test_exact_and_float_paths_agree():
