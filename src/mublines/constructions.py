@@ -29,9 +29,9 @@ from .abelian import (
 )
 from .framecore import (
     DEFAULT_TOL,
-    CVector,
     GramReport,
     LineSet,
+    _cmul,
     _gram,
     gram_analyze,
     verify_mubs,
@@ -89,7 +89,7 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
     subgroup = np.array(sorted(rds.forbidden_subgroup()))
     elements = np.array([g.exponents for g in rds.elements])
     signatures = chars @ subgroup.T % modulus
-    rows = (chars @ elements.T % modulus).tolist()
+    rows = chars @ elements.T % modulus
 
     # characters are lexicographic, so first-seen order of the signatures
     # orders the groups by their lexicographically smallest member
@@ -100,19 +100,20 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
         raise InvalidRds("character grouping by restriction to N is not d-by-d")
 
     # the L-th roots of unity are the values of the generating character of
-    # Z_L; char_eval reduces t / L, so phase 0 stays the exact Gaussian 1
+    # Z_L; char_eval reduces t / L, so phase 0 stays the exact Gaussian 1.  A
+    # basis is exact iff every root it uses is
     cyclic = FiniteAbelianGroup((modulus,))
     root = Character(cyclic, (1,))
     values = [char_eval(root, cyclic.element((t,))) for t in range(modulus)]
+    exact = np.array([z.exact for z in values])
+    table = np.array([[z.re for z in values], [z.im for z in values]], dtype=object)
+    floats = table.astype(float)
     bases = []
     for j, members in enumerate(groups.values(), start=1):
-        vectors = tuple(
-            CVector(tuple(values[t] for t in rows[index])) for index in members
-        )
-        bases.append(
-            LineSet(d, vectors, {"construction": "rds-mub", "basis": j,
-                                 "rds": rds.label or "custom"})
-        )
+        ts = rows[members]
+        bases.append(LineSet.from_parts(
+            (table if exact[ts].all() else floats)[:, ts],
+            {"construction": "rds-mub", "basis": j, "rds": rds.label or "custom"}))
     family = MubFamily(d, tuple(bases), rds)
     if not verify_mubs(list(family.bases)):
         raise InvalidRds("constructed bases failed the MUB check")
@@ -125,23 +126,14 @@ def l_block(family: MubFamily, spec: ScalingSpec) -> LineSet:
     if sorted(spec.perm) != list(range(1, d + 1)):
         raise ValueError(f"perm must be a permutation of 1..{d}")
     v = Scalar.coerce(spec.v)
-    vectors = []
-    for j, basis in enumerate(family.bases, start=1):
-        col = spec.perm[j - 1] - 1
-        for vec in basis.vectors:
-            entries = list(vec.entries)
-            entries[col] = entries[col] * v
-            vectors.append(CVector(tuple(entries)))
-    return LineSet(
-        d,
-        tuple(vectors),
-        {
-            "construction": "c1-lblock",
-            "rds": family.source_rds.label or "custom",
-            "perm": list(spec.perm),
-            "v": [v.re, v.im],
-        },
-    )
+    parts = np.concatenate([b.parts for b in family.bases], axis=1)
+    if not v.exact:
+        parts = parts.astype(float, copy=False)
+    entries = (slice(None), np.arange(d * d), np.repeat(np.array(spec.perm) - 1, d))
+    parts[entries] = _cmul(parts[entries], v.re, v.im)
+    return LineSet.from_parts(parts, {"construction": "c1-lblock", "perm": list(spec.perm),
+                                      "rds": family.source_rds.label or "custom",
+                                      "v": [v.re, v.im]})
 
 
 def c1_magnitudes(d: int) -> list[float]:
@@ -315,30 +307,24 @@ def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
 # --- Construction 2 (dimension 8) -------------------------------------------
 
 
-def _mub4_float() -> list[np.ndarray]:
-    family = mubs_from_rds(builtin_rds(4))
-    return [basis.to_matrix() for basis in family.bases]
-
-
 def construction2_family(a: float) -> LineSet:
     """64 lines in C^8 from the dimension-4 MUBs and the one-parameter
     column blocks C_j(a), D_j(a); equals the (twisted) Hoggar set at a=0."""
-    bases = _mub4_float()
+    bases = [basis.to_matrix() for basis in mubs_from_rds(builtin_rds(4)).bases]
     c = (a - 1 + 1j * (a + 1)) / math.sqrt(1 + a * a)
     dval = (a + 1 + 1j * (a - 1)) / math.sqrt(1 + a * a)
-    vectors = []
+    blocks = []
     for j, basis in enumerate(bases):
         col = np.zeros((4, 4), dtype=complex)
         col[:, j] = 1.0
-        blocks = [
+        blocks += [
             np.hstack([basis, c * col]),
             np.hstack([basis, -c * col]),
             np.hstack([dval * col, basis]),
             np.hstack([-dval * col, basis]),
         ]
-        for block in blocks:
-            vectors.extend(CVector.make(row) for row in block)
-    return LineSet(8, tuple(vectors), {"construction": "c2", "a": a})
+    mat = np.vstack(blocks)
+    return LineSet.from_parts(np.stack([mat.real, mat.imag]), {"construction": "c2", "a": a})
 
 
 _PAULI_REPS = (
@@ -367,23 +353,23 @@ _HOGGAR_SEED = np.array(
 def hoggar_tensor_orbit() -> LineSet:
     """Hoggar's 64 lines as the orbit of the given seed under the 3-fold
     tensor power of the dimension-2 Weyl-Heisenberg coset representatives."""
-    vectors = []
-    for a, b, c in itertools.product(_PAULI_REPS, repeat=3):
-        mat = np.kron(a, np.kron(b, c))
-        vectors.append(CVector.make(mat @ _HOGGAR_SEED))
-    return LineSet(8, tuple(vectors), {"construction": "hoggar-orbit"})
+    orbit = [np.kron(a, np.kron(b, c)) @ _HOGGAR_SEED
+             for a, b, c in itertools.product(_PAULI_REPS, repeat=3)]
+    mat = np.array(orbit)
+    return LineSet.from_parts(np.stack([mat.real, mat.imag]), {"construction": "hoggar-orbit"})
 
 
 # --- Construction 3 (block pairs in C^(2d)) ---------------------------------
 
 
-def _concat_blocks(left: LineSet, right: LineSet, negate_right: bool,
-                   provenance: dict) -> LineSet:
-    vectors = []
-    for lv, rv in zip(left.vectors, right.vectors):
-        rv2 = rv.scale(Scalar.gauss(-1, 0)) if negate_right else rv
-        vectors.append(lv.concat(rv2))
-    return LineSet(left.dim * 2, tuple(vectors), provenance)
+def _concat_blocks(left: LineSet, right: LineSet, negate_right: bool) -> np.ndarray:
+    """The parts of [left  right], or of [left  -right], in C^(2d)."""
+    left, right = left.parts, right.parts
+    if negate_right:
+        right = np.array(_cmul(right, -1, 0))
+    if left.dtype != right.dtype:  # one block exact, the other float
+        left, right = left.astype(float), right.astype(float)
+    return np.concatenate((left, right), axis=2)
 
 
 def construction3_pair(family: MubFamily, spec: BlockPairSpec) -> LineSet:
@@ -405,10 +391,8 @@ def construction3_pair(family: MubFamily, spec: BlockPairSpec) -> LineSet:
         l_block(family, ScalingSpec(spec.perm, _gauss_if_integral(z.real, z.imag)))
         for z in (left, right)
     )
-    return _concat_blocks(
-        lblk,
-        rblk,
-        negate,
+    return LineSet.from_parts(
+        _concat_blocks(lblk, rblk, negate),
         {
             "construction": "c3-pair",
             "rds": family.source_rds.label or "custom",
@@ -446,16 +430,11 @@ def construction3_d4_extension() -> LineSet:
     def lb(a: int, b: int) -> LineSet:
         return l_block(family, ScalingSpec(perm, Scalar.gauss(a, b)))
 
-    provenance = {
-        "construction": "c3-d4-extension",
-        "rds": "builtin:4",
-        "perm": list(perm),
-    }
     blocks = [
-        _concat_blocks(lb(2, 1), lb(0, -1), False, provenance),
-        _concat_blocks(lb(-1, 2), lb(1, 0), True, provenance),
-        _concat_blocks(lb(0, -1), lb(2, 1), False, provenance),
-        _concat_blocks(lb(1, 0), lb(-1, 2), True, provenance),
+        _concat_blocks(lb(2, 1), lb(0, -1), False),
+        _concat_blocks(lb(-1, 2), lb(1, 0), True),
+        _concat_blocks(lb(0, -1), lb(2, 1), False),
+        _concat_blocks(lb(1, 0), lb(-1, 2), True),
     ]
-    vectors = tuple(v for block in blocks for v in block.vectors)
-    return LineSet(8, vectors, provenance)
+    return LineSet.from_parts(np.concatenate(blocks, axis=1), {
+        "construction": "c3-d4-extension", "rds": "builtin:4", "perm": list(perm)})

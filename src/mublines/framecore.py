@@ -12,12 +12,12 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .scalars import Scalar, _gauss_if_integral
+from .scalars import Scalar
 
 DEFAULT_TOL = 1e-9
 
@@ -68,12 +68,6 @@ class CVector:
     def to_array(self) -> np.ndarray:
         return np.array([e.to_complex() for e in self.entries], dtype=complex)
 
-    def scale(self, factor: Scalar) -> "CVector":
-        return CVector(tuple(e * factor for e in self.entries))
-
-    def concat(self, other: "CVector") -> "CVector":
-        return CVector(self.entries + other.entries)
-
 
 def inner(x: CVector, y: CVector) -> Scalar:
     """Standard Hermitian inner product sum x_l * conj(y_l)."""
@@ -85,26 +79,84 @@ def inner(x: CVector, y: CVector) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
 class LineSet:
-    dim: int
-    vectors: tuple[CVector, ...]
-    provenance: dict = field(default_factory=dict, compare=False)
+    """Lines in C^dim as one read-only array, parts, of shape (2, n, dim):
+    the real and imaginary parts of the n spanning vectors, Python ints
+    (dtype=object) in an exact Gaussian-integer set and float64 otherwise.
 
-    def __post_init__(self):
-        for v in self.vectors:
-            if v.dim != self.dim:
-                raise DimensionMismatch("all vectors must share the set dimension")
+    LineSet(dim, vectors, provenance) builds a set from CVectors, exact iff
+    every entry is; LineSet.from_parts copies an array.  No library function
+    reads .vectors, a view built on first use.
+    """
+
+    def __init__(self, dim: int, vectors, provenance: dict | None = None):
+        if any(v.dim != dim for v in vectors):
+            raise DimensionMismatch("all vectors must share the set dimension")
+        exact = all(e.exact for v in vectors for e in v.entries)
+        parts = np.array([[e.re for v in vectors for e in v.entries],
+                          [e.im for v in vectors for e in v.entries]],
+                         dtype=object if exact else float)
+        self._own(parts.reshape(2, len(vectors), dim), provenance)
+
+    @classmethod
+    def from_parts(cls, parts, provenance: dict | None = None) -> "LineSet":
+        lines = cls.__new__(cls)
+        lines._own(parts, provenance)
+        return lines
+
+    def _own(self, parts, provenance: dict | None) -> None:
+        parts = np.array(parts, order="C")  # the set's own copy
+        if parts.dtype != object:
+            parts = parts.astype(float, copy=False)
+        elif not set(map(type, parts.flat)) <= {int}:  # what the exact Gram trusts
+            raise ValueError("an exact line set holds Python ints only")
+        if parts.ndim != 3 or len(parts) != 2:
+            raise ValueError("line-set parts must have shape (2, n, dim)")
+        parts.flags.writeable = False
+        self._parts, self._vectors = parts, None
+        self.provenance = {} if provenance is None else provenance
+
+    @property
+    def parts(self) -> np.ndarray:
+        return self._parts
+
+    @property
+    def dim(self) -> int:
+        return self._parts.shape[2]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self._parts.shape[1]
 
     @property
     def exact(self) -> bool:
-        return all(v.exact for v in self.vectors)
+        return self._parts.dtype == object
+
+    @property
+    def vectors(self) -> tuple[CVector, ...]:
+        """The lines as CVectors; equal entries share one Scalar."""
+        if self._vectors is None:
+            flat = self._parts.reshape(2, -1)
+            # a float is keyed by its bits, so 0.0 and -0.0 stay apart
+            re, im = (np.unique(part, return_inverse=True)[1]
+                      for part in (flat if self.exact else flat.view(np.uint64)))
+            _, first, inverse = np.unique(re * flat.shape[1] + im, return_index=True,
+                                          return_inverse=True)
+            pool = np.array([Scalar(*value, self.exact) for value in zip(*flat[:, first].tolist())]
+                            + [None])  # an object array, even when empty
+            rows = pool[inverse].reshape(len(self), self.dim)
+            self._vectors = tuple(CVector(tuple(row)) for row in rows)
+        return self._vectors
 
     def to_matrix(self) -> np.ndarray:
-        return np.array([v.to_array() for v in self.vectors], dtype=complex)
+        mat = np.empty(self._parts.shape[1:], dtype=complex)
+        mat.real, mat.imag = self._parts
+        return mat
+
+
+def _cmul(x: np.ndarray, re, im) -> tuple[np.ndarray, np.ndarray]:
+    """(x[0] + i x[1]) * (re + i im) entrywise, as (real, imaginary) parts,
+    with the rounding of Scalar.__mul__."""
+    return x[0] * re - x[1] * im, x[0] * im + x[1] * re
 
 
 @dataclass(frozen=True)
@@ -139,7 +191,7 @@ def _gram(sets: list[LineSet], cross: bool = False):
 
     Yields (j, k, mag, norms_j, norms_k), one Gram block at a time: every set
     against itself, then, if cross, every set against each later one.  When
-    every entry is a Gaussian integer the block is exact, on Python ints:
+    every set is exact the block is exact, on its Python ints:
     mag[a, b] = |<x_a, y_b>|^2 and the norms are squared.  Otherwise it is
     float64, mag[a, b] = |<x_a, y_b>| and the norms are not squared.  Either
     way mag / outer(norms_j, norms_k) is the normalized value.
@@ -149,8 +201,7 @@ def _gram(sets: list[LineSet], cross: bool = False):
     """
     exact = all(s.exact for s in sets)
     if exact:  # (re, im) parts, shape (2, n, d)
-        parts = [np.array([[(e.re, e.im) for e in v.entries] for v in s.vectors],
-                          dtype=object).transpose(2, 0, 1) for s in sets]
+        parts = [s.parts for s in sets]
     else:
         parts = [(mat, mat.conj().T) for mat in (s.to_matrix() for s in sets)]
 
@@ -200,7 +251,7 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
         clusters = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
         norms = [math.sqrt(n2) for n2 in norms]
     else:
-        values = (mag / np.outer(norms, norms))[upper]
+        values = np.divide(mag, np.outer(norms, norms), out=mag)[upper]  # mag is ours
         clusters = tuple(_cluster_float(values, tol))
     # transitive closure can chain values far apart into one cluster; such a
     # set is not equiangular (c1_search's pruning table relies on this rule)
@@ -218,7 +269,7 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
 def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
     """True iff each basis is orthogonal and all cross-basis normalized
     magnitudes equal 1/sqrt(d); exact, with the tolerance ignored, when every
-    entry is a Gaussian integer."""
+    basis is exact."""
     if not bases:
         raise ValueError("no bases supplied")
     d = bases[0].dim
@@ -319,29 +370,23 @@ def apply_equivalence(lines: LineSet, transform: Transform,
             out = apply_equivalence(out, part, tol)
         return out
 
+    parts = lines.parts
     if isinstance(transform, EntryPermutation):
-        perm = transform.perm
-        if sorted(perm) != list(range(lines.dim)):
+        if sorted(transform.perm) != list(range(lines.dim)):
             raise ValueError("not a permutation of the entry indices")
-        vectors = tuple(
-            CVector(tuple(v.entries[i] for i in perm)) for v in lines.vectors
-        )
-    elif isinstance(transform, VectorPhases):
-        if len(transform.phases) != len(lines):
-            raise ValueError("need one phase per vector")
+        parts = parts[:, :, list(transform.perm)]
+    elif isinstance(transform, (VectorPhases, CoordPhases)):
+        vector = isinstance(transform, VectorPhases)
+        if len(transform.phases) != (len(lines) if vector else lines.dim):
+            raise ValueError(f"need one phase per {'vector' if vector else 'coordinate'}")
         phases = [_check_unit(p, tol) for p in transform.phases]
-        vectors = tuple(v.scale(p) for v, p in zip(lines.vectors, phases))
-    elif isinstance(transform, CoordPhases):
-        if len(transform.phases) != lines.dim:
-            raise ValueError("need one phase per coordinate")
-        phases = [_check_unit(p, tol) for p in transform.phases]
-        vectors = tuple(
-            CVector(tuple(e * p for e, p in zip(v.entries, phases)))
-            for v in lines.vectors
-        )
+        if not all(p.exact for p in phases):  # exact iff the set and every phase are
+            parts = parts.astype(float, copy=False)
+        re, im = np.array([[p.re for p in phases], [p.im for p in phases]], dtype=parts.dtype)
+        parts = _cmul(parts, re[:, None], im[:, None]) if vector else _cmul(parts, re, im)
     else:
         raise TypeError(f"unknown transform {transform!r}")
-    return LineSet(lines.dim, vectors, dict(lines.provenance))
+    return LineSet.from_parts(parts, dict(lines.provenance))
 
 
 def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
@@ -379,32 +424,37 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
 
 
 def lineset_to_json(lines: LineSet) -> dict:
-    exact = lines.exact
     return {
         "dim": lines.dim,
-        "field": "gaussian-int" if exact else "complex-f64",
-        "vectors": [
-            [[e.re, e.im] for e in v.entries] for v in lines.vectors
-        ],
+        "field": "gaussian-int" if lines.exact else "complex-f64",
+        "vectors": lines.parts.transpose(1, 2, 0).tolist(),
         "provenance": lines.provenance,
     }
 
 
 def lineset_from_json(data: dict) -> LineSet:
+    """Entries must be JSON numbers: integers in a gaussian-int set, within
+    float64 range in a complex-f64 one; anything else raises ValueError."""
     dim = int(data["dim"])
-    exact = data.get("field") == "gaussian-int"
-    scale = data.get("scale")
-    vectors = []
-    for entries in data["vectors"]:
-        if exact and scale is None:
-            vec = CVector(tuple(_gauss_if_integral(re, im) for re, im in entries))
-            if not vec.exact:
-                raise ValueError("gaussian-int line set has a non-integer entry")
-        else:
-            mult = 1.0 if scale is None else float(scale)
-            vec = CVector.make([complex(re, im) * mult for re, im in entries])
-        vectors.append(vec)
-    return LineSet(dim, tuple(vectors), data.get("provenance", {}))
+    pairs = np.array(data["vectors"], dtype=object)  # (n, dim, 2)
+    if not len(pairs):
+        pairs = pairs.reshape(0, dim, 2)
+    if pairs.shape[1:] != (dim, 2):
+        raise DimensionMismatch(f"vectors must be lists of {dim} [re, im] pairs")
+    flat = pairs.ravel().tolist()
+    if not set(map(type, flat)) <= {int, float}:
+        raise ValueError("line-set entries must be JSON numbers")
+    if data.get("field") == "gaussian-int":
+        if not all(type(x) is int or x.is_integer() for x in flat):
+            raise ValueError("gaussian-int line set has a non-integer entry")
+        parts = np.array([int(x) for x in flat], dtype=object)
+    else:
+        try:
+            parts = np.array(flat, dtype=float)
+        except OverflowError as exc:
+            raise ValueError(f"complex-f64 line set has an entry beyond float64: {exc}")
+    return LineSet.from_parts(parts.reshape(pairs.shape).transpose(2, 0, 1),
+                              data.get("provenance", {}))
 
 
 def dump_json(obj: dict, path) -> None:

@@ -55,11 +55,6 @@ class Scalar:
             return Scalar.gauss(re, im)
         return Scalar(re, im, False)
 
-    def __neg__(self) -> "Scalar":
-        if self.exact:
-            return Scalar.gauss(-self.re, -self.im)
-        return Scalar(-self.re, -self.im, False)
-
     def conj(self) -> "Scalar":
         if self.exact:
             return Scalar.gauss(self.re, -self.im)
@@ -81,10 +76,6 @@ class Scalar:
     def __str__(self) -> str:
         return str(self.to_complex())
 
-
-ONE = Scalar.gauss(1, 0)
-ZERO = Scalar.gauss(0, 0)
-I_UNIT = Scalar.gauss(0, 1)
 
 #: the units of the Gaussian integers; the only phases that keep a line set
 #: on the exact arithmetic path

@@ -61,11 +61,9 @@ def wh_orbit(fiducial: Fiducial) -> LineSet:
     center, in (j, k)-lexicographic order."""
     d = fiducial.dim
     x = fiducial.vector.to_array()
-    return LineSet(
-        d,
-        tuple(CVector.make(rep @ x) for rep in _coset_representatives(d)),
-        {"construction": "wh-orbit", "fiducial": fiducial.source},
-    )
+    orbit = np.array([rep @ x for rep in _coset_representatives(d)])
+    return LineSet.from_parts(np.stack([orbit.real, orbit.imag]),
+                              {"construction": "wh-orbit", "fiducial": fiducial.source})
 
 
 def fiducial_d4() -> Fiducial:

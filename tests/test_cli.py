@@ -178,3 +178,49 @@ def test_seed_option_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["--seed", "1", "bounds", "--d", "4"])
     assert exc.value.code == 2
+
+
+def test_mubs_verifies_once_at_the_default_tolerance(capsys, monkeypatch):
+    from mublines import constructions, framecore
+
+    calls = []
+    real = framecore.verify_mubs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(framecore, "verify_mubs", counting)
+    monkeypatch.setattr(constructions, "verify_mubs", counting)
+    code, _, err = run(capsys, "mubs", "--rds", "builtin:3")
+    assert code == 0 and "verify_mubs = True" in err
+    assert len(calls) == 1  # mubs_from_rds's own check
+
+
+def test_mubs_tighter_tolerance_still_checks(capsys):
+    code, out, err = run(capsys, "--tol", "1e-300", "mubs", "--rds", "builtin:3")
+    assert code == 1
+    assert json.loads(out)["verified"] is False
+    assert "verify_mubs = False" in err
+
+
+@pytest.mark.parametrize("field, bad", [pytest.param("complex-f64", 10**400, id="f64-10^400"),
+                                        ("gaussian-int", True)])
+def test_verify_malformed_number_exits_2(capsys, tmp_path, field, bad):
+    path = tmp_path / "c3ext.json"
+    run(capsys, "--out", str(path), "construct", "c3ext")
+    data = json.loads(path.read_text())
+    data["field"] = field
+    data["vectors"][7][1][0] = bad
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert "malformed" in err
+
+
+def test_fiducial_beyond_float64_exits_2(capsys, tmp_path):
+    fid = tmp_path / "huge.json"
+    fid.write_text(json.dumps({"vector": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}))
+    code, out, err = run(capsys, "wh", "--fiducial", f"file:{fid}")
+    assert code == 2 and out == ""
+    assert "malformed" in err

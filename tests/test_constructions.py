@@ -393,6 +393,7 @@ def test_mubs_from_rds_entries_equal_char_eval(d):
     assert len(family.bases) == len(reference) == d
     for basis, ref_basis in zip(family.bases, reference):
         assert len(basis.vectors) == len(ref_basis) == d
+        # exactness belongs to the whole basis: exact iff every value is
+        assert basis.exact == all(e.exact for ref_vec in ref_basis for e in ref_vec)
         for vec, ref_vec in zip(basis.vectors, ref_basis):
-            assert vec.entries == tuple(ref_vec)
-            assert [e.exact for e in vec.entries] == [e.exact for e in ref_vec]
+            assert [e.to_complex() for e in vec.entries] == [e.to_complex() for e in ref_vec]

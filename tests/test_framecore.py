@@ -309,3 +309,82 @@ def test_lineset_from_json_reads_integral_floats_exactly():
     back = lineset_from_json(data)
     assert back.exact
     assert back.vectors == fixtures.lines64_d8().vectors
+
+
+@pytest.mark.parametrize("bad", [1.0, True, pytest.param(np.int64(1), id="int64")])
+def test_exact_lineset_refuses_anything_but_python_ints(bad):
+    parts = np.array([[[1, 0]], [[0, 1]]], dtype=object)
+    LineSet.from_parts(parts)  # Python ints: accepted
+    parts[0, 0, 1] = bad
+    with pytest.raises(ValueError, match="Python ints"):
+        LineSet.from_parts(parts)
+    with pytest.raises(ValueError, match="Python ints"):
+        LineSet(2, (CVector((Scalar.gauss(1), Scalar(bad, 0, True))),))
+
+
+def test_lineset_array_is_owned_and_read_only():
+    parts = np.array([[[1, 0], [0, 1]], [[0, 0], [0, 0]]], dtype=object)
+    lines = LineSet.from_parts(parts)
+    parts[0, 0, 0] = 5  # the caller's array is not the set's
+    assert lines.parts[0, 0, 0] == 1
+    assert lines.vectors[0].entries[0] == Scalar.gauss(1)
+    with pytest.raises(ValueError, match="read-only"):
+        lines.parts[0, 0, 0] = 5
+    with pytest.raises(AttributeError):
+        lines.parts = parts
+
+
+def test_lineset_exactness_belongs_to_the_set():
+    mixed = LineSet(2, (CVector.make([1, 0]), CVector.make([0.5, 1])))
+    assert not mixed.exact and mixed.parts.dtype == np.float64
+    assert all(not e.exact for v in mixed.vectors for e in v.entries)
+    exact = LineSet(2, (CVector.make([1, 0]), CVector.make([0, 1])))
+    assert exact.exact and exact.parts.dtype == object
+
+
+def test_lineset_view_shares_one_scalar_per_value():
+    from mublines.abelian import builtin_rds
+    from mublines.constructions import mubs_from_rds
+
+    for basis in mubs_from_rds(builtin_rds(7)).bases:
+        entries = [e for v in basis.vectors for e in v.entries]
+        assert len({id(e) for e in entries}) == len(set(entries)) <= 7
+    # -0.0 and 0.0 are different values of the array, and of the view
+    lines = LineSet(2, (CVector.make([1.0, 0.0]), CVector.make([-0.0, 1.0])))
+    assert math.copysign(1, lines.vectors[1].entries[0].re) == -1
+    assert math.copysign(1, lines.vectors[0].entries[1].re) == 1
+
+
+@pytest.mark.parametrize("field, bad", [
+    pytest.param("complex-f64", 10**400, id="f64-10^400"),  # beyond float64
+    ("complex-f64", True),
+    ("complex-f64", "1.5"),
+    ("gaussian-int", True),
+    ("gaussian-int", False),
+    ("gaussian-int", "1"),
+    ("gaussian-int", None),
+])
+def test_lineset_from_json_rejects_malformed_numbers(field, bad):
+    data = lineset_to_json(fixtures.lines64_d8())
+    data["field"] = field
+    data["vectors"][7][1][0] = bad
+    with pytest.raises(ValueError):
+        lineset_from_json(data)
+
+
+def test_lineset_from_json_keeps_huge_gaussian_integers_exact():
+    data = lineset_to_json(fixtures.lines64_d8())
+    data["vectors"][7][1][0] = 10**400
+    back = lineset_from_json(json.loads(json.dumps(data)))
+    assert back.exact and back.parts[0, 7, 1] == 10**400
+
+
+@pytest.mark.parametrize("vectors", [
+    [[[1, 0], [0, 1]]],  # dim 2 in a dim-4 file
+    [[1, 0, 0, 1]] * 4,  # flat entries, not [re, im] pairs
+    [[[1, 0, 0]] * 4],  # triples
+    5,
+])
+def test_lineset_from_json_rejects_wrong_shapes(vectors):
+    with pytest.raises((ValueError, TypeError)):
+        lineset_from_json({"dim": 4, "field": "complex-f64", "vectors": vectors})
