@@ -13,7 +13,7 @@ import sys
 
 from . import abelian, constructions, framecore, weylheisenberg
 from .exprs import parse_constant
-from .scalars import Scalar, _gauss_if_integral
+from .scalars import _gauss_if_integral
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -48,19 +48,12 @@ def _resolve_rds(ref: str) -> abelian.RelativeDifferenceSet:
     raise CliError(f"RDS reference must be builtin:<d> or file:<path>, got {ref!r}")
 
 
-def _parse_perm(text: str, d: int) -> tuple[int, ...]:
+def _parse_perm(text: str) -> tuple[int, ...]:
+    """The integers of "1,3,4,2"; l_block checks that they are a permutation."""
     try:
-        perm = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise CliError(f"bad permutation {text!r}")
-    if sorted(perm) != list(range(1, d + 1)):
-        raise CliError(f"{text!r} is not a permutation of 1..{d}")
-    return perm
-
-
-def _parse_v(text: str) -> Scalar:
-    z = parse_constant(text)
-    return _gauss_if_integral(z.real, z.imag)
 
 
 def _emit(data: dict, out_path: str | None) -> None:
@@ -109,9 +102,8 @@ def _build_lines(args) -> framecore.LineSet:
         family = _family(args)
         if args.perm is None or args.v is None:
             raise CliError("construct c1 requires --perm and --v")
-        spec = constructions.ScalingSpec(
-            _parse_perm(args.perm, family.dim), _parse_v(args.v)
-        )
+        spec = constructions.ScalingSpec(_parse_perm(args.perm),
+                                         _gauss_if_integral(parse_constant(args.v)))
         return constructions.l_block(family, spec)
     if kind == "c2":
         return constructions.construction2_family(args.a if args.a is not None else 0.0)
@@ -123,9 +115,7 @@ def _build_lines(args) -> framecore.LineSet:
             a, b = constructions.construction3_solve(family.dim)[0]
         else:
             a, b = args.a, args.b
-        spec = constructions.BlockPairSpec(
-            _parse_perm(args.perm, family.dim), a, b, args.variant
-        )
+        spec = constructions.BlockPairSpec(_parse_perm(args.perm), a, b, args.variant)
         return constructions.construction3_pair(family, spec)
     if kind == "c3ext":
         return constructions.construction3_d4_extension()
@@ -172,8 +162,6 @@ def cmd_search(args) -> int:
 
 def cmd_bounds(args) -> int:
     d = args.d
-    if d < 1:
-        raise CliError("d must be >= 1")
     payload = {
         "d": d,
         "max_lines": d * d,
@@ -192,8 +180,10 @@ def _resolve_fiducial(ref: str | None) -> weylheisenberg.Fiducial:
     if ref == "builtin:d4":
         return weylheisenberg.fiducial_d4()
     if ref.startswith("file:"):
+        # {"vector": [[re, im], ...]} is a one-vector complex-f64 line set
         return _load(ref.split(":", 1)[1], "fiducial", lambda data: weylheisenberg.Fiducial(
-            framecore.CVector.make([complex(re, im) for re, im in data["vector"]]), "user"))
+            framecore.lineset_from_json({"dim": len(data["vector"]),
+                                         "vectors": [data["vector"]]}).vectors[0], "user"))
     raise CliError(f"fiducial must be builtin:d4 or file:<path>, got {ref!r}")
 
 

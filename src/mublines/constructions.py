@@ -127,7 +127,7 @@ def l_block(family: MubFamily, spec: ScalingSpec) -> LineSet:
         raise ValueError(f"perm must be a permutation of 1..{d}")
     v = Scalar.coerce(spec.v)
     parts = np.concatenate([b.parts for b in family.bases], axis=1)
-    if not v.exact:
+    if not (v.exact and all(b.exact for b in family.bases)):  # one float basis floats all
         parts = parts.astype(float, copy=False)
     entries = (slice(None), np.arange(d * d), np.repeat(np.array(spec.perm) - 1, d))
     parts[entries] = _cmul(parts[entries], v.re, v.im)
@@ -227,60 +227,82 @@ class _PairTable(dict):
     and (j, k) by more than bound.  An undefined (NaN) spread keeps its bit.
 
     A pair's masks, and a basis's own block, are made on first use, so a
-    search that dies early builds few of them.  A pair is one vectorised
-    evaluation over (v, p, q, a, b), in chunks of columns p to keep memory
-    O(|v| d^3).  Only p != q is ever read: a permutation sends j and k to
-    different columns.
+    search that dies early builds few of them.  Each is a vectorised
+    evaluation over (v, p, q, a, b), in chunks of candidates v and columns p
+    (_chunks), so memory does not grow with the number of candidates.  Only
+    p != q is ever read: a permutation sends j and k to different columns.
     """
 
     def __init__(self, mats: np.ndarray, values: np.ndarray, bound: float):
         super().__init__()  # mats[j, a, l]: entry l of vector a of basis j
-        self.mats, self.bound = mats, bound
-        self.vm1 = (values - 1)[:, None, None, None, None]
-        self.w = (np.abs(values) ** 2 - 1)[:, None, None]  # |v|^2 - 1, (V, 1, 1)
-        norm2 = (np.abs(mats) ** 2).sum(axis=2)  # (j, a)
-        # scaled norms nrm[j][V, p, a] = sqrt(|x_a|^2 + (|v|^2 - 1) |x_a[p]|^2)
-        self.nrm = [np.sqrt(n2 + self.w * np.abs(x.T) ** 2) for n2, x in zip(norm2, mats)]
+        self.mats, self.values, self.bound = mats, values, bound
+        self.w = np.abs(values) ** 2 - 1  # |v|^2 - 1
+        self.norm2 = (np.abs(mats) ** 2).sum(axis=2)  # (j, a)
         self.spreads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def norms(self, j: int, vs: slice, ps: slice) -> np.ndarray:
+        """(v, p, a): sqrt(|x_a|^2 + (|v|^2 - 1) |x_a[p]|^2), the norm of
+        vector a of basis j with column p scaled by v."""
+        return np.sqrt(self.norm2[j] + self.w[vs, None, None] * np.abs(self.mats[j].T[ps]) ** 2)
 
     def spread(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), each (V, p): the extremes of block (j, j) with column p
         scaled, over its pairs a < b; made on first use."""
         if j not in self.spreads:
-            x, nrm = self.mats[j], self.nrm[j]
-            upper = ~np.tri(len(x), dtype=bool)
-            inner = x @ x.conj().T + self.w[..., None] * _outer(x, x)  # (V, p, a, b)
-            cos = (np.abs(inner)[..., upper]
-                   / (nrm[:, :, :, None] * nrm[:, :, None, :])[..., upper])
-            self.spreads[j] = cos.min(axis=-1), cos.max(axis=-1)
+            x = self.mats[j]
+            d = len(x)
+            upper = ~np.tri(d, dtype=bool)
+            g, t = x @ x.conj().T, _outer(x, x)
+            lo, hi = np.empty((2, len(self.values), d))
+            for vs, ps in _chunks(len(self.values), d, d * d):
+                nrm = self.norms(j, vs, ps)
+                inner = g + self.w[vs, None, None, None] * t[ps]  # (v, p, a, b)
+                cos = (np.abs(inner)[..., upper]
+                       / (nrm[:, :, :, None] * nrm[:, :, None, :])[..., upper])
+                lo[vs, ps], hi[vs, ps] = cos.min(axis=-1), cos.max(axis=-1)
+            self.spreads[j] = lo, hi
         return self.spreads[j]
 
     def __missing__(self, key: tuple[int, int]) -> list[list[int]]:
         j, k = key
-        x, y, vm1 = self.mats[j], self.mats[k], self.vm1
+        x, y = self.mats[j], self.mats[k]
         d = len(x)
         g, t = x @ y.conj().T, _outer(x, y)
-        ok = np.empty((len(vm1), d, d), dtype=bool)
-        step = max(1, 2**16 // ok.size // d)  # columns p per chunk: O(V d^3) memory
+        ok = np.empty((len(self.values), d, d), dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):  # zero norms read NaN
             (lo_j, hi_j), (lo_k, hi_k) = self.spread(j), self.spread(k)
-            for p in range(0, d, step):
-                ps = slice(p, p + step)
+            for vs, ps in _chunks(len(self.values), d, d ** 3):
+                vm1 = (self.values[vs] - 1)[:, None, None, None, None]
                 # <x', y'> = G + (v - 1) x_p conj(y_p) + (conj v - 1) x_q conj(y_q),
-                # indexed (V, p, q, a, b)
+                # indexed (v, p, q, a, b)
                 inner = g + vm1 * t[ps, None] + vm1.conj() * t[None, :]
-                cos = np.abs(inner) / (self.nrm[j][:, ps, None, :, None]
-                                       * self.nrm[k][:, None, :, None, :])
+                cos = np.abs(inner) / (self.norms(j, vs, ps)[:, :, None, :, None]
+                                       * self.norms(k, vs, slice(None))[:, None, :, None, :])
                 low = np.minimum(cos.min(axis=(3, 4)),
-                                 np.minimum(lo_j[:, ps, None], lo_k[:, None, :]))
+                                 np.minimum(lo_j[vs, ps, None], lo_k[vs, None, :]))
                 high = np.maximum(cos.max(axis=(3, 4)),
-                                  np.maximum(hi_j[:, ps, None], hi_k[:, None, :]))
-                ok[:, ps] = ~(high - low > self.bound)
+                                  np.maximum(hi_j[vs, ps, None], hi_k[vs, None, :]))
+                ok[vs, ps] = ~(high - low > self.bound)
         bits = np.packbits(ok, axis=0, bitorder="little")
         masks = [[int.from_bytes(bits[:, p, q].tobytes(), "little") for q in range(d)]
                  for p in range(d)]
         self[key] = masks
         return masks
+
+
+#: entries per chunk of the table's (v, p, ...) tensors, about 1 MB per complex
+#: temporary; the search workload (d <= 5, at most 16 candidates) fits in one
+_CHUNK = 2**16
+
+
+def _chunks(n: int, d: int, width: int):
+    """Slices (vs, ps) tiling n candidates by d columns, each tile holding at
+    most _CHUNK // width (candidate, column) pairs, but at least one."""
+    pairs = max(1, _CHUNK // width)
+    step_v, step_p = max(1, pairs // d), min(d, pairs)
+    for v in range(0, n, step_v):
+        for p in range(0, d, step_p):
+            yield slice(v, v + step_v), slice(p, p + step_p)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -362,16 +384,6 @@ def hoggar_tensor_orbit() -> LineSet:
 # --- Construction 3 (block pairs in C^(2d)) ---------------------------------
 
 
-def _concat_blocks(left: LineSet, right: LineSet, negate_right: bool) -> np.ndarray:
-    """The parts of [left  right], or of [left  -right], in C^(2d)."""
-    left, right = left.parts, right.parts
-    if negate_right:
-        right = np.array(_cmul(right, -1, 0))
-    if left.dtype != right.dtype:  # one block exact, the other float
-        left, right = left.astype(float), right.astype(float)
-    return np.concatenate((left, right), axis=2)
-
-
 def construction3_pair(family: MubFamily, spec: BlockPairSpec) -> LineSet:
     """[L(pi, v)  L(pi, v')] with v = a+ib and v' = 2-a-ib, in C^(2d).
 
@@ -388,11 +400,15 @@ def construction3_pair(family: MubFamily, spec: BlockPairSpec) -> LineSet:
         raise ValueError(f"unknown variant {spec.variant!r}")
 
     lblk, rblk = (
-        l_block(family, ScalingSpec(spec.perm, _gauss_if_integral(z.real, z.imag)))
+        l_block(family, ScalingSpec(spec.perm, _gauss_if_integral(z)))
         for z in (left, right)
     )
+    parts = np.concatenate((lblk.parts, _cmul(rblk.parts, -1, 0) if negate else rblk.parts),
+                           axis=2)
+    if lblk.exact != rblk.exact:  # beyond 2^51, v or 2 - v can round to an integer alone
+        parts = parts.astype(float)
     return LineSet.from_parts(
-        _concat_blocks(lblk, rblk, negate),
+        parts,
         {
             "construction": "c3-pair",
             "rds": family.source_rds.label or "custom",
@@ -422,19 +438,12 @@ def construction3_d4_extension() -> LineSet:
     dimension-4 MUBs with pi = [1,3,4,2] and Gaussian-integer constants.
 
     Block order follows the published table: [L(2+i) L(-i)], [L(-1+2i) -L(1)],
-    [L(-i) L(2+i)], [L(1) -L(-1+2i)].
+    [L(-i) L(2+i)], [L(1) -L(-1+2i)], which are construction3_pair at
+    (a, b) = (2, 1) and (0, -1), each in the default and the i-twist variant.
     """
     family = mubs_from_rds(builtin_rds(4))
     perm = (1, 3, 4, 2)
-
-    def lb(a: int, b: int) -> LineSet:
-        return l_block(family, ScalingSpec(perm, Scalar.gauss(a, b)))
-
-    blocks = [
-        _concat_blocks(lb(2, 1), lb(0, -1), False),
-        _concat_blocks(lb(-1, 2), lb(1, 0), True),
-        _concat_blocks(lb(0, -1), lb(2, 1), False),
-        _concat_blocks(lb(1, 0), lb(-1, 2), True),
-    ]
+    blocks = [construction3_pair(family, BlockPairSpec(perm, a, b, variant)).parts
+              for a, b in ((2, 1), (0, -1)) for variant in ("default", "i-twist")]
     return LineSet.from_parts(np.concatenate(blocks, axis=1), {
         "construction": "c3-d4-extension", "rds": "builtin:4", "perm": list(perm)})

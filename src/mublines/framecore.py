@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import Scalar
+from .scalars import Scalar, _ints
 
 DEFAULT_TOL = 1e-9
 
@@ -445,9 +445,7 @@ def lineset_from_json(data: dict) -> LineSet:
     if not set(map(type, flat)) <= {int, float}:
         raise ValueError("line-set entries must be JSON numbers")
     if data.get("field") == "gaussian-int":
-        if not all(type(x) is int or x.is_integer() for x in flat):
-            raise ValueError("gaussian-int line set has a non-integer entry")
-        parts = np.array([int(x) for x in flat], dtype=object)
+        parts = np.array(_ints(flat, "gaussian-int line set"), dtype=object)
     else:
         try:
             parts = np.array(flat, dtype=float)

@@ -83,13 +83,27 @@ GAUSSIAN_UNITS = (Scalar.gauss(1, 0), Scalar.gauss(0, 1),
                   Scalar.gauss(-1, 0), Scalar.gauss(0, -1))
 
 
-def _gauss_if_integral(re, im) -> Scalar:
-    """Exact re + im*i when both parts are integral, a float scalar otherwise
+def _integral(x) -> bool:
+    """The one rule for an integer read from input: an int or an integral
+    float.  A bool, a string or any other value is not one."""
+    return (isinstance(x, int) and not isinstance(x, bool)) or (
+        isinstance(x, float) and x.is_integer())
+
+
+def _ints(values, what: str) -> list[int]:
+    """values as ints if every one is integral by _integral; ValueError
+    naming what otherwise, never a truncation."""
+    if not all(map(_integral, values)):
+        raise ValueError(f"{what} has a non-integer entry")
+    return [int(x) for x in values]
+
+
+def _gauss_if_integral(z: complex) -> Scalar:
+    """Exact z when both its parts are integral, a float scalar otherwise
     (NaN and infinities included, which the Gram check then rejects)."""
-    if all(isinstance(p, int) or (isinstance(p, float) and p.is_integer())
-           for p in (re, im)):
-        return Scalar.gauss(int(re), int(im))
-    return Scalar(float(re), float(im), False)
+    if _integral(z.real) and _integral(z.imag):
+        return Scalar.gauss(int(z.real), int(z.imag))
+    return Scalar.from_complex(z)
 
 
 def root_of_unity(numerator: int, denominator: int) -> Scalar:

@@ -185,6 +185,13 @@ def test_builtin_rds_odd_primes_validate():
         assert rds_verify(builtin_rds(p)) == (p, p, p, 1)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4] + [p for p in range(3, 98, 2)
+                                           if all(p % q for q in range(3, p, 2))])
+def test_every_builtin_rds_verifies(d):
+    # builtin_rds leaves verification to mubs_from_rds; this checks its constants
+    assert rds_verify(builtin_rds(d)) == (d, d, d, 1)
+
+
 def test_rds_json_roundtrip():
     rds = builtin_rds(4)
     data = rds_to_json(rds)

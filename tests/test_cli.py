@@ -224,3 +224,51 @@ def test_fiducial_beyond_float64_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "wh", "--fiducial", f"file:{fid}")
     assert code == 2 and out == ""
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("key, index, bad", [
+    pytest.param("orders", 1, 4.9, id="order-4.9"),
+    pytest.param("elements", 1, [1.7, 0], id="element-1.7"),
+    pytest.param("elements", 2, [0, True], id="element-true"),
+    pytest.param("elements", 1, ["1", 0], id="element-string"),
+])
+def test_mubs_rds_file_non_integer_exits_2(capsys, tmp_path, key, index, bad):
+    data = abelian.rds_to_json(abelian.builtin_rds(4))
+    data[key][index] = bad
+    path = tmp_path / "rds.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mubs", "--rds", f"file:{path}")
+    assert code == 2 and out == ""
+    assert "non-integer entry" in err
+
+
+def test_fiducial_boolean_entry_exits_2(capsys, tmp_path):
+    fid = tmp_path / "bool.json"
+    fid.write_text(json.dumps({"vector": [[True, 0], [0, 0], [0, 0], [0, 0]]}))
+    code, out, err = run(capsys, "wh", "--fiducial", f"file:{fid}")
+    assert code == 2 and out == ""
+    assert "malformed" in err
+
+
+def test_fiducial_file_reads_the_builtin_vector_exactly(capsys, tmp_path):
+    from mublines.weylheisenberg import fiducial_d4
+
+    fid = tmp_path / "d4.json"
+    fid.write_text(json.dumps({"vector": [[e.re, e.im] for e in fiducial_d4().vector.entries]}))
+    code, out, _ = run(capsys, "--format", "json", "wh", "--fiducial", f"file:{fid}")
+    builtin_code, builtin_out, _ = run(capsys, "--format", "json", "wh")
+    assert code == builtin_code == 0
+    assert out.replace('"user"', '"builtin-d4"') == builtin_out
+
+
+@pytest.mark.parametrize("kind, perm", [("c1", "1,2,3"), ("c1", "1,1,2,3"), ("c3", "1,2,3,5")])
+def test_construct_not_a_permutation_exits_2(capsys, kind, perm):
+    code, out, err = run(capsys, "construct", kind, "--d", "4", "--perm", perm, "--v", "1")
+    assert code == 2 and out == ""
+    assert "perm must be a permutation of 1..4" in err
+
+
+def test_bounds_below_1_exits_2(capsys):
+    code, out, err = run(capsys, "bounds", "--d", "0")
+    assert code == 2 and out == ""
+    assert "d must be >= 1" in err

@@ -12,6 +12,7 @@ from mublines.constructions import (
     BlockPairSpec,
     BudgetExceeded,
     InvalidRds,
+    MubFamily,
     ScalingSpec,
     c1_magnitudes,
     c1_search,
@@ -368,6 +369,28 @@ def test_construction3_i_twist_variant(fam4):
     got = lines.to_matrix()
     want = np.array([[e.to_complex() for e in v.entries] for v in expected])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_construction3_pair_where_only_one_constant_is_integral(fam4):
+    # a = -(2^52 - 1/2) is not an integer, but 2 - a rounds to one
+    for variant in ("default", "i-twist"):
+        lines = construction3_pair(fam4, BlockPairSpec((1, 3, 4, 2), -(2**52 - 0.5), 0.0, variant))
+        assert not lines.exact and np.isfinite(lines.parts).all()
+
+
+def test_a_float_basis_floats_every_block(fam4):
+    floated = [LineSet.from_parts(b.parts.astype(float)) for b in fam4.bases]
+    mixed = MubFamily(4, (fam4.bases[0], floated[1]) + fam4.bases[2:], fam4.source_rds)
+    all_float = MubFamily(4, tuple(floated), fam4.source_rds)
+    for v in (Scalar.gauss(2, 1), Scalar.gauss(0, 0), Scalar.from_complex(1.5 + 0.5j)):
+        got, want = (l_block(f, ScalingSpec((1, 3, 4, 2), v)) for f in (mixed, all_float))
+        assert got.parts.dtype == want.parts.dtype == float
+        assert got.parts.tobytes() == want.parts.tobytes()
+    got, want = (construction3_pair(f, BlockPairSpec((1, 3, 4, 2), 2, 1))
+                 for f in (mixed, all_float))
+    assert got.parts.tobytes() == want.parts.tobytes()
+    for perm in ((1, 3, 4, 2), (1, 2, 3, 4)):
+        assert theorem46_predicate(mixed, perm) == theorem46_predicate(all_float, perm)
 
 
 def _reference_bases(rds):

@@ -5,6 +5,7 @@ l_block + gram_analyze."""
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,18 @@ def test_c1_search_equals_brute_force_on_equivalent_families(d, phase_roots, dat
 
 def test_c1_search_d7_has_no_hits():
     assert c1_search(mubs_from_rds(builtin_rds(7)), 4, budget=math.inf) == []
+
+
+def test_c1_search_memory_does_not_grow_with_the_candidates():
+    family = mubs_from_rds(builtin_rds(13))
+    tracemalloc.start()
+    try:
+        hits = c1_search(family, 512, budget=math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == []
+    assert peak < 32 * 2**20
 
 
 def test_c1_search_rejects_a_zero_vector():
