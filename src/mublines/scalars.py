@@ -94,7 +94,7 @@ def _ints(values, what: str) -> list[int]:
     """values as ints if every one is integral by _integral; ValueError
     naming what otherwise, never a truncation."""
     if not all(map(_integral, values)):
-        raise ValueError(f"{what} has a non-integer entry")
+        raise ValueError(f"non-integer entry in {what}")
     return [int(x) for x in values]
 
 
