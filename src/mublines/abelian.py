@@ -38,16 +38,17 @@ class FiniteAbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.orders or any(n < 1 for n in self.orders):
+        orders = tuple(_ints(self.orders, "group orders"))
+        if not orders or any(n < 1 for n in orders):
             raise ValueError("factor orders must all be >= 1")
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
+        object.__setattr__(self, "orders", orders)
 
     @property
     def order(self) -> int:
         return math.prod(self.orders)
 
     def element(self, exponents) -> "GroupElement":
-        return GroupElement(self, tuple(int(e) for e in exponents))
+        return GroupElement(self, tuple(_ints(exponents, "group element exponents")))
 
     def identity(self) -> "GroupElement":
         return self.element((0,) * len(self.orders))

@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -310,20 +309,22 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.T[:, :, None] * y.conj().T[:, None, :]
 
 
-def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
+def theorem46_predicate(family: MubFamily, perm: tuple[int, ...],
+                        tol: float = DEFAULT_TOL) -> bool:
     """d=4 criterion: every cross-basis inner product of L(pi, 0) has
     magnitude sqrt(2); computed exactly (squared magnitude 2) on the Gaussian
-    table.  Same-basis pairs are skipped: their magnitude is 1 for every
-    permutation and carries no information about pi."""
+    table, within tol of squared magnitude 2 on a float family.  Same-basis
+    pairs are skipped: their magnitude is 1 for every permutation and carries
+    no information about pi."""
     if family.dim != 4:
         raise ValueError("the criterion applies only in dimension 4")
     d = family.dim
     lines = l_block(family, ScalingSpec(tuple(perm), Scalar.gauss(0, 0)))
     _, _, mag, _, _ = next(_gram([lines]))
-    # exact blocks hold squared magnitudes, float blocks magnitudes
-    mag2 = mag if lines.exact else mag ** 2
     basis = np.arange(len(lines)) // d
-    return bool(np.all(mag2[basis[:, None] != basis[None, :]] == 2))
+    cross = mag[basis[:, None] != basis[None, :]]
+    # exact blocks hold squared magnitudes, float blocks magnitudes
+    return bool(np.all(cross == 2 if lines.exact else np.abs(cross ** 2 - 2) <= tol))
 
 
 # --- Construction 2 (dimension 8) -------------------------------------------
@@ -375,9 +376,8 @@ _HOGGAR_SEED = np.array(
 def hoggar_tensor_orbit() -> LineSet:
     """Hoggar's 64 lines as the orbit of the given seed under the 3-fold
     tensor power of the dimension-2 Weyl-Heisenberg coset representatives."""
-    orbit = [np.kron(a, np.kron(b, c)) @ _HOGGAR_SEED
-             for a, b, c in itertools.product(_PAULI_REPS, repeat=3)]
-    mat = np.array(orbit)
+    reps = np.array(_PAULI_REPS)  # the 64 kron(a, kron(b, c)) in one product
+    mat = np.einsum("xij,ykl,zmn->xyzikmjln", reps, reps, reps).reshape(64, 8, 8) @ _HOGGAR_SEED
     return LineSet.from_parts(np.stack([mat.real, mat.imag]), {"construction": "hoggar-orbit"})
 
 

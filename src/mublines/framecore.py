@@ -1,8 +1,10 @@
 """Complex vectors, line sets, Gram-angle analysis and equivalence moves.
 
 gram_analyze, verify_mubs and constructions.theorem46_predicate all read one
-Gram computation, _gram: exact on Gaussian-integer input (Python ints, the
-tolerance ignored), double precision otherwise.  Zero vectors, non-finite
+Gram computation, _gram: exact on Gaussian-integer input (the tolerance
+ignored), double precision otherwise.  The exact path runs in int64 when
+4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary part|, and in Python
+ints beyond that bound, so it never overflows.  Zero vectors, non-finite
 entries and non-integral gaussian-int JSON entries raise, never read as "yes".
 """
 
@@ -191,8 +193,9 @@ def _gram(sets: list[LineSet], cross: bool = False):
 
     Yields (j, k, mag, norms_j, norms_k), one Gram block at a time: every set
     against itself, then, if cross, every set against each later one.  When
-    every set is exact the block is exact, on its Python ints:
-    mag[a, b] = |<x_a, y_b>|^2 and the norms are squared.  Otherwise it is
+    every set is exact the block is exact: mag[a, b] = |<x_a, y_b>|^2 and the
+    norms are squared, in int64 when the bound below proves int64 cannot
+    overflow (mag * d included) and in Python ints otherwise.  Otherwise it is
     float64, mag[a, b] = |<x_a, y_b>| and the norms are not squared.  Either
     way mag / outer(norms_j, norms_k) is the normalized value.
 
@@ -202,6 +205,14 @@ def _gram(sets: list[LineSet], cross: bool = False):
     exact = all(s.exact for s in sets)
     if exact:  # (re, im) parts, shape (2, n, d)
         parts = [s.parts for s in sets]
+        # int64 is exact when 4 d^3 M^4 <= 2^63 - 1, M the largest |part|:
+        # Re<x, y> and Im<x, y> are at most 2 d M^2 in size (and so is every
+        # partial sum), |<x, y>|^2 <= |x|^2 |y|^2 <= 4 d^2 M^4, a squared norm
+        # is at most 2 d M^2, and the spare factor d covers verify_mubs's mag * d
+        d = max(s.dim for s in sets)
+        big = max((max(p.max(), -p.min()) for p in parts if p.size), default=0)
+        if 4 * d**3 * big**4 <= 2**63 - 1:
+            parts = [p.astype(np.int64) for p in parts]
     else:
         parts = [(mat, mat.conj().T) for mat in (s.to_matrix() for s in sets)]
 
@@ -245,11 +256,12 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     upper = ~np.tri(m, dtype=bool)  # the pairs j < k
     if lines.exact:
         counts: Counter[Fraction] = Counter()
+        # Python ints: Fraction cross-multiplies, which could wrap in int64
         for (num, den), count in Counter(
-                zip(mag[upper], np.outer(norms, norms)[upper])).items():
+                zip(mag[upper].tolist(), np.outer(norms, norms)[upper].tolist())).items():
             counts[Fraction(num, den)] += count
         clusters = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
-        norms = [math.sqrt(n2) for n2 in norms]
+        norms = [math.sqrt(n2) for n2 in norms.tolist()]
     else:
         values = np.divide(mag, np.outer(norms, norms), out=mag)[upper]  # mag is ours
         clusters = tuple(_cluster_float(values, tol))
@@ -390,8 +402,9 @@ def apply_equivalence(lines: LineSet, transform: Transform,
 
 
 def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
-    """True iff the two sets represent the same lines, matched greedily by
-    rank-1 projector (Frobenius) distance, each vector up to a global phase."""
+    """True iff the lines of a can be matched one to one with those of b at
+    rank-1 projector (Frobenius) distance at most tol, each vector up to a
+    global phase."""
     if a.dim != b.dim or len(a) != len(b):
         return False
     am = a.to_matrix()
@@ -403,7 +416,7 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
     # 2 - 2|<x, y>|^2, does not cancel near equality; rows go in chunks so
     # memory stays O(chunk * n * d)
     n = len(b)
-    chunk = max(1, 2**16 // (n * a.dim))
+    chunk = max(1, 2**16 // max(1, n * a.dim))
     dist = np.empty((len(a), n))
     for start in range(0, len(a), chunk):
         x = am[start:start + chunk, None, :]
@@ -411,12 +424,36 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
         y = phase[:, :, None] * bm[None, :, :]
         dist[start:start + chunk] = (np.linalg.norm(x - y, axis=2)
                                      * np.linalg.norm(x + y, axis=2) / math.sqrt(2))
-    unmatched = list(range(n))
-    for j in range(len(a)):
-        best = min(unmatched, key=lambda k: (dist[j, k], k))
-        if not dist[j, best] <= tol:  # a NaN distance is no match
+    ok = dist <= tol  # a NaN distance is no match
+    if (ok.sum(axis=1) == 1).all():  # one candidate per row: a permutation?
+        return bool((ok.sum(axis=0) == 1).all())
+    return _perfect_matching([np.flatnonzero(row).tolist() for row in ok])
+
+
+def _perfect_matching(adj: list[list[int]]) -> bool:
+    """True iff rows j = 0..n-1 can each take their own column from adj[j],
+    by one breadth-first augmenting path per row."""
+    owner = [-1] * len(adj)  # column -> its row
+    taken = [-1] * len(adj)  # row -> its column
+    for root in range(len(adj)):
+        via, queue, free = {}, [root], -1  # via: column -> the row reaching it
+        for j in queue:  # the queue grows as the search reaches owned columns
+            for k in adj[j]:
+                if k not in via:
+                    via[k] = j
+                    if owner[k] < 0:
+                        free = k
+                        break
+                    queue.append(owner[k])
+            if free >= 0:
+                break
+        if free < 0:
             return False
-        unmatched.remove(best)
+        while free >= 0:  # flip the path back to the root
+            j = via[free]
+            previous = taken[j]
+            owner[free], taken[j] = j, free
+            free = previous
     return True
 
 

@@ -93,6 +93,7 @@ def _integral(x) -> bool:
 def _ints(values, what: str) -> list[int]:
     """values as ints if every one is integral by _integral; ValueError
     naming what otherwise, never a truncation."""
+    values = list(values)
     if not all(map(_integral, values)):
         raise ValueError(f"non-integer entry in {what}")
     return [int(x) for x in values]

@@ -231,3 +231,21 @@ def test_char_eval_matches_fraction_definition():
             value = char_eval(chi, e)
             assert value == root_of_unity(t.numerator, t.denominator)
             assert value.exact == (4 % t.denominator == 0)
+
+
+@pytest.mark.parametrize("orders", [(4.9, 4), (4, True), ("4", 4), (4, None)])
+def test_group_orders_are_never_truncated(orders):
+    with pytest.raises(ValueError):
+        FiniteAbelianGroup(orders)
+
+
+@pytest.mark.parametrize("exponents", [(1.7, True), (1, 0.5), (1, "1")])
+def test_group_element_exponents_are_never_truncated(exponents):
+    with pytest.raises(ValueError):
+        FiniteAbelianGroup((4, 4)).element(exponents)
+
+
+def test_group_reads_integral_floats_and_generators():
+    g = FiniteAbelianGroup((4.0, 4))
+    assert g.orders == (4, 4) and all(type(n) is int for n in g.orders)
+    assert g.element(e for e in (5.0, -1)).exponents == (1, 3)

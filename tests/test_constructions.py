@@ -378,6 +378,27 @@ def test_construction3_pair_where_only_one_constant_is_integral(fam4):
         assert not lines.exact and np.isfinite(lines.parts).all()
 
 
+def test_theorem46_on_a_float_family_matches_the_exact_one(fam4):
+    floated = MubFamily(4, tuple(LineSet.from_parts(b.parts.astype(float)) for b in fam4.bases),
+                        fam4.source_rds)
+    perms = list(itertools.permutations((1, 2, 3, 4)))
+    exact = [p for p in perms if theorem46_predicate(fam4, p)]
+    assert exact == sorted(EIGHT_PERMS)
+    assert [p for p in perms if theorem46_predicate(floated, p)] == exact
+    assert not any(theorem46_predicate(floated, p, tol=0.0) for p in perms)
+
+
+def test_hoggar_orbit_is_bit_identical_to_the_kron_loop():
+    from mublines.constructions import _HOGGAR_SEED, _PAULI_REPS
+
+    mat = np.array([np.kron(a, np.kron(b, c)) @ _HOGGAR_SEED
+                    for a, b, c in itertools.product(_PAULI_REPS, repeat=3)])
+    want = np.stack([mat.real, mat.imag])
+    got = hoggar_tensor_orbit().parts
+    assert got.shape == want.shape == (2, 64, 8)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_a_float_basis_floats_every_block(fam4):
     floated = [LineSet.from_parts(b.parts.astype(float)) for b in fam4.bases]
     mixed = MubFamily(4, (fam4.bases[0], floated[1]) + fam4.bases[2:], fam4.source_rds)

@@ -235,6 +235,19 @@ def test_lines_equal_says_no_to_zero_vectors():
         assert not lines_equal(a, b)
 
 
+def test_lines_equal_finds_a_matching_that_greedy_misses():
+    # x1 is nearest y2, but only y1 is within tol of x1 and y2 of x2: a
+    # greedy pass gives y2 to x1 and has nothing left for x2
+    def at(t):
+        return CVector.make([math.cos(t), math.sin(t)])
+
+    a = LineSet(2, (at(0.0), at(-0.2)))
+    b = LineSet(2, (at(0.2), at(0.0)))
+    assert lines_equal(a, b, tol=0.4)  # distances sqrt(2) sin 0.2 ~ 0.28
+    assert not lines_equal(a, b, tol=0.2)
+    assert not lines_equal(a, LineSet(2, (at(0.2), at(0.6))), tol=0.4)
+
+
 def test_gram_analyze_says_no_to_a_chained_cluster():
     # 30 lines in a real plane, 0.01 rad apart: the magnitudes cos(0.01 k),
     # k = 1..29, are never more than tol apart, yet spread over 10 * tol

@@ -1,12 +1,15 @@
 """Property tests of the Gram path and the JSON format on random
-Gaussian-integer line sets, with entries far past 2^32 so that any
-fixed-width integer arithmetic would overflow, and of the line-set array
-against its CVector view."""
+Gaussian-integer line sets, with entries far past 2^32 and entries at the
+edge of the exact Gram's int64 bound, of the line-set array against its
+CVector view, and of the line matching."""
 
 import cmath
+import itertools
 import json
+import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,11 +29,13 @@ from mublines.framecore import (
     LineSet,
     VectorPhases,
     _gram,
+    _perfect_matching,
     apply_equivalence,
     gram_analyze,
     inner,
     lineset_from_json,
     lineset_to_json,
+    verify_mubs,
 )
 from mublines.scalars import GAUSSIAN_UNITS, Scalar
 
@@ -155,3 +160,88 @@ def test_lineset_rebuilt_from_its_view_has_the_same_array(lines):
         assert again.parts.tolist() == lines.parts.tolist()
     else:  # bit for bit, signed zeros included
         assert again.parts.tobytes() == lines.parts.tobytes()
+
+
+# --- the exact Gram at the int64 bound --------------------------------------
+
+
+def int64_limit(d):
+    """The largest M with 4 d^3 M^4 <= 2^63 - 1: the exact Gram of a set in
+    Z[i]^d whose parts are at most M in size runs in int64."""
+    top = math.isqrt(math.isqrt((2**63 - 1) // (4 * d**3)))
+    assert 4 * d**3 * top**4 <= 2**63 - 1 < 4 * d**3 * (top + 1) ** 4
+    return top
+
+
+def assert_gram_is_python_exact(sets):
+    """Every block, mag * d and every squared norm of _gram equal the
+    inner() / norm2() reference in Python ints."""
+    d = sets[0].dim
+    blocks = list(_gram(sets, cross=True))
+    assert len(blocks) == len(sets) * (len(sets) + 1) // 2
+    for j, k, mag, norms_j, norms_k in blocks:
+        want = [[inner(x, y).abs2() for y in sets[k].vectors] for x in sets[j].vectors]
+        assert mag.tolist() == want
+        assert (mag * d).tolist() == [[value * d for value in row] for row in want]
+        assert norms_j.tolist() == [x.norm2() for x in sets[j].vectors]
+        assert norms_k.tolist() == [y.norm2() for y in sets[k].vectors]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_exact_gram_at_the_int64_bound(d):
+    top = int64_limit(d)
+    for m, wide in ((top, np.int64), (top + 1, object)):
+        extremal = CVector.gauss([(m, m)] * d)  # |<x, x>|^2 = 4 d^2 M^4
+        other = CVector.gauss([(m, -m)] + [(-m, m)] * (d - 1))
+        lines = LineSet(d, (extremal, other))
+        assert next(_gram([lines]))[2].dtype == wide
+        assert_gram_is_python_exact([lines, LineSet(d, (other, extremal))])
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_verify_mubs_on_either_side_of_the_int64_bound(side):
+    scale = int64_limit(2) + side
+    bases = []
+    for basis in FAMILIES[2].bases:  # times scale * (1 + i), so M = scale
+        re, im = basis.parts
+        bases.append(LineSet.from_parts(np.array([(re - im) * scale, (re + im) * scale])))
+    assert max(abs(x) for b in bases for x in b.parts.flat) == scale
+    assert verify_mubs(bases)
+    bent = bases[1].parts.copy()
+    bent[0, 0, 0] += 1
+    assert not verify_mubs([bases[0], LineSet.from_parts(bent)] + bases[2:])
+
+
+@st.composite
+def near_int64_bound(draw):
+    """Two sets in Z[i]^d, d in 1..5, whose largest |part| is within two of
+    the int64 limit, on either side of it."""
+    d = draw(st.integers(1, 5))
+    top = int64_limit(d) + draw(st.integers(-2, 1))
+    part = st.one_of(st.sampled_from((top, -top, top - 1, 1 - top)), st.integers(-top, top))
+    rows = draw(st.lists(st.lists(st.tuples(part, part), min_size=d, max_size=d),
+                         min_size=3, max_size=6))
+    rows[0][0] = (top, rows[0][0][1])
+    assume(all(any(a or b for a, b in row) for row in rows))
+    return [LineSet(d, tuple(CVector.gauss(row) for row in half))
+            for half in (rows[:2], rows[2:])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_int64_bound())
+def test_exact_gram_near_the_int64_bound_matches_python_ints(sets):
+    assert_gram_is_python_exact(sets)
+
+
+# --- line matching ----------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=n, unique=True) if n else st.just([]),
+    min_size=n, max_size=n)))
+def test_perfect_matching_agrees_with_every_permutation(adj):
+    n = len(adj)
+    want = any(all(perm[j] in adj[j] for j in range(n))
+               for perm in itertools.permutations(range(n)))
+    assert _perfect_matching(adj) == want
