@@ -286,12 +286,12 @@ def rds_to_json(rds: RelativeDifferenceSet) -> dict:
 
 
 def rds_from_json(data: dict) -> RelativeDifferenceSet:
-    """Orders and exponents are read by scalars._ints: 1.7, true or "1"
-    raises ValueError rather than being truncated."""
-    group = FiniteAbelianGroup(_ints(data["orders"], "RDS orders"))
+    """FiniteAbelianGroup reads the orders and exponents by scalars._ints:
+    1.7, true or "1" raises ValueError rather than being truncated."""
+    group = FiniteAbelianGroup(data["orders"])
     return RelativeDifferenceSet(
         group,
-        forbidden=tuple(group.element(_ints(e, "RDS forbidden")) for e in data["forbidden"]),
-        elements=tuple(group.element(_ints(e, "RDS elements")) for e in data["elements"]),
+        forbidden=tuple(group.element(e) for e in data["forbidden"]),
+        elements=tuple(group.element(e) for e in data["elements"]),
         label="file",
     )

@@ -309,13 +309,12 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.T[:, :, None] * y.conj().T[:, None, :]
 
 
-def theorem46_predicate(family: MubFamily, perm: tuple[int, ...],
-                        tol: float = DEFAULT_TOL) -> bool:
+def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
     """d=4 criterion: every cross-basis inner product of L(pi, 0) has
     magnitude sqrt(2); computed exactly (squared magnitude 2) on the Gaussian
-    table, within tol of squared magnitude 2 on a float family.  Same-basis
-    pairs are skipped: their magnitude is 1 for every permutation and carries
-    no information about pi."""
+    table, within DEFAULT_TOL of squared magnitude 2 on a float family.
+    Same-basis pairs are skipped: their magnitude is 1 for every permutation
+    and carries no information about pi."""
     if family.dim != 4:
         raise ValueError("the criterion applies only in dimension 4")
     d = family.dim
@@ -324,7 +323,9 @@ def theorem46_predicate(family: MubFamily, perm: tuple[int, ...],
     basis = np.arange(len(lines)) // d
     cross = mag[basis[:, None] != basis[None, :]]
     # exact blocks hold squared magnitudes, float blocks magnitudes
-    return bool(np.all(cross == 2 if lines.exact else np.abs(cross ** 2 - 2) <= tol))
+    if lines.exact:
+        return bool(np.all(cross == 2))
+    return bool(np.all(np.abs(cross ** 2 - 2) <= DEFAULT_TOL))
 
 
 # --- Construction 2 (dimension 8) -------------------------------------------

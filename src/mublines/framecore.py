@@ -425,8 +425,6 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
         dist[start:start + chunk] = (np.linalg.norm(x - y, axis=2)
                                      * np.linalg.norm(x + y, axis=2) / math.sqrt(2))
     ok = dist <= tol  # a NaN distance is no match
-    if (ok.sum(axis=1) == 1).all():  # one candidate per row: a permutation?
-        return bool((ok.sum(axis=0) == 1).all())
     return _perfect_matching([np.flatnonzero(row).tolist() for row in ok])
 
 

@@ -9,6 +9,7 @@ mixing an exact scalar with a float one silently degrades to float.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 
 
@@ -84,9 +85,10 @@ GAUSSIAN_UNITS = (Scalar.gauss(1, 0), Scalar.gauss(0, 1),
 
 
 def _integral(x) -> bool:
-    """The one rule for an integer read from input: an int or an integral
-    float.  A bool, a string or any other value is not one."""
-    return (isinstance(x, int) and not isinstance(x, bool)) or (
+    """The one rule for an integer read from input: an integer (a numpy one
+    included) or an integral float.  A bool, a string or any other value is
+    not one."""
+    return (isinstance(x, numbers.Integral) and not isinstance(x, bool)) or (
         isinstance(x, float) and x.is_integer())
 
 

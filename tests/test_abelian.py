@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from mublines.abelian import (
@@ -233,7 +234,7 @@ def test_char_eval_matches_fraction_definition():
             assert value.exact == (4 % t.denominator == 0)
 
 
-@pytest.mark.parametrize("orders", [(4.9, 4), (4, True), ("4", 4), (4, None)])
+@pytest.mark.parametrize("orders", [(4.9, 4), (4, True), (4, np.bool_(True)), ("4", 4), (4, None)])
 def test_group_orders_are_never_truncated(orders):
     with pytest.raises(ValueError):
         FiniteAbelianGroup(orders)
@@ -249,3 +250,10 @@ def test_group_reads_integral_floats_and_generators():
     g = FiniteAbelianGroup((4.0, 4))
     assert g.orders == (4, 4) and all(type(n) is int for n in g.orders)
     assert g.element(e for e in (5.0, -1)).exponents == (1, 3)
+
+
+def test_group_reads_numpy_integers():
+    g = FiniteAbelianGroup((np.int64(4), np.uint8(4)))
+    assert g.orders == (4, 4) and all(type(n) is int for n in g.orders)
+    e = g.element(np.array([1, -2]))
+    assert e.exponents == (1, 2) and all(type(x) is int for x in e.exponents)
