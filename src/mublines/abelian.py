@@ -174,6 +174,8 @@ def rds_verify(rds: RelativeDifferenceSet) -> tuple[int, int, int, int]:
 
     Returns (m, n, k, lambda); raises QuotientInN or UnevenCover on failure.
     """
+    import numpy as np
+
     subgroup = rds.forbidden_subgroup()
     n = len(subgroup)
     v = rds.group.order
@@ -184,18 +186,29 @@ def rds_verify(rds: RelativeDifferenceSet) -> tuple[int, int, int, int]:
     if len({g.exponents for g in rds.elements}) != k:
         raise RdsError("repeated elements in the difference set")
 
-    counts: dict[tuple[int, ...], int] = {}
-    for r1, r2 in itertools.permutations(rds.elements, 2):
-        q = (r1 * r2.inverse()).exponents
-        if q in subgroup:
-            raise QuotientInN(
-                f"quotient {q} of distinct elements lies in the forbidden subgroup"
-            )
-        counts[q] = counts.get(q, 0) + 1
+    # each quotient r1 * r2^-1 as one mixed-radix code, in int64 unless the
+    # group is too large for it; row r1, column r2, so that row-major order
+    # is itertools.permutations order
+    orders = rds.group.orders
+    weights = [math.prod(orders[i + 1:]) for i in range(len(orders))]
+    dtype = np.int64 if v < 2**63 else object
+    exps = np.array([g.exponents for g in rds.elements], dtype=dtype).reshape(k, len(orders))
+    codes = sum(((col[:, None] - col) % order) * w
+                for col, order, w in zip(exps.T, orders, weights))
+    inside = np.isin(codes, np.array([sum(e * w for e, w in zip(q, weights)) for q in subgroup],
+                                     dtype=dtype))
+    np.fill_diagonal(inside, False)
+    if inside.any():
+        i, j = divmod(int(inside.argmax()), k)
+        q = (rds.elements[i] * rds.elements[j].inverse()).exponents
+        raise QuotientInN(
+            f"quotient {q} of distinct elements lies in the forbidden subgroup"
+        )
+    counts = np.unique(codes[~np.eye(k, dtype=bool)], return_counts=True)[1].tolist()
 
     outside = v - n
     if k >= 2:
-        multiplicities = set(counts.values())
+        multiplicities = set(counts)
         if len(counts) != outside or len(multiplicities) != 1:
             raise UnevenCover("quotients do not cover G\\N evenly")
         lam = multiplicities.pop()

@@ -60,7 +60,8 @@ def _emit(data: dict, out_path: str | None) -> None:
     if out_path:
         framecore.dump_json(data, out_path)
     else:
-        sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
+        sys.stdout.writelines(framecore._encode(data))
+        sys.stdout.write("\n")
 
 
 def _report_summary(report: framecore.GramReport, fmt: str) -> None:

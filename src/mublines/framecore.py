@@ -411,21 +411,31 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
     bm = b.to_matrix()
     am = am / np.linalg.norm(am, axis=1, keepdims=True)
     bm = bm / np.linalg.norm(bm, axis=1, keepdims=True)
-    # for unit x, y and theta = arg<x, y>, |P_x - P_y|_F equals
+    # for unit x, y, |P_x - P_y|_F^2 = 2 (1 - |<x, y>|^2), so only a pair with
+    # |<x, y>|^2 >= 1 - tol^2 / 2 can match.  The margin covers rounding: the
+    # norms of am and bm, the Gram entry and the distance below each err by
+    # O(d) units of roundoff, under 8 (d + 5) eps together for tol < sqrt(2)
+    # (beyond it every pair is a candidate); the margin is eight times that
+    gram = am @ bm.conj().T
+    margin = 64 * (a.dim + 5) * np.finfo(float).eps
+    rows, cols = np.nonzero(gram.real ** 2 + gram.imag ** 2 >= 1 - tol * tol / 2 - margin)
+    # a NaN, from a zero or non-finite vector, is never a candidate.  For
+    # unit x, y and theta = arg<x, y>, |P_x - P_y|_F equals
     # |x - e^(i theta) y| * |x + e^(i theta) y| / sqrt(2), which, unlike
-    # 2 - 2|<x, y>|^2, does not cancel near equality; rows go in chunks so
-    # memory stays O(chunk * n * d)
-    n = len(b)
-    chunk = max(1, 2**16 // max(1, n * a.dim))
-    dist = np.empty((len(a), n))
-    for start in range(0, len(a), chunk):
-        x = am[start:start + chunk, None, :]
-        phase = np.exp(1j * np.angle(am[start:start + chunk] @ bm.conj().T))
-        y = phase[:, :, None] * bm[None, :, :]
-        dist[start:start + chunk] = (np.linalg.norm(x - y, axis=2)
-                                     * np.linalg.norm(x + y, axis=2) / math.sqrt(2))
-    ok = dist <= tol  # a NaN distance is no match
-    return _perfect_matching([np.flatnonzero(row).tolist() for row in ok])
+    # 2 - 2|<x, y>|^2, does not cancel near equality; it decides each
+    # candidate, in chunks so memory stays O(n^2 + chunk * d) at any tol
+    match = np.zeros(len(rows), dtype=bool)
+    chunk = max(1, 2**16 // max(1, a.dim))
+    for start in range(0, len(rows), chunk):
+        j, k = rows[start:start + chunk], cols[start:start + chunk]
+        x = am[j]
+        y = np.exp(1j * np.angle(gram[j, k]))[:, None] * bm[k]
+        dist = np.linalg.norm(x - y, axis=1) * np.linalg.norm(x + y, axis=1) / math.sqrt(2)
+        match[start:start + chunk] = dist <= tol
+    adj = [[] for _ in range(len(b))]
+    for j, k in zip(rows[match].tolist(), cols[match].tolist()):
+        adj[j].append(k)
+    return _perfect_matching(adj)
 
 
 def _perfect_matching(adj: list[list[int]]) -> bool:
@@ -471,26 +481,92 @@ def lineset_from_json(data: dict) -> LineSet:
     """Entries must be JSON numbers: integers in a gaussian-int set, within
     float64 range in a complex-f64 one; anything else raises ValueError."""
     dim = int(data["dim"])
-    pairs = np.array(data["vectors"], dtype=object)  # (n, dim, 2)
-    if not len(pairs):
-        pairs = pairs.reshape(0, dim, 2)
-    if pairs.shape[1:] != (dim, 2):
+    rows = data["vectors"]
+    flat = _table_entries(rows)
+    if flat is None or not set(map(len, rows)) <= {dim}:
         raise DimensionMismatch(f"vectors must be lists of {dim} [re, im] pairs")
-    flat = pairs.ravel().tolist()
     if not set(map(type, flat)) <= {int, float}:
         raise ValueError("line-set entries must be JSON numbers")
     if data.get("field") == "gaussian-int":
         parts = np.array(_ints(flat, "gaussian-int line set"), dtype=object)
     else:
         try:
-            parts = np.array(flat, dtype=float)
+            parts = np.fromiter(flat, float, len(flat))
         except OverflowError as exc:
             raise ValueError(f"complex-f64 line set has an entry beyond float64: {exc}")
-    return LineSet.from_parts(parts.reshape(pairs.shape).transpose(2, 0, 1),
+    return LineSet.from_parts(parts.reshape(len(rows), dim, 2).transpose(2, 0, 1),
                               data.get("provenance", {}))
 
 
+def _table_entries(rows) -> list | None:
+    """The numbers of a table, a list of rows of [re, im] pairs, in order;
+    None if rows is not one."""
+    if type(rows) not in (list, tuple) or not set(map(type, rows)) <= {list, tuple}:
+        return None
+    pairs = list(itertools.chain.from_iterable(rows))
+    if not set(map(type, pairs)) <= {list, tuple} or not set(map(len, pairs)) <= {2}:
+        return None
+    return list(itertools.chain.from_iterable(pairs))
+
+
 def dump_json(obj: dict, path) -> None:
-    # json.dumps runs the C encoder; json.dump to a file never does
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.writelines(_encode(obj))
+        fh.write("\n")
+
+
+def _encode(obj):
+    """json.dumps(obj, sort_keys=True), byte for byte, in pieces, so a large
+    document is never held whole; each float table of _float_table is
+    encoded once per distinct value.  Only dicts with str keys and lists of
+    dicts are walked; anything else goes to json.dumps whole, whose C encoder
+    is the fastest there (ints above all)."""
+    if type(obj) is dict and all(type(key) is str for key in obj):
+        yield "{"
+        for n, key in enumerate(sorted(obj)):
+            yield f"{', ' if n else ''}{json.dumps(key)}: "
+            yield from _encode(obj[key])
+        yield "}"
+    elif type(obj) is list and obj and all(type(item) is dict for item in obj):
+        for n, item in enumerate(obj):
+            yield ", " if n else "["
+            yield from _encode(item)
+        yield "]"
+    else:
+        text = _float_table(obj) if type(obj) is list else None
+        yield json.dumps(obj, sort_keys=True) if text is None else text
+
+
+#: the fewest floats a table needs to leave json.dumps.  Measured on tables
+#: of roots of unity, numpy's fixed cost (~0.15 ms) loses below about 256
+#: floats (the d = 4 WH orbit has 128) and wins above (Hoggar's 1,024 take
+#: about half the time); 512 leaves a margin
+_TABLE_MIN = 512
+
+
+def _float_table(rows: list) -> str | None:
+    """The JSON text of rows if it is a table of _table_entries with nonempty
+    rows and at least _TABLE_MIN entries, all floats; None otherwise.
+    json.dumps sees each distinct float once, keyed by its bits as in
+    LineSet.vectors, so 0.0 and -0.0 stay apart."""
+    try:  # an int table goes back before any pass over it
+        if type(rows[0][0][0]) is not float:
+            return None
+    except (IndexError, KeyError, TypeError):
+        return None
+    flat = _table_entries(rows)
+    if (flat is None or len(flat) < _TABLE_MIN or not all(rows)
+            or set(map(type, flat)) != {float}):
+        return None
+    bits = np.fromiter(flat, float, len(flat)).view(np.uint64)
+    values, inverse = np.unique(bits, return_inverse=True)
+    text = json.dumps(values.view(float).tolist())[1:-1].split(", ")
+    # a token per float, "[re" or "im]", and a row's first and last tokens
+    # take its brackets too
+    tokens = np.array(["[" + t for t in text] + [t + "]" for t in text], dtype=object)[
+        (inverse.reshape(-1, 2) + [0, len(text)]).ravel()]
+    ends = 2 * np.cumsum(list(map(len, rows)))
+    starts = np.concatenate(([0], ends[:-1]))
+    tokens[starts] = "[" + tokens[starts]
+    tokens[ends - 1] = tokens[ends - 1] + "]"
+    return "[" + ", ".join(tokens.tolist()) + "]"

@@ -96,6 +96,8 @@ def _ints(values, what: str) -> list[int]:
     """values as ints if every one is integral by _integral; ValueError
     naming what otherwise, never a truncation."""
     values = list(values)
+    if set(map(type, values)) <= {int}:  # a bool's type is bool, not int
+        return values
     if not all(map(_integral, values)):
         raise ValueError(f"non-integer entry in {what}")
     return [int(x) for x in values]

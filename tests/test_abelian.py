@@ -3,11 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mublines.abelian import (
     FiniteAbelianGroup,
     QuotientInN,
+    RdsError,
     RelativeDifferenceSet,
+    UnevenCover,
     UnsupportedDimension,
     builtin_rds,
     char_eval,
@@ -257,3 +261,90 @@ def test_group_reads_numpy_integers():
     assert g.orders == (4, 4) and all(type(n) is int for n in g.orders)
     e = g.element(np.array([1, -2]))
     assert e.exponents == (1, 2) and all(type(x) is int for x in e.exponents)
+
+
+def rds_verify_by_loop(rds):
+    """rds_verify as it was before its quotients became arrays: a
+    GroupElement product per ordered pair."""
+    subgroup = rds.forbidden_subgroup()
+    n = len(subgroup)
+    v = rds.group.order
+    if v % n != 0:
+        raise RdsError(f"subgroup order {n} does not divide group order {v}")
+    m = v // n
+    k = len(rds.elements)
+    if len({g.exponents for g in rds.elements}) != k:
+        raise RdsError("repeated elements in the difference set")
+    counts = {}
+    for r1, r2 in itertools.permutations(rds.elements, 2):
+        q = (r1 * r2.inverse()).exponents
+        if q in subgroup:
+            raise QuotientInN(
+                f"quotient {q} of distinct elements lies in the forbidden subgroup"
+            )
+        counts[q] = counts.get(q, 0) + 1
+    outside = v - n
+    if k >= 2:
+        multiplicities = set(counts.values())
+        if len(counts) != outside or len(multiplicities) != 1:
+            raise UnevenCover("quotients do not cover G\\N evenly")
+        lam = multiplicities.pop()
+    else:
+        lam = 0
+    if k * (k - 1) != lam * outside:
+        raise UnevenCover("quotient count inconsistent with (m,n,k,lambda)")
+    return (m, n, k, lam)
+
+
+def verdict(verify, rds):
+    """verify(rds), or the type and message of the RdsError it raised."""
+    try:
+        return verify(rds)
+    except RdsError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def rds_candidates(draw):
+    """Random element sets in small groups, and mutants of the builtins:
+    one element replaced, dropped or repeated, or one added."""
+    if draw(st.booleans()):
+        rds = builtin_rds(draw(st.sampled_from([2, 3, 4, 5, 7])))
+        group, forbidden, elements = rds.group, rds.forbidden, list(rds.elements)
+        every = enumerate_elements(group)
+        i = draw(st.integers(0, len(elements) - 1))
+        how = draw(st.sampled_from(["replace", "drop", "repeat", "add", "keep"]))
+        if how == "replace":
+            elements[i] = draw(st.sampled_from(every))
+        elif how == "drop":
+            del elements[i]
+        elif how == "repeat":
+            elements.append(elements[i])
+        elif how == "add":
+            elements.insert(i, draw(st.sampled_from(every)))
+        return RelativeDifferenceSet(group, forbidden, tuple(elements))
+    group = FiniteAbelianGroup(tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))))
+    every = enumerate_elements(group)
+    forbidden = draw(st.lists(st.sampled_from(every), max_size=2))
+    elements = draw(st.lists(st.sampled_from(every), max_size=min(len(every), 8),
+                             unique_by=lambda g: g.exponents))
+    return RelativeDifferenceSet(group, tuple(forbidden), tuple(elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rds_candidates())
+def test_rds_verify_agrees_with_the_quotient_loop(rds):
+    assert verdict(rds_verify, rds) == verdict(rds_verify_by_loop, rds)
+
+
+@pytest.mark.parametrize("orders, forbidden, elements", [
+    ((2**64, 3), [(0, 1)], [(0, 0), (1, 0), (5, 2)]),  # past int64: Python-int codes
+    ((2**63 - 1,), [(0,)], [(0,), (1,)]),
+    ((10**20,), [(5 * 10**19,)], [(0,), (5 * 10**19,)]),
+    ((4,), [(2,)], [(0,), (1,)]),
+])
+def test_rds_verify_agrees_with_the_quotient_loop_in_large_groups(orders, forbidden, elements):
+    group = FiniteAbelianGroup(orders)
+    rds = RelativeDifferenceSet(group, tuple(map(group.element, forbidden)),
+                                tuple(map(group.element, elements)))
+    assert verdict(rds_verify, rds) == verdict(rds_verify_by_loop, rds)

@@ -272,3 +272,22 @@ def test_bounds_below_1_exits_2(capsys):
     code, out, err = run(capsys, "bounds", "--d", "0")
     assert code == 2 and out == ""
     assert "d must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mubs", "--rds", "builtin:31"),
+    ("construct", "hoggar"),
+    ("construct", "c2", "--a", "0.7"),
+    ("wh",),
+])
+def test_out_file_is_the_stdlib_encoding(capsys, tmp_path, argv):
+    # the float tables take the encoder's once-per-value path; the bytes are
+    # still json.dumps(..., sort_keys=True)
+    out = tmp_path / "out.json"
+    code, _, _ = run(capsys, "--out", str(out), *argv)
+    assert code == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert stdout.splitlines()[0] + "\n" == text

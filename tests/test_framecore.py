@@ -29,7 +29,7 @@ from mublines.framecore import (
     special_bound_f,
     verify_mubs,
 )
-from mublines.scalars import Scalar
+from mublines.scalars import Scalar, _ints
 
 
 def basis_lineset(rows):
@@ -228,6 +228,25 @@ def test_lines_equal_memory_stays_bounded_on_256_lines_in_c16():
     assert not lines_equal(a, LineSet(16, a.vectors[:-1] + (CVector.make([1] + [0] * 15),)))
 
 
+def test_lines_equal_memory_stays_bounded_when_every_pair_is_a_candidate():
+    # at tol >= sqrt(2) the screen passes all 256^2 pairs on to the distance
+    union = [v.to_array() for v in fixtures.sixteen_lines_d4().vectors]
+    a = LineSet(16, tuple(CVector.make(np.kron(x, y)) for x in union for y in union))
+    rng = random.Random(7)
+    b = apply_equivalence(
+        LineSet(16, a.vectors[::-1]),
+        VectorPhases(tuple(cmath.exp(2j * cmath.pi * rng.random()) for _ in range(256))))
+    tracemalloc.start()
+    try:
+        same = lines_equal(a, b, tol=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert peak < 64 * 2**20
+    assert lines_equal(a, LineSet(16, a.vectors[:-1] + (CVector.make([1] + [0] * 15),)), tol=2)
+
+
 def test_lines_equal_says_no_to_zero_vectors():
     a = LineSet(2, (CVector.make([0, 0]), CVector.make([1, 0])))
     b = LineSet(2, (CVector.make([0, 1]), CVector.make([0, 0])))
@@ -383,6 +402,15 @@ def test_lineset_from_json_rejects_malformed_numbers(field, bad):
     data["vectors"][7][1][0] = bad
     with pytest.raises(ValueError):
         lineset_from_json(data)
+
+
+def test_ints_passes_plain_ints_through_and_still_checks_the_rest():
+    values = [3, -2**70, 0]
+    assert _ints(values, "x") == values
+    assert _ints([3, 2.0, np.int64(4)], "x") == [3, 2, 4]
+    for bad in ([1, True], [False], [1, 2.5], [1, "1"]):
+        with pytest.raises(ValueError, match="non-integer entry in x"):
+            _ints(bad, "x")
 
 
 def test_lineset_from_json_keeps_huge_gaussian_integers_exact():

@@ -1,12 +1,14 @@
 """Property tests of the Gram path and the JSON format on random
 Gaussian-integer line sets, with entries far past 2^32 and entries at the
 edge of the exact Gram's int64 bound, of the line-set array against its
-CVector view, and of the line matching."""
+CVector view, of the line matching and of the JSON encoder."""
 
 import cmath
 import itertools
 import json
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from mublines.framecore import (
     EntryPermutation,
     LineSet,
     VectorPhases,
+    _encode,
+    _float_table,
     _gram,
     _perfect_matching,
     apply_equivalence,
@@ -35,6 +39,7 @@ from mublines.framecore import (
     inner,
     lineset_from_json,
     lineset_to_json,
+    lines_equal,
     verify_mubs,
 )
 from mublines.scalars import GAUSSIAN_UNITS, Scalar
@@ -245,3 +250,141 @@ def test_perfect_matching_agrees_with_every_permutation(adj):
     want = any(all(perm[j] in adj[j] for j in range(n))
                for perm in itertools.permutations(range(n)))
     assert _perfect_matching(adj) == want
+
+
+def lines_equal_all_pairs(a, b, tol):
+    """lines_equal as it was before the candidate screen: the distance of
+    every pair, all at once."""
+    if a.dim != b.dim or len(a) != len(b):
+        return False
+    am = a.to_matrix()
+    bm = b.to_matrix()
+    am = am / np.linalg.norm(am, axis=1, keepdims=True)
+    bm = bm / np.linalg.norm(bm, axis=1, keepdims=True)
+    x = am[:, None, :]
+    phase = np.exp(1j * np.angle(am @ bm.conj().T))
+    y = phase[:, :, None] * bm[None, :, :]
+    dist = np.linalg.norm(x - y, axis=2) * np.linalg.norm(x + y, axis=2) / math.sqrt(2)
+    return _perfect_matching([np.flatnonzero(row).tolist() for row in dist <= tol])
+
+
+@st.composite
+def line_set_copies(draw):
+    """(a, b, tol): b is a with each vector times a phase, the vectors
+    permuted, and some moved by about tol (or a NaN put in)."""
+    a = draw(produced)
+    n, d = len(a), a.dim
+    tol = draw(st.sampled_from([1e-12, 1e-8, 1e-4, 0.3, 1.0, 1.5, 2.0]))
+    b = apply_equivalence(a, VectorPhases(tuple(draw(st.lists(phases, min_size=n, max_size=n)))))
+    mat = b.to_matrix()[draw(st.permutations(range(n)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        step = rng.normal(size=d) + 1j * rng.normal(size=d)
+        scale = tol * draw(st.sampled_from([0.25, 0.7, 0.99, 1.01, 1.5, 4.0]))
+        mat[j] += scale * np.linalg.norm(mat[j]) * step / np.linalg.norm(step)
+    if draw(st.booleans()) and draw(st.booleans()):
+        mat[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = math.nan
+    return a, LineSet.from_parts(np.array([mat.real, mat.imag])), tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_set_copies())
+def test_lines_equal_agrees_with_all_pairs(case):
+    a, b, tol = case
+    with np.errstate(invalid="ignore"):
+        assert lines_equal(a, b, tol) == lines_equal_all_pairs(a, b, tol)
+        assert lines_equal(b, a, tol) == lines_equal_all_pairs(b, a, tol)
+
+
+# --- the JSON encoder -------------------------------------------------------
+
+#: NaN with a payload: json.dumps writes every NaN as NaN
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
+                  5e-324, -5e-324, 1e16, 0.1, 1 / 3, 2.0)
+
+
+@st.composite
+def tables(draw):
+    """A table of rows of [re, im] pairs from a small pool of floats, often
+    past _TABLE_MIN entries, sometimes with a flaw: an int, bool or big int
+    among the floats, a ragged or empty row, a pair of one or three, a tuple
+    or a dict for a pair."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                         min_size=1, max_size=8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = draw(st.integers(0, 16))
+    rows = [[[rng.choice(pool), rng.choice(pool)] for _ in range(d)]
+            for _ in range(draw(st.integers(0, 80)))]
+    for flaw in draw(st.lists(st.sampled_from(
+            ["int", "bool", "bigint", "ragged", "empty row", "short pair", "long pair",
+             "tuple", "dict"]), max_size=2)):
+        spots = [(row, j) for row in rows for j, pair in enumerate(row)
+                 if type(pair) is list and len(pair) == 2]
+        if not spots:
+            break
+        row, j = rng.choice(spots)
+        k = rng.randrange(2)
+        if flaw in ("int", "bool", "bigint"):
+            row[j][k] = {"int": rng.randrange(-3, 3), "bool": True, "bigint": 10**30}[flaw]
+        elif flaw == "ragged":
+            row.pop()
+        elif flaw == "empty row":
+            row.clear()
+        elif flaw == "short pair":
+            row[j].pop()
+        elif flaw == "long pair":
+            row[j].append(rng.choice(pool))
+        elif flaw == "tuple":
+            row[j] = tuple(row[j])
+        else:
+            row[j] = {"re": row[j][0]}
+    return rows
+
+
+keys = st.text(max_size=4)
+leaves = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+                   st.text(max_size=4))
+values = st.recursive(st.one_of(leaves, tables()), lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(keys, inner, max_size=3),
+    st.dictionaries(st.integers(-3, 3), inner, max_size=3)), max_leaves=6)
+line_set_docs = st.fixed_dictionaries(
+    {"dim": st.integers(0, 12), "field": st.sampled_from(["complex-f64", "gaussian-int"]),
+     "vectors": tables(), "provenance": st.dictionaries(keys, leaves, max_size=2)})
+documents = st.one_of(
+    line_set_docs,
+    st.fixed_dictionaries({"bases": st.lists(line_set_docs, max_size=3),
+                           "rds": st.dictionaries(keys, st.lists(st.lists(st.integers())),
+                                                  max_size=2),
+                           "verified": st.booleans()}),
+    st.dictionaries(keys, values, max_size=4),
+    values)
+
+
+def encoded(encode, obj):
+    """encode(obj), or the type of what it raised."""
+    try:
+        return encode(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_json_encoder_writes_what_json_dumps_writes(doc):
+    assert (encoded(lambda obj: "".join(_encode(obj)), doc)
+            == encoded(lambda obj: json.dumps(obj, sort_keys=True), doc))
+
+
+def test_json_encoder_takes_a_float_table_once_per_value():
+    pool = [0.0, -0.0, math.nan, NAN_PAYLOAD, math.inf, -math.inf, 5e-324, 0.1]
+    rows = [[[pool[(3 * j + k) % 8], pool[(j + 5 * k) % 8]] for k in range(16)]
+            for j in range(24)]
+    assert _float_table(rows) == json.dumps(rows)
+    for bad in (1, True, 10**30):
+        rows[5][3][1] = bad
+        assert _float_table(rows) is None
+    doc = lineset_to_json(mubs_from_rds(builtin_rds(31)).bases[0])
+    assert "".join(_encode({"bases": [doc, doc], "verified": True})) == json.dumps(
+        {"bases": [doc, doc], "verified": True}, sort_keys=True)
