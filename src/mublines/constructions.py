@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,12 @@ class MubFamily:
     dim: int
     bases: tuple[LineSet, ...]
     source_rds: RelativeDifferenceSet
+
+    @functools.cached_property
+    def _theorem46_table(self) -> np.ndarray:
+        """_zeroed_table whose copy p zeroes column p of every basis, so that
+        it holds every zeroed basis once; a build that raises keeps nothing."""
+        return _zeroed_table(self, [[p] * self.dim for p in range(self.dim)])
 
 
 @dataclass(frozen=True)
@@ -122,17 +129,23 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
 def l_block(family: MubFamily, spec: ScalingSpec) -> LineSet:
     """L-block: in basis j, multiply entry pi(j) of each vector by v."""
     d = family.dim
-    if sorted(spec.perm) != list(range(1, d + 1)):
-        raise ValueError(f"perm must be a permutation of 1..{d}")
+    cols = _columns(spec.perm, d)
     v = Scalar.coerce(spec.v)
     parts = np.concatenate([b.parts for b in family.bases], axis=1)
     if not (v.exact and all(b.exact for b in family.bases)):  # one float basis floats all
         parts = parts.astype(float, copy=False)
-    entries = (slice(None), np.arange(d * d), np.repeat(np.array(spec.perm) - 1, d))
+    entries = (slice(None), np.arange(d * d), np.repeat(cols, d))
     parts[entries] = _cmul(parts[entries], v.re, v.im)
     return LineSet.from_parts(parts, {"construction": "c1-lblock", "perm": list(spec.perm),
                                       "rds": family.source_rds.label or "custom",
                                       "v": [v.re, v.im]})
+
+
+def _columns(perm, d: int) -> list:
+    """The 0-based columns pi(1) - 1, ..., pi(d) - 1 of a permutation of 1..d."""
+    if sorted(perm) != list(range(1, d + 1)):
+        raise ValueError(f"perm must be a permutation of 1..{d}")
+    return [p - 1 for p in perm]
 
 
 def c1_magnitudes(d: int) -> list[float]:
@@ -311,21 +324,45 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
     """d=4 criterion: every cross-basis inner product of L(pi, 0) has
-    magnitude sqrt(2); computed exactly (squared magnitude 2) on the Gaussian
-    table, within DEFAULT_TOL of squared magnitude 2 on a float family.
-    Same-basis pairs are skipped: their magnitude is 1 for every permutation
-    and carries no information about pi."""
+    magnitude sqrt(2); exactly (squared magnitude 2) on the Gaussian table,
+    within DEFAULT_TOL of squared magnitude 2 on a float family.  Same-basis
+    pairs carry no information about pi: their magnitude is always 1.
+
+    Block (j, k) of L(pi, 0) depends on pi only through the columns pi(j),
+    pi(k) it zeroes, so one Gram of the 4 x 4 zeroed bases (64 lines)
+    tabulates every block once per family, and pi reads its six blocks j < k
+    there.  If that Gram raises (a zero line or a non-finite entry), L(pi, 0)'s
+    own Gram decides, or raises."""
     if family.dim != 4:
         raise ValueError("the criterion applies only in dimension 4")
+    cols = _columns(perm, 4)
+    try:  # the table's copy p zeroes column p
+        ok, copy = family._theorem46_table, cols
+    except ValueError:
+        ok, copy = _zeroed_table(family, [cols]), [0] * 4
+    return all(ok[copy[j], j, copy[k], k] for j, k in _PAIRS)
+
+
+#: the basis pairs j < k of theorem46_predicate
+_PAIRS = [(j, k) for j in range(4) for k in range(j + 1, 4)]
+
+
+def _zeroed_table(family: MubFamily, cols) -> np.ndarray:
+    """ok[s, j, t, k]: every inner product of basis j with column cols[s][j]
+    zeroed and basis k with column cols[t][k] zeroed has magnitude sqrt(2);
+    one Gram of all those blocks.  The bases are zeroed as l_block zeroes them
+    at v = 0: a product with 0, which keeps a non-finite entry non-finite, in
+    float as soon as one basis is."""
     d = family.dim
-    lines = l_block(family, ScalingSpec(tuple(perm), Scalar.gauss(0, 0)))
+    bases = np.stack([b.parts for b in family.bases], axis=1)  # (2, basis, vector, coordinate)
+    if not all(b.exact for b in family.bases):
+        bases = bases.astype(float)
+    keep = np.arange(d) != np.array(cols)[:, :, None, None]  # (copy, basis, 1, coordinate)
+    lines = LineSet.from_parts((bases[:, None] * keep).reshape(2, -1, d))
     _, _, mag, _, _ = next(_gram([lines]))
-    basis = np.arange(len(lines)) // d
-    cross = mag[basis[:, None] != basis[None, :]]
     # exact blocks hold squared magnitudes, float blocks magnitudes
-    if lines.exact:
-        return bool(np.all(cross == 2))
-    return bool(np.all(np.abs(cross ** 2 - 2) <= DEFAULT_TOL))
+    ok = mag == 2 if lines.exact else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
+    return ok.reshape((len(cols), d, d) * 2).all(axis=(2, 5))
 
 
 # --- Construction 2 (dimension 8) -------------------------------------------

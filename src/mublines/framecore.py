@@ -407,8 +407,10 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
     global phase."""
     if a.dim != b.dim or len(a) != len(b):
         return False
-    am = a.to_matrix()
-    bm = b.to_matrix()
+    # each row is first scaled by its largest |entry|, so that its norm
+    # cannot overflow (entries past ~1e154) or underflow
+    am, bm = (m / np.abs(m).max(axis=1, initial=0, keepdims=True)
+              for m in (a.to_matrix(), b.to_matrix()))
     am = am / np.linalg.norm(am, axis=1, keepdims=True)
     bm = bm / np.linalg.norm(bm, axis=1, keepdims=True)
     # for unit x, y, |P_x - P_y|_F^2 = 2 (1 - |<x, y>|^2), so only a pair with

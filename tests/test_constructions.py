@@ -25,7 +25,14 @@ from mublines.constructions import (
     mubs_from_rds,
     theorem46_predicate,
 )
-from mublines.framecore import LineSet, gram_analyze, inner, lines_equal, verify_mubs
+from mublines.framecore import (
+    LineSet,
+    ZeroVectorError,
+    gram_analyze,
+    inner,
+    lines_equal,
+    verify_mubs,
+)
 from mublines.scalars import Scalar
 
 EIGHT_PERMS = [
@@ -385,6 +392,50 @@ def test_theorem46_on_a_float_family_matches_the_exact_one(fam4):
     exact = [p for p in perms if theorem46_predicate(fam4, p)]
     assert exact == sorted(EIGHT_PERMS)
     assert [p for p in perms if theorem46_predicate(floated, p)] == exact
+
+
+def test_a_theorem46_sweep_takes_one_gram_per_family(fam4, monkeypatch):
+    import mublines.constructions as constructions
+
+    calls, gram = [], constructions._gram
+
+    def counting(sets, cross=False):
+        calls.append([len(s) for s in sets])
+        return gram(sets, cross)
+
+    monkeypatch.setattr(constructions, "_gram", counting)
+    floated = tuple(LineSet.from_parts(b.parts.astype(float)) for b in fam4.bases)
+    perms = list(itertools.permutations((1, 2, 3, 4)))
+    for bases in (fam4.bases, floated, floated[:2] + fam4.bases[2:]):
+        family = MubFamily(4, bases, fam4.source_rds)  # a new family: nothing cached
+        calls.clear()
+        assert [p for p in perms if theorem46_predicate(family, p)] == sorted(EIGHT_PERMS)
+        assert calls == [[64]]
+
+
+def test_theorem46_raises_only_for_the_permutations_that_zero_a_line(fam4):
+    # vector 0 of basis 1 becomes e_3: only pi(1) = 3 zeroes all of it
+    parts = fam4.bases[0].parts.copy()
+    parts[:, 0] = 0
+    parts[0, 0, 2] = 1
+    family = MubFamily(4, (LineSet.from_parts(parts),) + fam4.bases[1:], fam4.source_rds)
+    for perm in itertools.permutations((1, 2, 3, 4)):
+        if perm[0] == 3:
+            with pytest.raises(ZeroVectorError):
+                theorem46_predicate(family, perm)
+        else:
+            assert not theorem46_predicate(family, perm)
+
+
+def test_theorem46_on_a_non_finite_family_raises_every_time_and_keeps_nothing(fam4):
+    parts = fam4.bases[2].parts.astype(float)
+    parts[1, 3, 0] = math.nan
+    family = MubFamily(4, fam4.bases[:2] + (LineSet.from_parts(parts),) + fam4.bases[3:],
+                       fam4.source_rds)
+    for perm in itertools.permutations((1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="non-finite"):
+            theorem46_predicate(family, perm)
+    assert "_theorem46_table" not in vars(family)
 
 
 def test_hoggar_orbit_is_bit_identical_to_the_kron_loop():

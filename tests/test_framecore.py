@@ -254,6 +254,13 @@ def test_lines_equal_says_no_to_zero_vectors():
         assert not lines_equal(a, b)
 
 
+def test_lines_equal_on_entries_whose_squared_norm_overflows():
+    big = LineSet(2, (CVector.make([1e160, 0]), CVector.make([0, 1e160])))
+    assert lines_equal(big, LineSet(2, big.vectors[::-1]))
+    assert not lines_equal(big, LineSet(2, (CVector.make([1e160, 1e160]),
+                                            CVector.make([1e160, -1e160]))))
+
+
 def test_lines_equal_finds_a_matching_that_greedy_misses():
     # x1 is nearest y2, but only y1 is within tol of x1 and y2 of x2: a
     # greedy pass gives y2 to x1 and has nothing left for x2

@@ -1,7 +1,8 @@
 """Property tests of the Gram path and the JSON format on random
 Gaussian-integer line sets, with entries far past 2^32 and entries at the
 edge of the exact Gram's int64 bound, of the line-set array against its
-CVector view, of the line matching and of the JSON encoder."""
+CVector view, of Theorem 4.6's column-pair table, of the line matching and
+of the JSON encoder."""
 
 import cmath
 import itertools
@@ -9,21 +10,26 @@ import json
 import math
 import random
 import struct
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mublines.abelian import builtin_rds
 from mublines.constructions import (
     BlockPairSpec,
+    MubFamily,
     ScalingSpec,
     construction3_pair,
     l_block,
     mubs_from_rds,
+    theorem46_predicate,
 )
 from mublines.framecore import (
+    DEFAULT_TOL,
     Compose,
     CoordPhases,
     CVector,
@@ -99,6 +105,16 @@ def test_exact_json_roundtrip_is_lossless(lines):
     assert back.dim == lines.dim
     assert back.vectors == lines.vectors
     assert np.array_equal(back.to_matrix(), lines.to_matrix())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gaussian_sets(bound=3), gaussian_sets(), gaussian_sets(bound=2**70)))
+@example(LineSet(2, tuple(CVector.gauss([(1, 0), (k, 0)]) for k in (0, 1, 2))))  # 1/2, 1/5, 9/10
+def test_exact_clusters_count_each_rational_value(lines):
+    pairs = itertools.combinations(lines.vectors, 2)
+    counts = Counter(Fraction(inner(x, y).abs2(), x.norm2() * y.norm2()) for x, y in pairs)
+    want = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
+    assert gram_analyze(lines).angle_clusters == want
 
 
 # --- the line-set array against its CVector view ----------------------------
@@ -217,6 +233,13 @@ def test_verify_mubs_on_either_side_of_the_int64_bound(side):
     assert not verify_mubs([bases[0], LineSet.from_parts(bent)] + bases[2:])
 
 
+def test_exact_gram_of_parts_at_and_past_the_int64_range():
+    for m in (2**63 - 1, 2**63, -(2**63), 2**64):
+        lines = LineSet(2, (CVector.gauss([(m, 1), (0, -m)]), CVector.gauss([(1, m), (m, 2)])))
+        assert next(_gram([lines]))[2].dtype == object
+        assert_gram_is_python_exact([lines, LineSet(2, lines.vectors[::-1])])
+
+
 @st.composite
 def near_int64_bound(draw):
     """Two sets in Z[i]^d, d in 1..5, whose largest |part| is within two of
@@ -236,6 +259,65 @@ def near_int64_bound(draw):
 @given(near_int64_bound())
 def test_exact_gram_near_the_int64_bound_matches_python_ints(sets):
     assert_gram_is_python_exact(sets)
+
+
+# --- Theorem 4.6 from the column-pair table ---------------------------------
+
+
+def theorem46_reference(family, perm):
+    """theorem46_predicate one permutation at a time, as it was before the
+    column-pair table: L(pi, 0), its own Gram, the cross-basis blocks."""
+    lines = l_block(family, ScalingSpec(perm, Scalar.gauss(0, 0)))
+    _, _, mag, _, _ = next(_gram([lines]))
+    basis = np.arange(len(lines)) // 4
+    cross = mag[basis[:, None] != basis[None, :]]
+    if lines.exact:
+        return bool(np.all(cross == 2))
+    return bool(np.all(np.abs(cross ** 2 - 2) <= DEFAULT_TOL))
+
+
+def outcome(predicate, family, perm):
+    """The answer, or the class of the exception raised."""
+    try:
+        return predicate(family, perm)
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def theorem46_families(draw):
+    """Copies of builtin:4, each basis moved by Gaussian units, some or all
+    bases floated, and at most one flaw: an entry perturbed (by a Gaussian
+    integer or a float), a vector put on one coordinate, a NaN or an entry of
+    1e160, whose lines' squared norms overflow unless its column is zeroed."""
+    units = st.lists(st.sampled_from(GAUSSIAN_UNITS), min_size=4, max_size=4)
+    bases = [apply_equivalence(b, Compose((VectorPhases(tuple(draw(units))),
+                                           CoordPhases(tuple(draw(units))))))
+             for b in FAMILIES[4].bases]
+    parts = [b.parts.astype(float) if draw(st.booleans()) else b.parts.copy() for b in bases]
+    j, r, a, col = (draw(st.integers(0, k)) for k in (3, 1, 3, 3))
+    flaw = draw(st.sampled_from(["none", "perturb", "one-coordinate", "nan", "huge"]))
+    if flaw == "perturb":
+        step = draw(st.sampled_from([1, -2, 1e-13, 1e-11, 1e-6, 0.5]))
+        if isinstance(step, float):
+            parts[j] = parts[j].astype(float)
+        parts[j][r, a, col] += step
+    elif flaw == "one-coordinate":
+        parts[j][:, a] = 0
+        parts[j][r, a, col] = 1
+    elif flaw in ("nan", "huge"):
+        parts[j] = parts[j].astype(float)
+        parts[j][r, a, col] = math.nan if flaw == "nan" else 1e160
+    return MubFamily(4, tuple(map(LineSet.from_parts, parts)), FAMILIES[4].source_rds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(theorem46_families())
+def test_theorem46_table_agrees_with_each_permutations_own_gram(family):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for perm in itertools.permutations((1, 2, 3, 4)):
+            assert (outcome(theorem46_predicate, family, perm)
+                    == outcome(theorem46_reference, family, perm))
 
 
 # --- line matching ----------------------------------------------------------
