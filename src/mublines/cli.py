@@ -2,6 +2,10 @@
 
 Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
 2 usage or input error.
+
+Each command imports the library modules it runs, and only once its input
+has been read and checked: `bounds`, a missing file and an unsupported RDS
+exit before numpy loads, and `verify` loads framecore alone.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ import json
 import math
 import sys
 
-from . import abelian, constructions, framecore, weylheisenberg
-from .exprs import parse_constant
-from .scalars import _gauss_if_integral
+from .scalars import DEFAULT_TOL, _gauss_if_integral, max_angle, mub_bound, special_bound_f
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -36,7 +38,10 @@ def _load(path: str, what: str, parse):
         raise CliError(f"malformed or invalid {what}: {exc}")
 
 
-def _resolve_rds(ref: str) -> abelian.RelativeDifferenceSet:
+def _resolve_rds(ref: str):
+    """The RelativeDifferenceSet of a reference; abelian loads no numpy."""
+    from . import abelian
+
     if ref.startswith("builtin:"):
         try:
             d = int(ref.split(":", 1)[1])
@@ -57,6 +62,8 @@ def _parse_perm(text: str) -> tuple[int, ...]:
 
 
 def _emit(data: dict, out_path: str | None) -> None:
+    from . import framecore
+
     if out_path:
         framecore.dump_json(data, out_path)
     else:
@@ -64,7 +71,8 @@ def _emit(data: dict, out_path: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _report_summary(report: framecore.GramReport, fmt: str) -> None:
+def _report_summary(report, fmt: str) -> None:
+    """Print a framecore.GramReport as JSON or as one summary line."""
     if fmt == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
@@ -77,10 +85,12 @@ def _report_summary(report: framecore.GramReport, fmt: str) -> None:
 
 def cmd_mubs(args) -> int:
     rds = _resolve_rds(args.rds)
+    from . import abelian, constructions, framecore
+
     family = constructions.mubs_from_rds(rds)
     # mubs_from_rds has passed verify_mubs at DEFAULT_TOL, and every float
     # check is value <= tol, so only a tighter (or NaN) tol can still fail
-    ok = args.tol >= framecore.DEFAULT_TOL or framecore.verify_mubs(list(family.bases), args.tol)
+    ok = args.tol >= DEFAULT_TOL or framecore.verify_mubs(list(family.bases), args.tol)
     payload = {
         "dim": family.dim,
         "rds": abelian.rds_to_json(rds),
@@ -93,23 +103,35 @@ def cmd_mubs(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def _family(args) -> constructions.MubFamily:
-    return constructions.mubs_from_rds(_resolve_rds(args.rds or f"builtin:{args.d}"))
+def _family(args):
+    """The MubFamily of --rds, or of builtin:<--d>."""
+    rds = _resolve_rds(args.rds or f"builtin:{args.d}")
+    from . import constructions
+
+    return constructions.mubs_from_rds(rds)
 
 
-def _build_lines(args) -> framecore.LineSet:
+def _build_lines(args):
+    """The LineSet of `construct <kind>`, or of `wh`."""
     kind = args.kind
+    if kind == "wh":
+        from . import weylheisenberg
+
+        return weylheisenberg.wh_orbit(_resolve_fiducial(args.fiducial))
+    family = _family(args) if kind in ("c1", "c3") else None
+    from . import constructions
+
     if kind == "c1":
-        family = _family(args)
         if args.perm is None or args.v is None:
             raise CliError("construct c1 requires --perm and --v")
+        from .exprs import parse_constant
+
         spec = constructions.ScalingSpec(_parse_perm(args.perm),
                                          _gauss_if_integral(parse_constant(args.v)))
         return constructions.l_block(family, spec)
     if kind == "c2":
         return constructions.construction2_family(args.a if args.a is not None else 0.0)
     if kind == "c3":
-        family = _family(args)
         if args.perm is None:
             raise CliError("construct c3 requires --perm")
         if args.a is None or args.b is None:
@@ -122,21 +144,31 @@ def _build_lines(args) -> framecore.LineSet:
         return constructions.construction3_d4_extension()
     if kind == "hoggar":
         return constructions.hoggar_tensor_orbit()
-    if kind == "wh":
-        return weylheisenberg.wh_orbit(_resolve_fiducial(args.fiducial))
     raise CliError(f"unknown construction kind {kind!r}")
 
 
 def cmd_construct(args) -> int:
     lines = _build_lines(args)
+    from . import framecore
+
     report = framecore.gram_analyze(lines, args.tol)
     _emit(framecore.lineset_to_json(lines), args.out)
     _report_summary(report, args.format)
     return EXIT_OK if report.equiangular else EXIT_FAILED
 
 
+def _lineset_from_json(data: dict):
+    """framecore.lineset_from_json, with framecore imported once the document
+    has been read."""
+    from . import framecore
+
+    return framecore.lineset_from_json(data)
+
+
 def cmd_verify(args) -> int:
-    lines = _load(args.input, "line set", framecore.lineset_from_json)
+    lines = _load(args.input, "line set", _lineset_from_json)
+    from . import framecore
+
     report = framecore.gram_analyze(lines, args.tol)
     print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_OK if report.equiangular else EXIT_FAILED
@@ -144,6 +176,8 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     family = _family(args)
+    from . import constructions
+
     budget = math.inf if args.force else args.budget
     try:
         hits = constructions.c1_search(family, args.phase_roots, budget, args.tol)
@@ -166,24 +200,27 @@ def cmd_bounds(args) -> int:
     payload = {
         "d": d,
         "max_lines": d * d,
-        "special_bound_f": framecore.special_bound_f(d),
+        "special_bound_f": special_bound_f(d),
         "block_pair_angle": 1.0 / (1.0 + math.sqrt(d)),
     }
     if d >= 2:
-        payload["mub_bound"] = framecore.mub_bound(d)
-        payload["max_angle"] = framecore.max_angle(d)
+        payload["mub_bound"] = mub_bound(d)
+        payload["max_angle"] = max_angle(d)
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 
-def _resolve_fiducial(ref: str | None) -> weylheisenberg.Fiducial:
+def _resolve_fiducial(ref: str | None):
+    """The weylheisenberg.Fiducial of a reference."""
+    from . import weylheisenberg
+
     ref = ref or "builtin:d4"
     if ref == "builtin:d4":
         return weylheisenberg.fiducial_d4()
     if ref.startswith("file:"):
         # {"vector": [[re, im], ...]} is a one-vector complex-f64 line set
         return _load(ref.split(":", 1)[1], "fiducial", lambda data: weylheisenberg.Fiducial(
-            framecore.lineset_from_json({"dim": len(data["vector"]),
+            _lineset_from_json({"dim": len(data["vector"]),
                                          "vectors": [data["vector"]]}).vectors[0], "user"))
     raise CliError(f"fiducial must be builtin:d4 or file:<path>, got {ref!r}")
 
@@ -193,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mublines",
         description="Construct and verify complex equiangular lines and MUBs",
     )
-    parser.add_argument("--tol", type=float, default=framecore.DEFAULT_TOL)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--out", default=None, help="write JSON output here")
     parser.add_argument("--format", choices=["json", "summary"],
                         default="summary")

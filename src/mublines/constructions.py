@@ -36,7 +36,7 @@ from .framecore import (
     gram_analyze,
     verify_mubs,
 )
-from .scalars import Scalar, _gauss_if_integral
+from .scalars import Scalar, _gauss_if_integral, _ints
 
 
 class InvalidRds(ValueError):
@@ -56,8 +56,16 @@ class MubFamily:
     @functools.cached_property
     def _theorem46_table(self) -> np.ndarray:
         """_zeroed_table whose copy p zeroes column p of every basis, so that
-        it holds every zeroed basis once; a build that raises keeps nothing."""
-        return _zeroed_table(self, [[p] * self.dim for p in range(self.dim)])
+        it holds every zeroed basis once.  A build that raises keeps no table
+        but sets _theorem46_failed, so that every later access raises at once
+        instead of building it again."""
+        if getattr(self, "_theorem46_failed", False):
+            raise ValueError("this family's Theorem 4.6 table failed to build")
+        try:
+            return _zeroed_table(self, [[p] * self.dim for p in range(self.dim)])
+        except ValueError:
+            object.__setattr__(self, "_theorem46_failed", True)
+            raise
 
 
 @dataclass(frozen=True)
@@ -141,11 +149,18 @@ def l_block(family: MubFamily, spec: ScalingSpec) -> LineSet:
                                       "v": [v.re, v.im]})
 
 
-def _columns(perm, d: int) -> list:
-    """The 0-based columns pi(1) - 1, ..., pi(d) - 1 of a permutation of 1..d."""
-    if sorted(perm) != list(range(1, d + 1)):
+def _columns(perm, d: int) -> list[int]:
+    """The 0-based columns pi(1) - 1, ..., pi(d) - 1 of a permutation of 1..d.
+    Its entries are indices: integers by scalars._ints and no floats, which
+    numpy refuses as indices even when integral."""
+    try:
+        images = _ints(perm, "perm")
+    except ValueError:  # a bool, a string, 1.5
+        images = None
+    if (images is None or any(isinstance(p, float) for p in perm)
+            or sorted(images) != list(range(1, d + 1))):
         raise ValueError(f"perm must be a permutation of 1..{d}")
-    return [p - 1 for p in perm]
+    return [p - 1 for p in images]
 
 
 def c1_magnitudes(d: int) -> list[float]:
@@ -331,8 +346,8 @@ def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
     Block (j, k) of L(pi, 0) depends on pi only through the columns pi(j),
     pi(k) it zeroes, so one Gram of the 4 x 4 zeroed bases (64 lines)
     tabulates every block once per family, and pi reads its six blocks j < k
-    there.  If that Gram raises (a zero line or a non-finite entry), L(pi, 0)'s
-    own Gram decides, or raises."""
+    there.  If that Gram raises (a zero line or a non-finite entry), the table
+    is not built again, and L(pi, 0)'s own Gram decides, or raises."""
     if family.dim != 4:
         raise ValueError("the criterion applies only in dimension 4")
     cols = _columns(perm, 4)

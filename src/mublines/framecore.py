@@ -19,9 +19,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import Scalar, _ints
-
-DEFAULT_TOL = 1e-9
+# DEFAULT_TOL and the three bounds live in the numpy-free scalars module, so
+# that the CLI can read them before numpy loads; framecore.* names them too
+from .scalars import (  # noqa: F401
+    DEFAULT_TOL,
+    Scalar,
+    _ints,
+    max_angle,
+    mub_bound,
+    special_bound_f,
+)
 
 
 class DimensionMismatch(ValueError):
@@ -303,31 +310,6 @@ def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
         if not ok.all():
             return False
     return True
-
-
-def max_angle(d: int) -> float:
-    """The forced common angle 1/sqrt(d+1) of a d^2-line equiangular set."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    return 1.0 / math.sqrt(d + 1)
-
-
-def mub_bound(d: int) -> int:
-    """Upper bound d+1 on the number of MUBs in C^d."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    return d + 1
-
-
-def special_bound_f(d) -> float:
-    """Bound f(d) = d(2d+1)(2*sqrt(d)+d)^2 / (d^2+4d+2*sqrt(d)) on the number
-    of lines in C^(2d) pairwise at angle 1/(1+sqrt(d))."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 1):
-        raise ValueError("d must be >= 1")
-    s = np.sqrt(d)
-    out = d * (2 * d + 1) * (2 * s + d) ** 2 / (d * d + 4 * d + 2 * s)
-    return float(out) if out.ndim == 0 else out
 
 
 # --- equivalence operations -------------------------------------------------

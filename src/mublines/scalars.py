@@ -4,13 +4,19 @@ The exact representation a+bi with integer a, b supports addition,
 multiplication, conjugation and squared magnitude without rounding, which is
 what lets the dimension-8 certificates run at zero tolerance.  Any arithmetic
 mixing an exact scalar with a float one silently degrades to float.
+
+This module imports no numpy, so it also holds what the CLI reads before
+numpy loads: the default tolerance and the closed-form bounds.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
 from dataclasses import dataclass
+
+DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,3 +124,34 @@ def root_of_unity(numerator: int, denominator: int) -> Scalar:
         quarter = numerator * (4 // denominator) % 4
         return GAUSSIAN_UNITS[quarter]
     return Scalar.from_complex(cmath.exp(2j * cmath.pi * numerator / denominator))
+
+
+def max_angle(d: int) -> float:
+    """The forced common angle 1/sqrt(d+1) of a d^2-line equiangular set."""
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
+    return 1.0 / math.sqrt(d + 1)
+
+
+def mub_bound(d: int) -> int:
+    """Upper bound d+1 on the number of MUBs in C^d."""
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
+    return d + 1
+
+
+def special_bound_f(d):
+    """Bound f(d) = d(2d+1)(2*sqrt(d)+d)^2 / (d^2+4d+2*sqrt(d)) on the number
+    of lines in C^(2d) pairwise at angle 1/(1+sqrt(d)): a float for a number
+    d, an array for an array (or a list) of them, which alone loads numpy."""
+    if isinstance(d, numbers.Real):
+        d, sqrt, any_ = float(d), math.sqrt, bool
+    else:
+        import numpy as np
+
+        d, sqrt, any_ = np.asarray(d, dtype=float), np.sqrt, np.any
+    if any_(d < 1):
+        raise ValueError("d must be >= 1")
+    s = sqrt(d)
+    out = d * (2 * d + 1) * (2 * s + d) ** 2 / (d * d + 4 * d + 2 * s)
+    return out if getattr(out, "ndim", 0) else float(out)

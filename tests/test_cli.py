@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +295,49 @@ def test_out_file_is_the_stdlib_encoding(capsys, tmp_path, argv):
     code, stdout, _ = run(capsys, *argv)
     assert code == 0
     assert stdout.splitlines()[0] + "\n" == text
+
+
+#: main(argv) in a fresh interpreter; the names in sys.modules at exit go to
+#: the file named by the first argument
+_FRESH = """
+import json, sys
+import mublines.cli
+try:
+    code = mublines.cli.main(sys.argv[2:])
+finally:
+    with open(sys.argv[1], "w") as fh:
+        json.dump(sorted(sys.modules), fh)
+sys.exit(code)
+"""
+
+
+def fresh_run(tmp_path, *argv):
+    """(exit code, modules loaded) of one CLI command in a new process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    modules = tmp_path / "modules.json"
+    proc = subprocess.run([sys.executable, "-c", _FRESH, str(modules), *argv],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True)
+    return proc.returncode, set(json.loads(modules.read_text()))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("bounds", "--d", "4"), 0),
+    (("bounds", "--d", "0"), 2),
+    (("mubs", "--rds", "builtin:6"), 2),
+    (("verify", "missing.json"), 2),
+])
+def test_commands_that_need_no_numpy_exit_without_loading_it(tmp_path, argv, code):
+    got, modules = fresh_run(tmp_path, *argv)
+    assert got == code
+    assert "numpy" not in modules
+
+
+def test_verify_loads_no_construction_module(tmp_path):
+    from mublines.constructions import construction3_d4_extension
+
+    (tmp_path / "lines64.json").write_text(json.dumps(lineset_to_json(construction3_d4_extension())))
+    code, modules = fresh_run(tmp_path, "verify", "lines64.json")
+    assert code == 0
+    assert "mublines.framecore" in modules
+    assert not {"mublines.abelian", "mublines.constructions"} & modules

@@ -491,3 +491,52 @@ def test_mubs_from_rds_entries_equal_char_eval(d):
         assert basis.exact == all(e.exact for ref_vec in ref_basis for e in ref_vec)
         for vec, ref_vec in zip(basis.vectors, ref_basis):
             assert [e.to_complex() for e in vec.entries] == [e.to_complex() for e in ref_vec]
+
+
+#: a bool is not a column, and numpy refuses a float index even when integral
+NOT_INDICES = [(True, 3, 4, 2), (1.0, 3.0, 4.0, 2.0)]
+
+
+@pytest.mark.parametrize("perm", NOT_INDICES)
+def test_l_block_refuses_a_permutation_of_non_indices(fam4, perm):
+    with pytest.raises(ValueError, match="perm must be a permutation of 1..4"):
+        l_block(fam4, ScalingSpec(perm, Scalar.gauss(2, 1)))
+
+
+@pytest.mark.parametrize("perm", NOT_INDICES)
+def test_construction3_pair_refuses_a_permutation_of_non_indices(fam4, perm):
+    with pytest.raises(ValueError, match="perm must be a permutation of 1..4"):
+        construction3_pair(fam4, BlockPairSpec(perm, 2, 1))
+
+
+@pytest.mark.parametrize("perm", NOT_INDICES)
+def test_theorem46_refuses_a_permutation_of_non_indices(fam4, perm):
+    with pytest.raises(ValueError, match="perm must be a permutation of 1..4"):
+        theorem46_predicate(fam4, perm)
+
+
+def test_a_failed_theorem46_table_is_built_once(fam4, monkeypatch):
+    import mublines.constructions as constructions
+
+    calls, gram = [], constructions._gram
+
+    def counting(sets, cross=False):
+        calls.append([len(s) for s in sets])
+        return gram(sets, cross)
+
+    monkeypatch.setattr(constructions, "_gram", counting)
+    # vector 0 of basis 1 becomes e_3, so the table's copy that zeroes
+    # column 3 holds a zero line and its Gram raises
+    parts = fam4.bases[0].parts.copy()
+    parts[:, 0] = 0
+    parts[0, 0, 2] = 1
+    family = MubFamily(4, (LineSet.from_parts(parts),) + fam4.bases[1:], fam4.source_rds)
+    for perm in itertools.permutations((1, 2, 3, 4)):
+        if perm[0] == 3:
+            with pytest.raises(ZeroVectorError):
+                theorem46_predicate(family, perm)
+        else:
+            assert not theorem46_predicate(family, perm)
+    assert calls.count([64]) == 1
+    assert calls.count([16]) == 24  # each permutation's own Gram decides
+    assert "_theorem46_table" not in vars(family)
