@@ -4,8 +4,9 @@ Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
 2 usage or input error.
 
 Each command imports the library modules it runs, and only once its input
-has been read and checked: `bounds`, a missing file and an unsupported RDS
-exit before numpy loads, and `verify` loads framecore alone.
+has been read and checked: `bounds`, a missing file, an unsupported RDS and
+a `construct` permutation that does not fit d exit before numpy loads, and
+`verify` loads framecore alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import json
 import math
 import sys
 
-from .scalars import DEFAULT_TOL, _gauss_if_integral, max_angle, mub_bound, special_bound_f
+from .scalars import (
+    DEFAULT_TOL,
+    _columns,
+    _gauss_if_integral,
+    max_angle,
+    mub_bound,
+    special_bound_f,
+)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -54,7 +62,8 @@ def _resolve_rds(ref: str):
 
 
 def _parse_perm(text: str) -> tuple[int, ...]:
-    """The integers of "1,3,4,2"; l_block checks that they are a permutation."""
+    """The integers of "1,3,4,2"; scalars._columns checks that they are a
+    permutation."""
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -103,9 +112,13 @@ def cmd_mubs(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def _family(args):
-    """The MubFamily of --rds, or of builtin:<--d>."""
-    rds = _resolve_rds(args.rds or f"builtin:{args.d}")
+def _rds(args):
+    """The RelativeDifferenceSet of --rds, or of builtin:<--d>."""
+    return _resolve_rds(args.rds or f"builtin:{args.d}")
+
+
+def _family(rds):
+    """The MubFamily of an RDS; the first use of numpy."""
     from . import constructions
 
     return constructions.mubs_from_rds(rds)
@@ -118,27 +131,31 @@ def _build_lines(args):
         from . import weylheisenberg
 
         return weylheisenberg.wh_orbit(_resolve_fiducial(args.fiducial))
-    family = _family(args) if kind in ("c1", "c3") else None
+    if kind in ("c1", "c3"):
+        # the permutation is checked before numpy loads: its length d is the
+        # number of RDS elements, d for a (d, d, d, 1)-RDS
+        rds = _rds(args)
+        if args.perm is None or (kind == "c1" and args.v is None):
+            raise CliError("construct c1 requires --perm and --v" if kind == "c1"
+                           else "construct c3 requires --perm")
+        perm = _parse_perm(args.perm)
+        _columns(perm, len(rds.elements))
+        family = _family(rds)
     from . import constructions
 
     if kind == "c1":
-        if args.perm is None or args.v is None:
-            raise CliError("construct c1 requires --perm and --v")
         from .exprs import parse_constant
 
-        spec = constructions.ScalingSpec(_parse_perm(args.perm),
-                                         _gauss_if_integral(parse_constant(args.v)))
+        spec = constructions.ScalingSpec(perm, _gauss_if_integral(parse_constant(args.v)))
         return constructions.l_block(family, spec)
     if kind == "c2":
         return constructions.construction2_family(args.a if args.a is not None else 0.0)
     if kind == "c3":
-        if args.perm is None:
-            raise CliError("construct c3 requires --perm")
         if args.a is None or args.b is None:
             a, b = constructions.construction3_solve(family.dim)[0]
         else:
             a, b = args.a, args.b
-        spec = constructions.BlockPairSpec(_parse_perm(args.perm), a, b, args.variant)
+        spec = constructions.BlockPairSpec(perm, a, b, args.variant)
         return constructions.construction3_pair(family, spec)
     if kind == "c3ext":
         return constructions.construction3_d4_extension()
@@ -175,7 +192,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    family = _family(args)
+    family = _family(_rds(args))
     from . import constructions
 
     budget = math.inf if args.force else args.budget

@@ -32,11 +32,11 @@ from .framecore import (
     GramReport,
     LineSet,
     _cmul,
+    _float_reports,
     _gram,
-    gram_analyze,
     verify_mubs,
 )
-from .scalars import Scalar, _gauss_if_integral, _ints
+from .scalars import Scalar, _columns, _gauss_if_integral
 
 
 class InvalidRds(ValueError):
@@ -135,32 +135,31 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
 
 
 def l_block(family: MubFamily, spec: ScalingSpec) -> LineSet:
-    """L-block: in basis j, multiply entry pi(j) of each vector by v."""
-    d = family.dim
-    cols = _columns(spec.perm, d)
+    """L-block: in basis j, multiply entry pi(j) of each vector by v; the
+    one-spec case of _l_blocks."""
+    cols = _columns(spec.perm, family.dim)
     v = Scalar.coerce(spec.v)
+    return LineSet.from_parts(_l_blocks(family, [cols], [v])[:, 0],
+                              {"construction": "c1-lblock", "perm": list(spec.perm),
+                               "rds": family.source_rds.label or "custom",
+                               "v": [v.re, v.im]})
+
+
+def _l_blocks(family: MubFamily, cols, vs: list[Scalar]) -> np.ndarray:
+    """The parts (2, S, d * d, d) of S L-blocks: block s is the union of the
+    bases with entry cols[s][j] of each vector of basis j multiplied by vs[s]
+    (cols 0-based, as _columns gives them).  The stack is exact iff every
+    basis and every v is: one float basis or v floats all."""
+    d = family.dim
     parts = np.concatenate([b.parts for b in family.bases], axis=1)
-    if not (v.exact and all(b.exact for b in family.bases)):  # one float basis floats all
+    if not (all(v.exact for v in vs) and all(b.exact for b in family.bases)):
         parts = parts.astype(float, copy=False)
-    entries = (slice(None), np.arange(d * d), np.repeat(cols, d))
-    parts[entries] = _cmul(parts[entries], v.re, v.im)
-    return LineSet.from_parts(parts, {"construction": "c1-lblock", "perm": list(spec.perm),
-                                      "rds": family.source_rds.label or "custom",
-                                      "v": [v.re, v.im]})
-
-
-def _columns(perm, d: int) -> list[int]:
-    """The 0-based columns pi(1) - 1, ..., pi(d) - 1 of a permutation of 1..d.
-    Its entries are indices: integers by scalars._ints and no floats, which
-    numpy refuses as indices even when integral."""
-    try:
-        images = _ints(perm, "perm")
-    except ValueError:  # a bool, a string, 1.5
-        images = None
-    if (images is None or any(isinstance(p, float) for p in perm)
-            or sorted(images) != list(range(1, d + 1))):
-        raise ValueError(f"perm must be a permutation of 1..{d}")
-    return [p - 1 for p in images]
+    parts = np.repeat(parts[:, None], len(vs), axis=1)
+    re, im = np.array([[v.re for v in vs], [v.im for v in vs]], dtype=parts.dtype)[:, :, None]
+    entries = (slice(None), np.arange(len(vs))[:, None], np.arange(d * d),
+               np.repeat(cols, d, axis=1))
+    parts[entries] = _cmul(parts[entries], re, im)
+    return parts
 
 
 def c1_magnitudes(d: int) -> list[float]:
@@ -189,9 +188,13 @@ def c1_search(
     and gram_analyze says "no" to every float set whose values spread more
     than 10*tol.  So a table of the column pairs whose own three blocks
     spread more (_PairTable) rules out every permutation through them,
-    and backtracking visits only the permutations no pair rules out.  Each
-    survivor is certified by l_block + gram_analyze, which alone decides
-    the hits and their reports: the table can skip work, never say "yes".
+    and backtracking visits only the permutations no pair rules out.  The
+    survivors are certified together, by the stacked form of l_block's
+    scaling and gram_analyze's float analysis (_l_blocks,
+    framecore._float_reports), in tiles of at most _CHUNK Gram entries (or
+    of one survivor), so that memory does not grow with their number.  That
+    certifier alone decides the hits and their reports: the table can skip
+    work, never say "yes".
     """
     d = family.dim
     mags = c1_magnitudes(d)
@@ -214,16 +217,24 @@ def c1_search(
 
     hits = []
     perm: list[int] = []  # 0-based columns pi(1), ..., pi(len(perm))
+    tile: list[ScalingSpec] = []  # survivors not yet certified
+    tile_size = max(1, _CHUNK // d**4)  # a survivor's Gram has d^4 entries
+
+    def certify() -> None:
+        parts = _l_blocks(family, [[p - 1 for p in spec.perm] for spec in tile],
+                          [spec.v for spec in tile])
+        hits.extend((spec, report) for spec, report in zip(tile, _float_reports(parts, tol))
+                    if report.equiangular)
+        tile.clear()
 
     def extend(alive: int) -> None:
         k = len(perm)
         if k == d:
             for i, v in enumerate(values):
                 if alive >> i & 1:
-                    spec = ScalingSpec(tuple(p + 1 for p in perm), Scalar.from_complex(v))
-                    report = gram_analyze(l_block(family, spec), tol)
-                    if report.equiangular:
-                        hits.append((spec, report))
+                    tile.append(ScalingSpec(tuple(p + 1 for p in perm), Scalar.from_complex(v)))
+                    if len(tile) == tile_size:
+                        certify()
             return
         for q in range(d):
             if q in perm:
@@ -239,6 +250,8 @@ def c1_search(
                 perm.pop()
 
     extend((1 << len(values)) - 1)
+    if tile:
+        certify()
     return hits
 
 
@@ -317,8 +330,9 @@ class _PairTable(dict):
         return masks
 
 
-#: entries per chunk of the table's (v, p, ...) tensors, about 1 MB per complex
-#: temporary; the search workload (d <= 5, at most 16 candidates) fits in one
+#: entries per chunk of the table's (v, p, ...) tensors, and Gram entries per
+#: tile of c1_search's survivors, about 1 MB per complex temporary; the search
+#: workload (d <= 5, at most 16 candidates) fits in one
 _CHUNK = 2**16
 
 

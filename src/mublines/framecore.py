@@ -1,10 +1,11 @@
 """Complex vectors, line sets, Gram-angle analysis and equivalence moves.
 
-gram_analyze, verify_mubs and constructions.theorem46_predicate all read one
-Gram computation, _gram: exact on Gaussian-integer input (the tolerance
-ignored), double precision otherwise.  The exact path runs in int64 when
-4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary part|, and in Python
-ints beyond that bound, so it never overflows.  Zero vectors, non-finite
+gram_analyze, verify_mubs, constructions.theorem46_predicate and
+constructions.c1_search all read one Gram computation, _self_grams, through
+_gram or, for a stack of float sets, _float_reports: exact on Gaussian-integer
+input (the tolerance ignored), double precision otherwise.  The exact path
+runs in int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary
+part|, and in Python ints beyond that bound, so it never overflows.  Zero vectors, non-finite
 entries and non-integral gaussian-int JSON entries raise, never read as "yes".
 """
 
@@ -157,9 +158,14 @@ class LineSet:
         return self._vectors
 
     def to_matrix(self) -> np.ndarray:
-        mat = np.empty(self._parts.shape[1:], dtype=complex)
-        mat.real, mat.imag = self._parts
-        return mat
+        return _complex(self._parts)
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """The complex array parts[0] + i parts[1]."""
+    mat = np.empty(parts.shape[1:], dtype=complex)
+    mat.real, mat.imag = parts
+    return mat
 
 
 def _cmul(x: np.ndarray, re, im) -> tuple[np.ndarray, np.ndarray]:
@@ -188,15 +194,9 @@ class GramReport:
         }
 
 
-def _cluster_float(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Transitive-closure clustering: sorted values split at gaps > tol."""
-    order = np.sort(values)
-    cuts = np.flatnonzero(np.diff(order) > tol) + 1
-    return [(float(chunk.mean()), len(chunk)) for chunk in np.split(order, cuts)]
-
-
 def _gram(sets: list[LineSet], cross: bool = False):
-    """The one Gram computation behind every verifier.
+    """The Gram of a list of sets, block by block, as verify_mubs, exact
+    gram_analyze and theorem46_predicate read it.
 
     Yields (j, k, mag, norms_j, norms_k), one Gram block at a time: every set
     against itself, then, if cross, every set against each later one.  When
@@ -206,8 +206,9 @@ def _gram(sets: list[LineSet], cross: bool = False):
     float64, mag[a, b] = |<x_a, y_b>| and the norms are not squared.  Either
     way mag / outer(norms_j, norms_k) is the normalized value.
 
-    Raises ZeroVectorError on a zero vector and ValueError on a non-finite
-    entry or a squared norm that overflows float64.
+    Each set's own block is the one-set case of _self_grams, which raises
+    ZeroVectorError on a zero vector and ValueError on a non-finite entry or
+    a squared norm that overflows float64.
     """
     exact = all(s.exact for s in sets)
     if exact:  # (re, im) parts, shape (2, n, d)
@@ -221,68 +222,118 @@ def _gram(sets: list[LineSet], cross: bool = False):
         if 4 * d**3 * big**4 <= 2**63 - 1:
             parts = [p.astype(np.int64) for p in parts]
     else:
-        parts = [(mat, mat.conj().T) for mat in (s.to_matrix() for s in sets)]
-
-    def block(a, b):
-        if exact:
-            (ar, ai), (br, bi) = a, b
-            gr = ar @ br.T + ai @ bi.T
-            gi = ai @ br.T - ar @ bi.T
-            return gr * gr + gi * gi
-        return np.abs(a[0] @ b[1])
+        parts = [s.to_matrix() for s in sets]
 
     norms = []
     for j, a in enumerate(parts):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            mag = block(a, a)
-        if exact:
-            nj = (a * a).sum(axis=(0, 2))
-        elif not np.isfinite(mag).all():  # a bad entry spoils its whole row
-            raise ValueError("line set has a non-finite entry")
-        else:
-            nj = np.sqrt(np.diag(mag))
-        if (nj == 0).any():
-            raise ZeroVectorError("line sets may not contain the zero vector")
+        (mag,), (nj,) = _self_grams(a[..., None, :, :])  # a stack of one set
         norms.append(nj)
         yield j, j, mag, nj, nj
     if cross:  # |<x, y>| <= |x| |y|: blocks between checked sets are finite
+        adjoints = [_adjoint(p) for p in parts]
         for j, k in itertools.combinations(range(len(parts)), 2):
-            yield j, k, block(parts[j], parts[k]), norms[j], norms[k]
+            yield j, k, _block(parts[j], adjoints[k]), norms[j], norms[k]
+
+
+def _self_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mag, norms) of every set of a stack against itself, shapes (S, n, n)
+    and (S, n), as _gram yields them: stack holds the (2, S, n, d) int parts
+    of exact sets or the (S, n, d) complex matrices of float ones.
+
+    Raises ZeroVectorError on a zero vector and ValueError on a non-finite
+    entry or a squared norm that overflows float64.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mag = _block(stack, _adjoint(stack))
+    if stack.dtype != complex:
+        norms = (stack * stack).sum(axis=(0, 3))
+    elif not np.isfinite(mag).all():  # a bad entry spoils its whole row
+        raise ValueError("line set has a non-finite entry")
+    else:
+        norms = np.sqrt(np.diagonal(mag, axis1=1, axis2=2))
+    if (norms == 0).any():
+        raise ZeroVectorError("line sets may not contain the zero vector")
+    return mag, norms
+
+
+def _block(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """mag of the sets a against the sets b, set by set over any leading
+    stack axes, from a and _adjoint(b): |<x, y>|^2 from int parts
+    (2, ..., n, d), |<x, y>| from complex matrices (..., n, d)."""
+    if a.dtype == complex:
+        return np.abs(a @ adjoint)
+    (ar, ai), (br, bi) = a, adjoint
+    gr = ar @ br + ai @ bi
+    gi = ai @ br - ar @ bi
+    return gr * gr + gi * gi
+
+
+def _adjoint(b: np.ndarray) -> np.ndarray:
+    """The right operand of _block for b: the conjugate transpose of complex
+    matrices, the transposed parts of int ones (_block conjugates those)."""
+    return b.conj().swapaxes(-1, -2) if b.dtype == complex else b.swapaxes(-1, -2)
 
 
 def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     """Cluster the normalized pairwise inner-product magnitudes.
 
     Exact (Gaussian-integer) inputs are clustered on rational squared
-    magnitudes with the tolerance ignored.
+    magnitudes with the tolerance ignored; a float set is the one-set case
+    of _float_reports.
     """
     m = len(lines)
     if m < 2:
         raise ValueError("need at least two vectors")
+    if not lines.exact:
+        return _float_reports(lines.parts[:, None], tol)[0]
     _, _, mag, norms, _ = next(_gram([lines]))
     upper = ~np.tri(m, dtype=bool)  # the pairs j < k
-    if lines.exact:
-        counts: Counter[Fraction] = Counter()
-        # Python ints: Fraction cross-multiplies, which could wrap in int64
-        for (num, den), count in Counter(
-                zip(mag[upper].tolist(), np.outer(norms, norms)[upper].tolist())).items():
-            counts[Fraction(num, den)] += count
-        clusters = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
-        norms = [math.sqrt(n2) for n2 in norms.tolist()]
-    else:
-        values = np.divide(mag, np.outer(norms, norms), out=mag)[upper]  # mag is ours
-        clusters = tuple(_cluster_float(values, tol))
-    # transitive closure can chain values far apart into one cluster; such a
-    # set is not equiangular (c1_search's pruning table relies on this rule)
-    equi = len(clusters) == 1 and (lines.exact or bool(np.ptp(values) <= 10 * tol))
+    counts: Counter[Fraction] = Counter()
+    # Python ints: Fraction cross-multiplies, which could wrap in int64
+    for (num, den), count in Counter(
+            zip(mag[upper].tolist(), np.outer(norms, norms)[upper].tolist())).items():
+        counts[Fraction(num, den)] += count
+    clusters = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
+    equi = len(clusters) == 1
     return GramReport(
         size=m,
-        norms=tuple(float(n) for n in norms),
+        norms=tuple(math.sqrt(n2) for n2 in norms.tolist()),
         angle_clusters=clusters,
         equiangular=equi,
         common_angle=clusters[0][0] if equi else None,
-        exact=lines.exact,
+        exact=True,
     )
+
+
+def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
+    """gram_analyze of each float set of a stack, parts (2, S, m, d) with
+    m >= 2: one Gram of the stack (_self_grams), then the normalized values
+    of each set clustered by transitive closure, its sorted row split at
+    gaps > tol.  Each cluster's mean is taken from its own 1-D slice, whose
+    rounding a row-wise mean over the stack does not reproduce."""
+    m = parts.shape[2]
+    mag, norms = _self_grams(_complex(parts))
+    upper = ~np.tri(m, dtype=bool)  # the pairs j < k
+    # mag is ours to divide in place
+    values = np.divide(mag, norms[:, :, None] * norms[:, None, :], out=mag)[:, upper]
+    order = np.sort(values, axis=1)
+    cuts: list[list[int]] = [[0] for _ in order]  # each row's cluster bounds
+    rows, at = (np.diff(order, axis=1) > tol).nonzero()
+    for s, a in zip(rows.tolist(), (at + 1).tolist()):
+        cuts[s].append(a)
+    # transitive closure can chain values far apart into one cluster; such a
+    # set is not equiangular (c1_search's pruning table relies on this rule)
+    narrow = (order[:, -1] - order[:, 0] <= 10 * tol).tolist()
+    reports = []
+    for row, cut, norm, ok in zip(order, cuts, norms.tolist(), narrow):
+        cut.append(len(row))
+        clusters = tuple((float(row[a:b].sum()) / (b - a), b - a) for a, b in zip(cut, cut[1:]))
+        equi = len(clusters) == 1 and ok
+        reports.append(GramReport(size=m, norms=tuple(norm), angle_clusters=clusters,
+                                  equiangular=equi,
+                                  common_angle=clusters[0][0] if equi else None,
+                                  exact=False))
+    return reports
 
 
 def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:

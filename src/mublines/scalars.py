@@ -6,7 +6,8 @@ what lets the dimension-8 certificates run at zero tolerance.  Any arithmetic
 mixing an exact scalar with a float one silently degrades to float.
 
 This module imports no numpy, so it also holds what the CLI reads before
-numpy loads: the default tolerance and the closed-form bounds.
+numpy loads: the default tolerance, the closed-form bounds and the
+permutation check.
 """
 
 from __future__ import annotations
@@ -107,6 +108,20 @@ def _ints(values, what: str) -> list[int]:
     if not all(map(_integral, values)):
         raise ValueError(f"non-integer entry in {what}")
     return [int(x) for x in values]
+
+
+def _columns(perm, d: int) -> list[int]:
+    """The 0-based columns pi(1) - 1, ..., pi(d) - 1 of a permutation of 1..d.
+    Its entries are indices: integers by _ints and no floats, which numpy
+    refuses as indices even when integral."""
+    try:
+        images = _ints(perm, "perm")
+    except ValueError:  # a bool, a string, 1.5
+        images = None
+    if (images is None or any(isinstance(p, float) for p in perm)
+            or sorted(images) != list(range(1, d + 1))):
+        raise ValueError(f"perm must be a permutation of 1..{d}")
+    return [p - 1 for p in images]
 
 
 def _gauss_if_integral(z: complex) -> Scalar:

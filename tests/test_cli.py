@@ -311,14 +311,21 @@ sys.exit(code)
 """
 
 
-def fresh_run(tmp_path, *argv):
-    """(exit code, modules loaded) of one CLI command in a new process."""
+def fresh_process(tmp_path, *argv):
+    """(finished process, modules loaded) of one CLI command in a new
+    process."""
     src = Path(__file__).resolve().parents[1] / "src"
     modules = tmp_path / "modules.json"
     proc = subprocess.run([sys.executable, "-c", _FRESH, str(modules), *argv],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True)
-    return proc.returncode, set(json.loads(modules.read_text()))
+                          capture_output=True, text=True)
+    return proc, set(json.loads(modules.read_text()))
+
+
+def fresh_run(tmp_path, *argv):
+    """(exit code, modules loaded) of one CLI command in a new process."""
+    proc, modules = fresh_process(tmp_path, *argv)
+    return proc.returncode, modules
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -330,6 +337,21 @@ def fresh_run(tmp_path, *argv):
 def test_commands_that_need_no_numpy_exit_without_loading_it(tmp_path, argv, code):
     got, modules = fresh_run(tmp_path, *argv)
     assert got == code
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "c1", "--d", "4", "--perm", "1,2,3", "--v", "1"),
+     "perm must be a permutation of 1..4"),
+    (("construct", "c3", "--rds", "builtin:5", "--perm", "1,2,3,4"),
+     "perm must be a permutation of 1..5"),
+    (("construct", "c1", "--d", "4", "--perm", "1,3,4,2"), "construct c1 requires --perm and --v"),
+    (("construct", "c3", "--d", "3"), "construct c3 requires --perm"),
+])
+def test_a_bad_construct_permutation_exits_without_numpy(tmp_path, argv, message):
+    proc, modules = fresh_process(tmp_path, *argv)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
     assert "numpy" not in modules
 
 

@@ -1,8 +1,8 @@
 """Property tests of the Gram path and the JSON format on random
 Gaussian-integer line sets, with entries far past 2^32 and entries at the
-edge of the exact Gram's int64 bound, of the line-set array against its
-CVector view, of Theorem 4.6's column-pair table, of the line matching and
-of the JSON encoder."""
+edge of the exact Gram's int64 bound, of the float analysis against its
+per-set form, of the line-set array against its CVector view, of Theorem
+4.6's column-pair table, of the line matching and of the JSON encoder."""
 
 import cmath
 import itertools
@@ -34,8 +34,10 @@ from mublines.framecore import (
     CoordPhases,
     CVector,
     EntryPermutation,
+    GramReport,
     LineSet,
     VectorPhases,
+    ZeroVectorError,
     _encode,
     _float_table,
     _gram,
@@ -115,6 +117,110 @@ def test_exact_clusters_count_each_rational_value(lines):
     counts = Counter(Fraction(inner(x, y).abs2(), x.norm2() * y.norm2()) for x, y in pairs)
     want = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
     assert gram_analyze(lines).angle_clusters == want
+
+
+# --- the float analysis against its per-set form ---------------------------
+
+
+def per_set_float_report(lines, tol):
+    """gram_analyze of one float set as a loop of its own: one Gram, its
+    upper triangle sorted and split at gaps > tol, one cluster equiangular
+    only within a spread of 10 * tol."""
+    m = len(lines)
+    mat = lines.to_matrix()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.abs(mat @ mat.conj().T)
+    if not np.isfinite(mag).all():
+        raise ValueError("non-finite")
+    norms = np.sqrt(np.diag(mag))
+    if (norms == 0).any():
+        raise ZeroVectorError("zero vector")
+    values = (mag / np.outer(norms, norms))[np.triu_indices(m, 1)]
+    order = np.sort(values)
+    chunks = np.split(order, np.flatnonzero(np.diff(order) > tol) + 1)
+    clusters = tuple((float(chunk.mean()), len(chunk)) for chunk in chunks)
+    equi = len(clusters) == 1 and bool(np.ptp(values) <= 10 * tol)
+    return GramReport(m, tuple(float(n) for n in norms), clusters, equi,
+                      clusters[0][0] if equi else None, False)
+
+
+def float_set(rows):
+    return LineSet.from_parts(np.array([[[z.real for z in row] for row in rows],
+                                        [[z.imag for z in row] for row in rows]], dtype=float))
+
+
+@st.composite
+def float_sets(draw):
+    """A float set of 2..10 vectors in C^d, d in 1..4: entries on a coarse
+    grid (repeated values: several clusters), jittered by up to 0.05 (chains
+    of close values), one vector scaled by up to 1e160 (a squared norm past
+    float64), and perhaps one NaN entry or one zero vector."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(2, 10))
+    size = 2 * n * d
+    grid = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                         min_size=size, max_size=size))
+    noise = draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
+    jitter = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.05]))
+    parts = (np.array(grid) + jitter * np.array(noise)).reshape(2, n, d)
+    parts[:, draw(st.integers(0, n - 1))] *= draw(st.sampled_from([1.0, 1e-150, 1e150, 1e160]))
+    fault = draw(st.sampled_from([None, None, "nan", "zero"]))
+    if fault == "nan":
+        entry = draw(st.integers(0, 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
+        parts[entry] = math.nan
+    elif fault == "zero":
+        parts[:, draw(st.integers(0, n - 1))] = 0.0
+    return LineSet.from_parts(parts)
+
+
+@st.composite
+def fans(draw):
+    """26..41 unit vectors of R^2 at angles whose steps are 0.04..0.06:
+    their values |cos(a - b)| lie under 0.06 apart and spread over about
+    0.5..1, so at tol = 0.06 they chain into one cluster, wider than 10 * tol
+    or not."""
+    steps = draw(st.lists(st.floats(0.04, 0.06), min_size=25, max_size=40))
+    angles = np.cumsum([0.0, *steps])
+    return LineSet.from_parts(np.array([[np.cos(angles), np.sin(angles)],
+                                        np.zeros((2, len(angles)))]).transpose(0, 2, 1))
+
+
+#: the union of the d = 4 MUBs in float: two clusters, 0 and 1/2
+MUBS4 = LineSet.from_parts(np.concatenate([b.parts for b in mubs_from_rds(builtin_rds(4)).bases],
+                                          axis=1).astype(float))
+
+#: a chain: 21 unit vectors of R^2, 0.06 apart in angle, whose values
+#: |cos(0.06 m)| lie under 0.06 apart and spread over 0.6; one cluster at
+#: tol = 0.06, but no "yes"
+CHAIN = float_set([(math.cos(0.06 * k), math.sin(0.06 * k)) for k in range(21)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(float_sets(), fans()), st.sampled_from([DEFAULT_TOL, 1e-3, 0.01, 0.06, 0.3]))
+@example(MUBS4, DEFAULT_TOL)
+@example(CHAIN, 0.06)
+@example(float_set([(1, 0), (1, 1), (math.nan, 0)]), DEFAULT_TOL)
+@example(float_set([(1, 0), (0, 0), (1, 1)]), DEFAULT_TOL)
+@example(float_set([(1, 0), (1e160, 1e160), (1, 1)]), DEFAULT_TOL)
+@example(float_set([(1, 0), (1e150, 1e150), (1, 1)]), DEFAULT_TOL)
+def test_float_gram_analyze_equals_its_per_set_form(lines, tol):
+    try:
+        want = per_set_float_report(lines, tol)
+    except ValueError as exc:  # ZeroVectorError is one
+        with pytest.raises(ValueError) as got:
+            gram_analyze(lines, tol)
+        assert type(got.value) is type(exc)
+        return
+    assert gram_analyze(lines, tol) == want
+
+
+def test_the_float_examples_reach_each_case():
+    assert len(per_set_float_report(MUBS4, DEFAULT_TOL).angle_clusters) == 2
+    chain = per_set_float_report(CHAIN, 0.06)
+    assert len(chain.angle_clusters) == 1 and not chain.equiangular
+    with pytest.raises(ValueError, match="non-finite"):
+        per_set_float_report(float_set([(1, 0), (1e160, 1e160), (1, 1)]), DEFAULT_TOL)
+    big = per_set_float_report(float_set([(1, 0), (1e150, 1e150), (1, 1)]), DEFAULT_TOL)
+    assert big.norms[1] > 1e150
 
 
 # --- the line-set array against its CVector view ----------------------------

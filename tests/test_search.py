@@ -98,3 +98,59 @@ def test_c1_search_rejects_a_zero_vector():
         brute_force_c1_search(bad)
     with pytest.raises(ZeroVectorError):
         c1_search(bad)
+
+
+@pytest.mark.parametrize("phase_roots, tol, hits", [(64, 0.02, 32), (16, 0.2, 128)])
+def test_c1_search_equals_brute_force_where_survivors_fail(phase_roots, tol, hits, monkeypatch):
+    # a wide tolerance lets the pair table pass survivors that the stacked
+    # certification then refuses: 160 survivors for 32 hits, 384 for 128
+    import mublines.constructions as constructions
+
+    certified, certify = [], constructions._float_reports
+
+    def counting(parts, tol):
+        certified.append(parts.shape[1])
+        return certify(parts, tol)
+
+    monkeypatch.setattr(constructions, "_float_reports", counting)
+    found = c1_search(FAMILIES[4], phase_roots, tol=tol)
+    assert len(found) == hits
+    assert sum(certified) > hits
+    assert found == brute_force_c1_search(FAMILIES[4], phase_roots, tol)
+
+
+@pytest.mark.parametrize("phase_roots, tol", [(8, DEFAULT_TOL), (16, 0.2)])
+def test_c1_search_equals_brute_force_on_a_float_family(phase_roots, tol):
+    family = FAMILIES[4]
+    floated = MubFamily(4, tuple(LineSet.from_parts(b.parts.astype(float)) for b in family.bases),
+                        family.source_rds)
+    hits = c1_search(floated, phase_roots, tol=tol)
+    assert hits and all(not report.exact for _, report in hits)
+    assert hits == brute_force_c1_search(floated, phase_roots, tol)
+
+
+def test_c1_search_and_brute_force_raise_alike_on_a_nan_entry():
+    family = FAMILIES[4]
+    parts = family.bases[2].parts.astype(float)
+    parts[1, 3, 0] = math.nan
+    bad = MubFamily(4, family.bases[:2] + (LineSet.from_parts(parts),) + family.bases[3:],
+                    family.source_rds)
+    with pytest.raises(ValueError) as brute:
+        brute_force_c1_search(bad)
+    with pytest.raises(ValueError) as searched:
+        c1_search(bad)
+    assert (type(searched.value), str(searched.value)) == (type(brute.value), str(brute.value))
+
+
+def test_c1_search_memory_does_not_grow_with_the_survivors():
+    # 9,440 hits at a wide tolerance; certifying them in one untiled stack
+    # peaks near 220 MB, in tiles of 2^16 Gram entries near 13 MB
+    family = FAMILIES[4]
+    tracemalloc.start()
+    try:
+        hits = c1_search(family, 1024, tol=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == 9440
+    assert peak < 32 * 2**20
