@@ -313,12 +313,11 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     rounding a row-wise mean over the stack does not reproduce."""
     m = parts.shape[2]
     mag, norms = _self_grams(_complex(parts))
-    upper = ~np.tri(m, dtype=bool)  # the pairs j < k
-    # mag is ours to divide in place
-    values = np.divide(mag, norms[:, :, None] * norms[:, None, :], out=mag)[:, upper]
-    order = np.sort(values, axis=1)
+    np.divide(mag, norms[:, :, None] * norms[:, None, :], out=mag)  # mag is ours
+    upper = np.broadcast_to(~np.tri(m, dtype=bool), mag.shape)  # each set's pairs j < k
+    order = np.sort(mag[upper].reshape(len(mag), -1), axis=1)
     cuts: list[list[int]] = [[0] for _ in order]  # each row's cluster bounds
-    rows, at = (np.diff(order, axis=1) > tol).nonzero()
+    rows, at = divmod(np.flatnonzero(np.diff(order, axis=1) > tol), order.shape[1] - 1)
     for s, a in zip(rows.tolist(), (at + 1).tolist()):
         cuts[s].append(a)
     # transitive closure can chain values far apart into one cluster; such a
