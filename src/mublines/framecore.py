@@ -5,8 +5,9 @@ constructions.c1_search all read one Gram computation, _self_grams, through
 _gram or, for a stack of float sets, _float_reports: exact on Gaussian-integer
 input (the tolerance ignored), double precision otherwise.  The exact path
 runs in int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary
-part|, and in Python ints beyond that bound, so it never overflows.  Zero vectors, non-finite
-entries and non-integral gaussian-int JSON entries raise, never read as "yes".
+part|, and in Python ints beyond that bound, so it never overflows.  Zero
+vectors, non-finite entries and non-integral gaussian-int JSON entries raise,
+never read as "yes".
 """
 
 from __future__ import annotations

@@ -100,8 +100,10 @@ def test_c1_search_rejects_a_zero_vector():
         c1_search(bad)
 
 
-@pytest.mark.parametrize("phase_roots, tol, hits", [(64, 0.02, 32), (16, 0.2, 128)])
-def test_c1_search_equals_brute_force_where_survivors_fail(phase_roots, tol, hits, monkeypatch):
+@pytest.mark.parametrize("phase_roots, tol, survivors, hits",
+                         [(64, 0.02, 160, 32), (16, 0.2, 384, 128)])
+def test_c1_search_equals_brute_force_where_survivors_fail(phase_roots, tol, survivors, hits,
+                                                           monkeypatch):
     # a wide tolerance lets the pair table pass survivors that the stacked
     # certification then refuses: 160 survivors for 32 hits, 384 for 128
     import mublines.constructions as constructions
@@ -114,8 +116,7 @@ def test_c1_search_equals_brute_force_where_survivors_fail(phase_roots, tol, hit
 
     monkeypatch.setattr(constructions, "_float_reports", counting)
     found = c1_search(FAMILIES[4], phase_roots, tol=tol)
-    assert len(found) == hits
-    assert sum(certified) > hits
+    assert (sum(certified), len(found)) == (survivors, hits)
     assert found == brute_force_c1_search(FAMILIES[4], phase_roots, tol)
 
 
