@@ -67,6 +67,15 @@ class MubFamily:
             object.__setattr__(self, "_theorem46_failed", True)
             raise
 
+    @functools.cached_property
+    def _union(self) -> tuple[np.ndarray, np.ndarray]:
+        """The parts (2, d * d, d) of the union of the bases, as the bases
+        hold them and in float64, read-only; _l_blocks copies from them."""
+        parts = np.concatenate([b.parts for b in self.bases], axis=1)
+        floats = parts.astype(float, copy=False)
+        parts.flags.writeable = floats.flags.writeable = False
+        return parts, floats
+
 
 @dataclass(frozen=True)
 class ScalingSpec:
@@ -151,13 +160,12 @@ def _l_blocks(family: MubFamily, cols, vs: list[Scalar]) -> np.ndarray:
     (cols 0-based, as _columns gives them).  The stack is exact iff every
     basis and every v is: one float basis or v floats all."""
     d = family.dim
-    parts = np.concatenate([b.parts for b in family.bases], axis=1)
-    if not (all(v.exact for v in vs) and all(b.exact for b in family.bases)):
-        parts = parts.astype(float, copy=False)
-    parts = np.repeat(parts[:, None], len(vs), axis=1)
+    held, floats = family._union
+    exact = all(v.exact for v in vs) and all(b.exact for b in family.bases)
+    parts = np.repeat((held if exact else floats)[:, None], len(vs), axis=1)
     re, im = np.array([[v.re for v in vs], [v.im for v in vs]], dtype=parts.dtype)[:, :, None]
     entries = (slice(None), np.arange(len(vs))[:, None], np.arange(d * d),
-               np.repeat(cols, d, axis=1))
+               np.array(cols).repeat(d, axis=1))
     parts[entries] = _cmul(parts[entries], re, im)
     return parts
 

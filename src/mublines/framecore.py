@@ -317,16 +317,12 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     np.divide(mag, norms[:, :, None] * norms[:, None, :], out=mag)  # mag is ours
     upper = np.broadcast_to(~np.tri(m, dtype=bool), mag.shape)  # each set's pairs j < k
     order = np.sort(mag[upper].reshape(len(mag), -1), axis=1)
-    cuts: list[list[int]] = [[0] for _ in order]  # each row's cluster bounds
-    rows, at = divmod(np.flatnonzero(np.diff(order, axis=1) > tol), order.shape[1] - 1)
-    for s, a in zip(rows.tolist(), (at + 1).tolist()):
-        cuts[s].append(a)
     # transitive closure can chain values far apart into one cluster; such a
     # set is not equiangular (c1_search's pruning table relies on this rule)
     narrow = (order[:, -1] - order[:, 0] <= 10 * tol).tolist()
     reports = []
-    for row, cut, norm, ok in zip(order, cuts, norms.tolist(), narrow):
-        cut.append(len(row))
+    for row, norm, ok in zip(order, norms.tolist(), narrow):
+        cut = [0, *(np.flatnonzero(np.diff(row) > tol) + 1).tolist(), len(row)]
         clusters = tuple((float(row[a:b].sum()) / (b - a), b - a) for a, b in zip(cut, cut[1:]))
         equi = len(clusters) == 1 and ok
         reports.append(GramReport(size=m, norms=tuple(norm), angle_clusters=clusters,
