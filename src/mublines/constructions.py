@@ -34,6 +34,8 @@ from .framecore import (
     _cmul,
     _float_reports,
     _gram,
+    _self_grams,
+    _stack,
     verify_mubs,
 )
 from .scalars import Scalar, _columns, _gauss_if_integral
@@ -218,8 +220,7 @@ def c1_search(
         return []
     # the certifier's input checks, so that a zero vector or a non-finite
     # entry raises whatever the table rules out
-    for _ in _gram(list(family.bases)):
-        pass
+    _self_grams(_stack(family.bases))
     mats = np.stack([basis.to_matrix() for basis in family.bases])
     table = _PairTable(mats, np.array(values), 10 * tol + _C1_SLACK)
 

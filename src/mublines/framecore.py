@@ -1,11 +1,14 @@
 """Complex vectors, line sets, Gram-angle analysis and equivalence moves.
 
 gram_analyze, verify_mubs, constructions.theorem46_predicate and
-constructions.c1_search all read one Gram computation, _self_grams, through
-_gram or, for a stack of float sets, _float_reports: exact on Gaussian-integer
-input (the tolerance ignored), double precision otherwise.  The exact path
-runs in int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary
-part|, and in Python ints beyond that bound, so it never overflows.  Zero
+constructions.c1_search all read one Gram computation, _self_grams over a
+stack of sets: exact on Gaussian-integer input (the tolerance ignored),
+double precision otherwise.  _stack builds the stack; its exact path runs in
+int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary part|,
+and in Python ints beyond that bound, so it never overflows.  gram_analyze
+and theorem46_predicate read one set's Gram through _gram, and c1_search its
+survivors through _float_reports.  verify_mubs checks the stack of its bases,
+then each basis against all later ones in one block row (_block_rows).  Zero
 vectors, non-finite entries and non-integral gaussian-int JSON entries raise,
 never read as "yes".
 """
@@ -195,45 +198,35 @@ class GramReport:
         }
 
 
-def _gram(sets: list[LineSet], cross: bool = False):
-    """The Gram of a list of sets, block by block, as verify_mubs, exact
-    gram_analyze and theorem46_predicate read it.
+def _gram(sets: list[LineSet]):
+    """The Gram of each set against itself, as exact gram_analyze and
+    theorem46_predicate read it: the one-set case of _stack and _self_grams.
 
-    Yields (j, k, mag, norms_j, norms_k), one Gram block at a time: every set
-    against itself, then, if cross, every set against each later one.  When
-    every set is exact the block is exact: mag[a, b] = |<x_a, y_b>|^2 and the
-    norms are squared, in int64 when the bound below proves int64 cannot
-    overflow (mag * d included) and in Python ints otherwise.  Otherwise it is
-    float64, mag[a, b] = |<x_a, y_b>| and the norms are not squared.  Either
-    way mag / outer(norms_j, norms_k) is the normalized value.
-
-    Each set's own block is the one-set case of _self_grams, which raises
-    ZeroVectorError on a zero vector and ValueError on a non-finite entry or
-    a squared norm that overflows float64.
+    Yields (j, j, mag, norms, norms) for set j.  When the set is exact the
+    block is exact: mag[a, b] = |<x_a, x_b>|^2 and the norms are squared, in
+    int64 or Python ints as _stack decides.  Otherwise it is float64,
+    mag[a, b] = |<x_a, x_b>| and the norms are not squared.  Either way
+    mag / outer(norms, norms) is the normalized value.  Raises as
+    _self_grams does.
     """
-    exact = all(s.exact for s in sets)
-    if exact:  # (re, im) parts, shape (2, n, d)
-        parts = [s.parts for s in sets]
-        # int64 is exact when 4 d^3 M^4 <= 2^63 - 1, M the largest |part|:
-        # Re<x, y> and Im<x, y> are at most 2 d M^2 in size (and so is every
-        # partial sum), |<x, y>|^2 <= |x|^2 |y|^2 <= 4 d^2 M^4, a squared norm
-        # is at most 2 d M^2, and the spare factor d covers verify_mubs's mag * d
-        d = max(s.dim for s in sets)
-        big = max((max(p.max(), -p.min()) for p in parts if p.size), default=0)
-        if 4 * d**3 * big**4 <= 2**63 - 1:
-            parts = [p.astype(np.int64) for p in parts]
-    else:
-        parts = [s.to_matrix() for s in sets]
+    for j, lines in enumerate(sets):
+        (mag,), (norms,) = _self_grams(_stack([lines]))
+        yield j, j, mag, norms, norms
 
-    norms = []
-    for j, a in enumerate(parts):
-        (mag,), (nj,) = _self_grams(a[..., None, :, :])  # a stack of one set
-        norms.append(nj)
-        yield j, j, mag, nj, nj
-    if cross:  # |<x, y>| <= |x| |y|: blocks between checked sets are finite
-        adjoints = [_adjoint(p) for p in parts]
-        for j, k in itertools.combinations(range(len(parts)), 2):
-            yield j, k, _block(parts[j], adjoints[k]), norms[j], norms[k]
+
+def _stack(sets) -> np.ndarray:
+    """Sets of one shape (n, d) as one stack for _self_grams and _block: the
+    (2, S, n, d) int parts when every set is exact, the (S, n, d) complex
+    matrices as soon as one is float.  Exact parts are int64 when 4 d^3 M^4
+    <= 2^63 - 1, M the largest |part|, and Python ints beyond that: Re<x, y>
+    and Im<x, y> are at most 2 d M^2 in size (and so is every partial sum),
+    |<x, y>|^2 <= |x|^2 |y|^2 <= 4 d^2 M^4, a squared norm is at most
+    2 d M^2, and the spare factor d covers verify_mubs's mag * d."""
+    parts = np.stack([s.parts for s in sets], axis=1)  # object if any set is exact
+    if not all(s.exact for s in sets):  # float the whole stack, exact sets too
+        return _complex(parts)
+    big = max(parts.max(), -parts.min()) if parts.size else 0
+    return parts.astype(np.int64) if 4 * parts.shape[3]**3 * big**4 <= 2**63 - 1 else parts
 
 
 def _self_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +328,13 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
 def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
     """True iff each basis is orthogonal and all cross-basis normalized
     magnitudes equal 1/sqrt(d); exact, with the tolerance ignored, when every
-    basis is exact."""
+    basis is exact.
+
+    One Gram of the stacked bases checks every basis, raising on a zero
+    vector or a non-finite entry, before any verdict; then each basis meets
+    all later ones in one block row (_block_rows): n - 1 products in all,
+    in O(d^3) memory.
+    """
     if not bases:
         raise ValueError("no bases supplied")
     d = bases[0].dim
@@ -345,18 +344,35 @@ def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
         if len(basis) != d:
             raise ValueError(f"a basis of C^{d} must have exactly {d} vectors")
 
-    exact = all(basis.exact for basis in bases)
+    stack = _stack(bases)
+    exact = stack.dtype != complex
+    mag, norms = _self_grams(stack)
     off = ~np.eye(d, dtype=bool)
+    if exact:
+        ok = mag[:, off] == 0
+    else:
+        ok = (mag / (norms[:, :, None] * norms[:, None, :]))[:, off] <= tol
+    if not ok.all():
+        return False
     target = 1.0 / math.sqrt(d)
-    for j, k, mag, nj, nk in _gram(bases, cross=True):
-        if exact:
-            ok = (mag[off] == 0) if j == k else (mag * d == np.outer(nj, nk))
-        else:
-            cos = mag / np.outer(nj, nk)
-            ok = (cos[off] <= tol) if j == k else (np.abs(cos - target) <= tol)
+    for j, row in enumerate(_block_rows(stack)):
+        scale = np.outer(norms[j], norms[j + 1:])
+        ok = (row * d == scale) if exact else (np.abs(row / scale - target) <= tol)
         if not ok.all():
             return False
     return True
+
+
+def _block_rows(stack: np.ndarray):
+    """For each set j of a stack of S sets of n vectors but the last, the
+    mag block of set j against all later sets side by side, shape
+    (n, (S - 1 - j) n), as _block gives it: S - 1 products in all.  Run it
+    after _self_grams, as |<x, y>| <= |x| |y| keeps the rows of checked sets
+    finite."""
+    n, d = stack.shape[-2:]
+    adjoint = _adjoint(stack.reshape(*stack.shape[:-3], -1, d))  # every set's columns
+    for j in range(stack.shape[-3] - 1):
+        yield _block(stack[..., j, :, :], adjoint[..., (j + 1) * n:])
 
 
 # --- equivalence operations -------------------------------------------------

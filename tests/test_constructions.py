@@ -399,9 +399,9 @@ def test_a_theorem46_sweep_takes_one_gram_per_family(fam4, monkeypatch):
 
     calls, gram = [], constructions._gram
 
-    def counting(sets, cross=False):
+    def counting(sets):
         calls.append([len(s) for s in sets])
-        return gram(sets, cross)
+        return gram(sets)
 
     monkeypatch.setattr(constructions, "_gram", counting)
     floated = tuple(LineSet.from_parts(b.parts.astype(float)) for b in fam4.bases)
@@ -520,9 +520,9 @@ def test_a_failed_theorem46_table_is_built_once(fam4, monkeypatch):
 
     calls, gram = [], constructions._gram
 
-    def counting(sets, cross=False):
+    def counting(sets):
         calls.append([len(s) for s in sets])
-        return gram(sets, cross)
+        return gram(sets)
 
     monkeypatch.setattr(constructions, "_gram", counting)
     # vector 0 of basis 1 becomes e_3, so the table's copy that zeroes

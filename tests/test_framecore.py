@@ -328,6 +328,35 @@ def test_verify_mubs_rejects_zero_vector(d):
         verify_mubs(bases)
 
 
+@pytest.mark.parametrize("d", [3, 4])  # float and exact families
+def test_verify_mubs_checks_every_basis_before_any_verdict(d):
+    from mublines.abelian import builtin_rds
+    from mublines.constructions import mubs_from_rds
+
+    bases = list(mubs_from_rds(builtin_rds(d)).bases)
+    vectors = bases[0].vectors
+    bases[0] = LineSet(d, (vectors[0],) + vectors[:-1])  # not orthogonal
+    assert not verify_mubs(bases)
+    bases[2] = LineSet(d, bases[2].vectors[:-1] + (CVector.make([0] * d),))
+    with pytest.raises(ZeroVectorError):
+        verify_mubs(bases)
+
+
+def test_verify_mubs_memory_stays_bounded_at_d47():
+    from mublines.abelian import builtin_rds
+    from mublines.constructions import mubs_from_rds
+
+    bases = list(mubs_from_rds(builtin_rds(47)).bases)
+    tracemalloc.start()
+    try:
+        ok = verify_mubs(bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 16 * 2**20  # the whole-union Gram alone, 47^4 complex entries, is 78 MB
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_gram_analyze_rejects_non_finite_entries(bad):
     lines = basis_lineset([[1, 0], [bad, 1], [0, 1]])

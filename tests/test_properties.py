@@ -38,10 +38,15 @@ from mublines.framecore import (
     LineSet,
     VectorPhases,
     ZeroVectorError,
+    _adjoint,
+    _block,
+    _block_rows,
     _encode,
     _float_table,
     _gram,
     _perfect_matching,
+    _self_grams,
+    _stack,
     apply_equivalence,
     gram_analyze,
     inner,
@@ -301,17 +306,25 @@ def int64_limit(d):
 
 
 def assert_gram_is_python_exact(sets):
-    """Every block, mag * d and every squared norm of _gram equal the
-    inner() / norm2() reference in Python ints."""
+    """Every block of the Gram of sets of one shape, each set's own through
+    _gram and through the stacked _self_grams, and each block row of
+    _block_rows, with mag * d and every squared norm, equals the inner() /
+    norm2() reference in Python ints."""
     d = sets[0].dim
-    blocks = list(_gram(sets, cross=True))
-    assert len(blocks) == len(sets) * (len(sets) + 1) // 2
+    stack = _stack(sets)
+    blocks, (mags, norms), rows = list(_gram(sets)), _self_grams(stack), list(_block_rows(stack))
+    assert len(blocks) == len(mags) == len(sets) and len(rows) == len(sets) - 1
     for j, k, mag, norms_j, norms_k in blocks:
         want = [[inner(x, y).abs2() for y in sets[k].vectors] for x in sets[j].vectors]
-        assert mag.tolist() == want
+        want_norms = [x.norm2() for x in sets[j].vectors]
+        assert j == k and mag.tolist() == mags[j].tolist() == want
         assert (mag * d).tolist() == [[value * d for value in row] for row in want]
-        assert norms_j.tolist() == [x.norm2() for x in sets[j].vectors]
-        assert norms_k.tolist() == [y.norm2() for y in sets[k].vectors]
+        assert norms_j.tolist() == norms_k.tolist() == norms[j].tolist() == want_norms
+    for j, row in enumerate(rows):
+        want = [[inner(x, y).abs2() for later in sets[j + 1:] for y in later.vectors]
+                for x in sets[j].vectors]
+        assert row.tolist() == want
+        assert (row * d).tolist() == [[value * d for value in line] for line in want]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -348,23 +361,119 @@ def test_exact_gram_of_parts_at_and_past_the_int64_range():
 
 @st.composite
 def near_int64_bound(draw):
-    """Two sets in Z[i]^d, d in 1..5, whose largest |part| is within two of
-    the int64 limit, on either side of it."""
-    d = draw(st.integers(1, 5))
+    """Two or three sets of n vectors in Z[i]^d, n in 1..3 and d in 1..5,
+    whose largest |part| is within two of the int64 limit, on either side of
+    it."""
+    d, n, count = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
     top = int64_limit(d) + draw(st.integers(-2, 1))
     part = st.one_of(st.sampled_from((top, -top, top - 1, 1 - top)), st.integers(-top, top))
     rows = draw(st.lists(st.lists(st.tuples(part, part), min_size=d, max_size=d),
-                         min_size=3, max_size=6))
+                         min_size=n * count, max_size=n * count))
     rows[0][0] = (top, rows[0][0][1])
     assume(all(any(a or b for a, b in row) for row in rows))
-    return [LineSet(d, tuple(CVector.gauss(row) for row in half))
-            for half in (rows[:2], rows[2:])]
+    return [LineSet(d, tuple(CVector.gauss(row) for row in rows[s:s + n]))
+            for s in range(0, n * count, n)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(near_int64_bound())
 def test_exact_gram_near_the_int64_bound_matches_python_ints(sets):
     assert_gram_is_python_exact(sets)
+
+
+# --- verify_mubs against its per-block form ---------------------------------
+
+
+def per_block_verify_mubs(bases, tol):
+    """verify_mubs with one product per Gram block: each basis against
+    itself in turn, then each pair j < k; the first block that fails gives
+    the verdict, and no later basis is checked."""
+    d = bases[0].dim
+    if all(basis.exact for basis in bases):
+        parts = [basis.parts for basis in bases]
+        big = max(max(p.max(), -p.min()) for p in parts)
+        if 4 * d**3 * big**4 <= 2**63 - 1:
+            parts = [p.astype(np.int64) for p in parts]
+    else:
+        parts = [basis.to_matrix() for basis in bases]
+    exact = parts[0].dtype != complex
+    off = ~np.eye(d, dtype=bool)
+    norms = []
+    for a in parts:
+        (mag,), (n,) = _self_grams(a[..., None, :, :])
+        norms.append(n)
+        ok = (mag[off] == 0) if exact else (mag / np.outer(n, n))[off] <= tol
+        if not ok.all():
+            return False
+    for j, k in itertools.combinations(range(len(parts)), 2):
+        mag, scale = _block(parts[j], _adjoint(parts[k])), np.outer(norms[j], norms[k])
+        ok = (mag * d == scale) if exact else np.abs(mag / scale - 1 / math.sqrt(d)) <= tol
+        if not ok.all():
+            return False
+    return True
+
+
+VERIFY_FAMILIES = {**FAMILIES, 7: mubs_from_rds(builtin_rds(7))}
+
+
+@st.composite
+def mub_candidates(draw):
+    """(bases, bent, defect): the bases of a builtin family, d in
+    {2, 3, 4, 5, 7}, times s (1 + i) with s one or either side of the int64
+    limit, each basis as held or floated; bent if one part was moved, by 1
+    in an exact basis and by 1 or 1e-4 times s in a float one; defect "nan"
+    or "zero" if one vector of a random basis got a NaN or became zero."""
+    d = draw(st.sampled_from(sorted(VERIFY_FAMILIES)))
+    scale = draw(st.sampled_from([1, int64_limit(d), int64_limit(d) + 1]))
+    floated = draw(st.sampled_from(["held", "floated", "mixed"]))
+    bases = []
+    for basis in VERIFY_FAMILIES[d].bases:
+        re, im = basis.parts
+        parts = np.array([(re - im) * scale, (re + im) * scale])
+        if floated == "floated" or floated == "mixed" and draw(st.booleans()):
+            parts = parts.astype(float)
+        bases.append(parts)
+    spot = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(0, d - 1))
+    bent = draw(st.booleans())
+    if bent:
+        (b, v, c), part = draw(spot), draw(st.integers(0, 1))
+        step = draw(st.sampled_from([1, -1]))
+        if bases[b].dtype == object:
+            bases[b][part, v, c] += step
+        else:
+            bases[b][part, v, c] += step * scale * draw(st.sampled_from([1.0, 1e-4]))
+    defect = draw(st.sampled_from([None, "nan", "zero"]))
+    if defect is not None:
+        b, v, c = draw(spot)
+        if defect == "nan":
+            bases[b] = bases[b].astype(float)
+            bases[b][draw(st.integers(0, 1)), v, c] = math.nan
+        else:
+            bases[b][:, v] = 0
+    return [LineSet.from_parts(parts) for parts in bases], bent, defect
+
+
+def verdict(verify, bases, tol):
+    """verify(bases, tol), or the class of the ValueError it raised."""
+    try:
+        return verify(bases, tol)
+    except ValueError as exc:  # ZeroVectorError is one
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mub_candidates(), st.sampled_from([1e-15, 1e-13, 1e-11, DEFAULT_TOL]))
+def test_verify_mubs_equals_its_per_block_form(candidate, tol):
+    bases, bent, defect = candidate
+    got, want = verdict(verify_mubs, bases, tol), verdict(per_block_verify_mubs, bases, tol)
+    if defect is not None and want is False:
+        # the stacked Gram checks every basis before any verdict, so a defect
+        # behind a failing block raises
+        assert got is (ZeroVectorError if defect == "zero" else ValueError)
+    else:
+        assert got is want
+    if not bent and defect is None:
+        assert got is True
 
 
 # --- Theorem 4.6 from the column-pair table ---------------------------------
