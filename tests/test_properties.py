@@ -1,8 +1,9 @@
 """Property tests of the Gram path and the JSON format on random
 Gaussian-integer line sets, with entries far past 2^32 and entries at the
 edge of the exact Gram's int64 bound, of the float analysis against its
-per-set form, of the line-set array against its CVector view, of Theorem
-4.6's column-pair table, of the line matching and of the JSON encoder."""
+per-set form, of verify_mubs against its per-block form, of the line-set
+array against its CVector view, of Theorem 4.6's column-pair table, of the
+line matching and of the JSON encoder."""
 
 import cmath
 import itertools
