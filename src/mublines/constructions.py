@@ -29,11 +29,11 @@ from .abelian import (
 )
 from .framecore import (
     DEFAULT_TOL,
+    DimensionMismatch,
     GramReport,
     LineSet,
     _cmul,
     _float_reports,
-    _gram,
     _self_grams,
     _stack,
     verify_mubs,
@@ -54,6 +54,17 @@ class MubFamily:
     dim: int
     bases: tuple[LineSet, ...]
     source_rds: RelativeDifferenceSet
+
+    def __post_init__(self):
+        """A family in C^dim is dim bases of dim vectors in C^dim; every
+        construction indexes it by that shape."""
+        if len(self.bases) != self.dim:
+            raise ValueError(f"a family in C^{self.dim} must have exactly {self.dim} bases")
+        for basis in self.bases:
+            if basis.dim != self.dim:
+                raise DimensionMismatch(f"a basis in C^{basis.dim} in a family in C^{self.dim}")
+            if len(basis) != self.dim:
+                raise ValueError(f"a basis of C^{self.dim} must have exactly {self.dim} vectors")
 
     @functools.cached_property
     def _theorem46_table(self) -> np.ndarray:
@@ -194,13 +205,16 @@ def c1_search(
     v = zeta * |v| on the phase grid; returns the equiangular hits in
     lexicographic (perm, magnitude-desc, phase) order.
 
-    The blocks of bases j and k depend on pi only through (pi(j), pi(k)),
+    The block of bases j and k depends on pi only through (pi(j), pi(k)),
     and gram_analyze says "no" to every float set whose values spread more
-    than 10*tol.  So a table of the column pairs whose own three blocks
-    spread more (_PairTable) rules out every permutation through them,
+    than 10*tol.  So a table of the column pairs whose cross block (j, k)
+    spreads more (_PairTable) rules out every permutation through them,
     and backtracking visits only the permutations no pair rules out.  The
-    survivors are certified together, by the stacked form of l_block's
-    scaling and gram_analyze's float analysis (_l_blocks,
+    self blocks are left to the certifier: in an orthogonal basis of
+    unimodular vectors every pair has |<x'_a, x'_b>| = ||v|^2 - 1| and every
+    norm is the same, so a self block spreads by 0; elsewhere the table
+    prunes less.  The survivors are certified together, by the stacked form
+    of l_block's scaling and gram_analyze's float analysis (_l_blocks,
     framecore._float_reports), in tiles of at most _CHUNK Gram entries (or
     of one survivor), so that memory does not grow with their number.  That
     certifier alone decides the hits and their reports: the table can skip
@@ -272,14 +286,14 @@ _C1_SLACK = 1e-12
 class _PairTable(dict):
     """table[j, k][p][q] for bases j < k: a bit mask over the candidates,
     bit i clear iff scaling column p of basis j and column q of basis k by
-    values[i] spreads the normalized magnitudes of the blocks (j, j), (k, k)
-    and (j, k) by more than bound.  An undefined (NaN) spread keeps its bit.
+    values[i] spreads the normalized magnitudes of the cross block (j, k) by
+    more than bound.  An undefined (NaN) spread keeps its bit.
 
-    A pair's masks, and a basis's own block, are made on first use, so a
-    search that dies early builds few of them.  Each is a vectorised
-    evaluation over (v, p, q, a, b), in chunks of candidates v and columns p
-    (_chunks), so memory does not grow with the number of candidates.  Only
-    p != q is ever read: a permutation sends j and k to different columns.
+    A pair's masks are made on first use, so a search that dies early builds
+    few of them.  Each is a vectorised evaluation over (v, p, q, a, b), in
+    chunks of candidates v and columns p (_chunks), so memory does not grow
+    with the number of candidates.  Only p != q is ever read: a permutation
+    sends j and k to different columns.
     """
 
     def __init__(self, mats: np.ndarray, values: np.ndarray, bound: float):
@@ -287,30 +301,11 @@ class _PairTable(dict):
         self.mats, self.values, self.bound = mats, values, bound
         self.w = np.abs(values) ** 2 - 1  # |v|^2 - 1
         self.norm2 = (np.abs(mats) ** 2).sum(axis=2)  # (j, a)
-        self.spreads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def norms(self, j: int, vs: slice, ps: slice) -> np.ndarray:
         """(v, p, a): sqrt(|x_a|^2 + (|v|^2 - 1) |x_a[p]|^2), the norm of
         vector a of basis j with column p scaled by v."""
         return np.sqrt(self.norm2[j] + self.w[vs, None, None] * np.abs(self.mats[j].T[ps]) ** 2)
-
-    def spread(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi), each (V, p): the extremes of block (j, j) with column p
-        scaled, over its pairs a < b; made on first use."""
-        if j not in self.spreads:
-            x = self.mats[j]
-            d = len(x)
-            upper = ~np.tri(d, dtype=bool)
-            g, t = x @ x.conj().T, _outer(x, x)
-            lo, hi = np.empty((2, len(self.values), d))
-            for vs, ps in _chunks(len(self.values), d, d * d):
-                nrm = self.norms(j, vs, ps)
-                inner = g + self.w[vs, None, None, None] * t[ps]  # (v, p, a, b)
-                cos = (np.abs(inner)[..., upper]
-                       / (nrm[:, :, :, None] * nrm[:, :, None, :])[..., upper])
-                lo[vs, ps], hi[vs, ps] = cos.min(axis=-1), cos.max(axis=-1)
-            self.spreads[j] = lo, hi
-        return self.spreads[j]
 
     def __missing__(self, key: tuple[int, int]) -> list[list[int]]:
         j, k = key
@@ -319,7 +314,6 @@ class _PairTable(dict):
         g, t = x @ y.conj().T, _outer(x, y)
         ok = np.empty((len(self.values), d, d), dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):  # zero norms read NaN
-            (lo_j, hi_j), (lo_k, hi_k) = self.spread(j), self.spread(k)
             for vs, ps in _chunks(len(self.values), d, d ** 3):
                 vm1 = (self.values[vs] - 1)[:, None, None, None, None]
                 # <x', y'> = G + (v - 1) x_p conj(y_p) + (conj v - 1) x_q conj(y_q),
@@ -327,11 +321,7 @@ class _PairTable(dict):
                 inner = g + vm1 * t[ps, None] + vm1.conj() * t[None, :]
                 cos = np.abs(inner) / (self.norms(j, vs, ps)[:, :, None, :, None]
                                        * self.norms(k, vs, slice(None))[:, None, :, None, :])
-                low = np.minimum(cos.min(axis=(3, 4)),
-                                 np.minimum(lo_j[vs, ps, None], lo_k[vs, None, :]))
-                high = np.maximum(cos.max(axis=(3, 4)),
-                                  np.maximum(hi_j[vs, ps, None], hi_k[vs, None, :]))
-                ok[vs, ps] = ~(high - low > self.bound)
+                ok[vs, ps] = ~(cos.max(axis=(3, 4)) - cos.min(axis=(3, 4)) > self.bound)
         bits = np.packbits(ok, axis=0, bitorder="little")
         masks = [[int.from_bytes(bits[:, p, q].tobytes(), "little") for q in range(d)]
                  for p in range(d)]
@@ -388,18 +378,14 @@ _PAIRS = [(j, k) for j in range(4) for k in range(j + 1, 4)]
 def _zeroed_table(family: MubFamily, cols) -> np.ndarray:
     """ok[s, j, t, k]: every inner product of basis j with column cols[s][j]
     zeroed and basis k with column cols[t][k] zeroed has magnitude sqrt(2);
-    one Gram of all those blocks.  The bases are zeroed as l_block zeroes them
-    at v = 0: a product with 0, which keeps a non-finite entry non-finite, in
-    float as soon as one basis is."""
+    one Gram of the L-blocks L(cols[s], 0), as _l_blocks zeroes them: a
+    product with 0, which keeps a non-finite entry non-finite, in float as
+    soon as one basis is."""
     d = family.dim
-    bases = np.stack([b.parts for b in family.bases], axis=1)  # (2, basis, vector, coordinate)
-    if not all(b.exact for b in family.bases):
-        bases = bases.astype(float)
-    keep = np.arange(d) != np.array(cols)[:, :, None, None]  # (copy, basis, 1, coordinate)
-    lines = LineSet.from_parts((bases[:, None] * keep).reshape(2, -1, d))
-    _, _, mag, _, _ = next(_gram([lines]))
+    parts = _l_blocks(family, cols, [Scalar.gauss(0)] * len(cols))
+    (mag,), _ = _self_grams(_stack([LineSet.from_parts(parts.reshape(2, -1, d))]))
     # exact blocks hold squared magnitudes, float blocks magnitudes
-    ok = mag == 2 if lines.exact else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
+    ok = mag == 2 if parts.dtype == object else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
     return ok.reshape((len(cols), d, d) * 2).all(axis=(2, 5))
 
 
@@ -464,27 +450,11 @@ def construction3_pair(family: MubFamily, spec: BlockPairSpec) -> LineSet:
     """[L(pi, v)  L(pi, v')] with v = a+ib and v' = 2-a-ib, in C^(2d).
 
     The "i-twist" variant builds [L(pi, i*v)  -L(pi, i*v')], the only other
-    block pattern appearing in the dimension-4 extension.
+    block pattern appearing in the dimension-4 extension.  The one-spec case
+    of _block_pairs.
     """
-    v = complex(spec.a, spec.b)
-    vp = 2 - v
-    if spec.variant == "default":
-        left, right, negate = v, vp, False
-    elif spec.variant == "i-twist":
-        left, right, negate = 1j * v, 1j * vp, True
-    else:
-        raise ValueError(f"unknown variant {spec.variant!r}")
-
-    lblk, rblk = (
-        l_block(family, ScalingSpec(spec.perm, _gauss_if_integral(z)))
-        for z in (left, right)
-    )
-    parts = np.concatenate((lblk.parts, _cmul(rblk.parts, -1, 0) if negate else rblk.parts),
-                           axis=2)
-    if lblk.exact != rblk.exact:  # beyond 2^51, v or 2 - v can round to an integer alone
-        parts = parts.astype(float)
     return LineSet.from_parts(
-        parts,
+        _block_pairs(family, [spec])[:, 0],
         {
             "construction": "c3-pair",
             "rds": family.source_rds.label or "custom",
@@ -494,6 +464,30 @@ def construction3_pair(family: MubFamily, spec: BlockPairSpec) -> LineSet:
             "variant": spec.variant,
         },
     )
+
+
+def _block_pairs(family: MubFamily, specs: list[BlockPairSpec]) -> np.ndarray:
+    """The parts (2, S, d * d, 2d) of S block pairs, pair s construction3_pair
+    of specs[s]: both halves of every pair are L-blocks of one _l_blocks
+    stack, so they are exact iff every constant and every basis is.  A
+    constant is exact when both its parts are integral."""
+    cols, lefts, rights, twisted = [], [], [], []
+    for s, spec in enumerate(specs):
+        v = complex(spec.a, spec.b)
+        vp = 2 - v
+        if spec.variant == "i-twist":
+            v, vp = 1j * v, 1j * vp
+            twisted.append(s)
+        elif spec.variant != "default":
+            raise ValueError(f"unknown variant {spec.variant!r}")
+        cols.append(_columns(spec.perm, family.dim))
+        lefts.append(_gauss_if_integral(v))
+        rights.append(_gauss_if_integral(vp))
+    parts = _l_blocks(family, cols * 2, lefts + rights)
+    left, right = parts[:, :len(specs)], parts[:, len(specs):]
+    if twisted:
+        right[:, twisted] = _cmul(right[:, twisted], -1, 0)
+    return np.concatenate((left, right), axis=3)
 
 
 def construction3_solve(d: int, samples: int = 0) -> list[tuple[float, float]]:
@@ -519,7 +513,7 @@ def construction3_d4_extension() -> LineSet:
     """
     family = mubs_from_rds(builtin_rds(4))
     perm = (1, 3, 4, 2)
-    blocks = [construction3_pair(family, BlockPairSpec(perm, a, b, variant)).parts
-              for a, b in ((2, 1), (0, -1)) for variant in ("default", "i-twist")]
-    return LineSet.from_parts(np.concatenate(blocks, axis=1), {
+    specs = [BlockPairSpec(perm, a, b, variant)
+             for a, b in ((2, 1), (0, -1)) for variant in ("default", "i-twist")]
+    return LineSet.from_parts(_block_pairs(family, specs).reshape(2, -1, 8), {
         "construction": "c3-d4-extension", "rds": "builtin:4", "perm": list(perm)})

@@ -6,11 +6,11 @@ stack of sets: exact on Gaussian-integer input (the tolerance ignored),
 double precision otherwise.  _stack builds the stack; its exact path runs in
 int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary part|,
 and in Python ints beyond that bound, so it never overflows.  gram_analyze
-and theorem46_predicate read one set's Gram through _gram, and c1_search its
-survivors through _float_reports.  verify_mubs checks the stack of its bases,
-then each basis against all later ones in one block row (_block_rows).  Zero
-vectors, non-finite entries and non-integral gaussian-int JSON entries raise,
-never read as "yes".
+and theorem46_predicate read a one-set stack, _self_grams(_stack([lines])),
+and c1_search its survivors through _float_reports.  verify_mubs checks the
+stack of its bases, then each basis against all later ones in one block row
+(_block_rows).  Zero vectors, non-finite entries and non-integral
+gaussian-int JSON entries raise, never read as "yes".
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .scalars import (  # noqa: F401
     DEFAULT_TOL,
     Scalar,
+    _indices,
     _ints,
     max_angle,
     mub_bound,
@@ -99,8 +100,8 @@ class LineSet:
     (dtype=object) in an exact Gaussian-integer set and float64 otherwise.
 
     LineSet(dim, vectors, provenance) builds a set from CVectors, exact iff
-    every entry is; LineSet.from_parts copies an array.  No library function
-    reads .vectors, a view built on first use.
+    every entry is; LineSet.from_parts copies an array.  .vectors is a view
+    built on first use; only the CLI's fiducial reader reads it.
     """
 
     def __init__(self, dim: int, vectors, provenance: dict | None = None):
@@ -198,22 +199,6 @@ class GramReport:
         }
 
 
-def _gram(sets: list[LineSet]):
-    """The Gram of each set against itself, as exact gram_analyze and
-    theorem46_predicate read it: the one-set case of _stack and _self_grams.
-
-    Yields (j, j, mag, norms, norms) for set j.  When the set is exact the
-    block is exact: mag[a, b] = |<x_a, x_b>|^2 and the norms are squared, in
-    int64 or Python ints as _stack decides.  Otherwise it is float64,
-    mag[a, b] = |<x_a, x_b>| and the norms are not squared.  Either way
-    mag / outer(norms, norms) is the normalized value.  Raises as
-    _self_grams does.
-    """
-    for j, lines in enumerate(sets):
-        (mag,), (norms,) = _self_grams(_stack([lines]))
-        yield j, j, mag, norms, norms
-
-
 def _stack(sets) -> np.ndarray:
     """Sets of one shape (n, d) as one stack for _self_grams and _block: the
     (2, S, n, d) int parts when every set is exact, the (S, n, d) complex
@@ -231,8 +216,12 @@ def _stack(sets) -> np.ndarray:
 
 def _self_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mag, norms) of every set of a stack against itself, shapes (S, n, n)
-    and (S, n), as _gram yields them: stack holds the (2, S, n, d) int parts
-    of exact sets or the (S, n, d) complex matrices of float ones.
+    and (S, n): stack holds the (2, S, n, d) int parts of exact sets or the
+    (S, n, d) complex matrices of float ones.  Exact blocks are exact:
+    mag[s, a, b] = |<x_a, x_b>|^2 and the norms are squared, in int64 or
+    Python ints as _stack decides.  Float blocks hold mag[s, a, b] =
+    |<x_a, x_b>| and unsquared norms.  Either way mag / outer(norms, norms)
+    is the normalized value.
 
     Raises ZeroVectorError on a zero vector and ValueError on a non-finite
     entry or a squared norm that overflows float64.
@@ -280,7 +269,7 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
         raise ValueError("need at least two vectors")
     if not lines.exact:
         return _float_reports(lines.parts[:, None], tol)[0]
-    _, _, mag, norms, _ = next(_gram([lines]))
+    (mag,), (norms,) = _self_grams(_stack([lines]))
     upper = ~np.tri(m, dtype=bool)  # the pairs j < k
     counts: Counter[Fraction] = Counter()
     # Python ints: Fraction cross-multiplies, which could wrap in int64
@@ -429,9 +418,10 @@ def apply_equivalence(lines: LineSet, transform: Transform,
 
     parts = lines.parts
     if isinstance(transform, EntryPermutation):
-        if sorted(transform.perm) != list(range(lines.dim)):
+        perm = _indices(transform.perm)
+        if perm is None or sorted(perm) != list(range(lines.dim)):
             raise ValueError("not a permutation of the entry indices")
-        parts = parts[:, :, list(transform.perm)]
+        parts = parts[:, :, perm]
     elif isinstance(transform, (VectorPhases, CoordPhases)):
         vector = isinstance(transform, VectorPhases)
         if len(transform.phases) != (len(lines) if vector else lines.dim):

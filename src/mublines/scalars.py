@@ -110,16 +110,23 @@ def _ints(values, what: str) -> list[int]:
     return [int(x) for x in values]
 
 
-def _columns(perm, d: int) -> list[int]:
-    """The 0-based columns pi(1) - 1, ..., pi(d) - 1 of a permutation of 1..d.
-    Its entries are indices: integers by _ints and no floats, which numpy
-    refuses as indices even when integral."""
+def _indices(values) -> list[int] | None:
+    """values as ints if every one can index an array: an integer by _ints
+    and no float, which numpy refuses as an index even when integral; None
+    otherwise (a bool, a string, 1.0, 1.5)."""
+    values = list(values)
     try:
-        images = _ints(perm, "perm")
-    except ValueError:  # a bool, a string, 1.5
-        images = None
-    if (images is None or any(isinstance(p, float) for p in perm)
-            or sorted(images) != list(range(1, d + 1))):
+        ints = _ints(values, "indices")
+    except ValueError:
+        return None
+    return None if any(isinstance(x, float) for x in values) else ints
+
+
+def _columns(perm, d: int) -> list[int]:
+    """The 0-based columns pi(1) - 1, ..., pi(d) - 1 of a permutation of 1..d,
+    whose entries are _indices."""
+    images = _indices(perm)
+    if images is None or sorted(images) != list(range(1, d + 1)):
         raise ValueError(f"perm must be a permutation of 1..{d}")
     return [p - 1 for p in images]
 

@@ -26,6 +26,8 @@ from mublines.constructions import (
     theorem46_predicate,
 )
 from mublines.framecore import (
+    DEFAULT_TOL,
+    DimensionMismatch,
     LineSet,
     ZeroVectorError,
     gram_analyze,
@@ -158,6 +160,41 @@ def test_c1_search_d3_all_perms(fam3):
     assert perms == sorted(itertools.permutations((1, 2, 3)))
     # the successes come from the v = 0 branch
     assert all(spec.v.abs2() == pytest.approx(0) for spec, _ in hits)
+
+
+def householder_family(d):
+    """builtin:d with every basis multiplied by the reflection I - 2uu^T/|u|^2,
+    u = (1, ..., d): still MUBs, but no longer of unimodular vectors."""
+    u = np.arange(1.0, d + 1)
+    h = np.eye(d) - 2 * np.outer(u, u) / (u @ u)
+    family = mubs_from_rds(builtin_rds(d))
+    moved = (basis.to_matrix() @ h for basis in family.bases)
+    return MubFamily(d, tuple(LineSet.from_parts(np.stack([m.real, m.imag])) for m in moved),
+                     family.source_rds)
+
+
+@pytest.mark.parametrize("d, phase_roots, tol, survivors, hits", [
+    (2, 8, DEFAULT_TOL, 0, 0), (3, 8, DEFAULT_TOL, 0, 0), (4, 8, DEFAULT_TOL, 0, 0),
+    (2, 16, 0.2, 64, 0), (3, 16, 0.2, 102, 102), (4, 16, 0.2, 384, 384)])
+def test_c1_search_equals_brute_force_on_a_non_unimodular_family(d, phase_roots, tol, survivors,
+                                                                  hits, monkeypatch):
+    # the pair table leaves the self blocks to the certifier, as they spread
+    # by 0 only in bases of unimodular vectors: here it may pass more
+    # survivors, but never changes a hit
+    import mublines.constructions as constructions
+    from test_search import brute_force_c1_search
+
+    certified, certify = [], constructions._float_reports
+
+    def counting(parts, tol):
+        certified.append(parts.shape[1])
+        return certify(parts, tol)
+
+    monkeypatch.setattr(constructions, "_float_reports", counting)
+    family = householder_family(d)
+    found = c1_search(family, phase_roots, tol=tol)
+    assert (sum(certified), len(found)) == (survivors, hits)
+    assert found == brute_force_c1_search(family, phase_roots, tol)
 
 
 def test_c1_search_budget():
@@ -397,13 +434,13 @@ def test_theorem46_on_a_float_family_matches_the_exact_one(fam4):
 def test_a_theorem46_sweep_takes_one_gram_per_family(fam4, monkeypatch):
     import mublines.constructions as constructions
 
-    calls, gram = [], constructions._gram
+    calls, stack = [], constructions._stack
 
     def counting(sets):
         calls.append([len(s) for s in sets])
-        return gram(sets)
+        return stack(sets)
 
-    monkeypatch.setattr(constructions, "_gram", counting)
+    monkeypatch.setattr(constructions, "_stack", counting)
     floated = tuple(LineSet.from_parts(b.parts.astype(float)) for b in fam4.bases)
     perms = list(itertools.permutations((1, 2, 3, 4)))
     for bases in (fam4.bases, floated, floated[:2] + fam4.bases[2:]):
@@ -515,16 +552,40 @@ def test_theorem46_refuses_a_permutation_of_non_indices(fam4, perm):
         theorem46_predicate(fam4, perm)
 
 
+#: the four entry points that index a family by its shape, each on a
+#: family claimed to live in C^4
+FAMILY_ENTRIES = {
+    "l_block": lambda f: l_block(f, ScalingSpec((1, 3, 4, 2), Scalar.gauss(2, 1))),
+    "construction3_pair": lambda f: construction3_pair(f, BlockPairSpec((1, 3, 4, 2), 2, 1)),
+    "c1_search": lambda f: c1_search(f),
+    "theorem46_predicate": lambda f: theorem46_predicate(f, (1, 3, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", FAMILY_ENTRIES)
+@pytest.mark.parametrize("shape, error, message", [
+    ("3 bases", ValueError, "exactly 4 bases"), ("5 bases", ValueError, "exactly 4 bases"),
+    ("bases in C^3", DimensionMismatch, r"a basis in C\^3"),
+    ("a basis of 3 vectors", ValueError, "exactly 4 vectors")])
+def test_a_family_of_the_wrong_shape_is_refused(fam4, fam3, entry, shape, error, message):
+    short = LineSet.from_parts(fam4.bases[1].parts[:, :3])
+    bases = {"3 bases": fam4.bases[:3], "5 bases": fam4.bases + fam4.bases[:1],
+             "bases in C^3": fam3.bases + fam3.bases[:1],
+             "a basis of 3 vectors": fam4.bases[:1] + (short,) + fam4.bases[2:]}[shape]
+    with pytest.raises(error, match=message):
+        FAMILY_ENTRIES[entry](MubFamily(4, bases, fam4.source_rds))
+
+
 def test_a_failed_theorem46_table_is_built_once(fam4, monkeypatch):
     import mublines.constructions as constructions
 
-    calls, gram = [], constructions._gram
+    calls, stack = [], constructions._stack
 
     def counting(sets):
         calls.append([len(s) for s in sets])
-        return gram(sets)
+        return stack(sets)
 
-    monkeypatch.setattr(constructions, "_gram", counting)
+    monkeypatch.setattr(constructions, "_stack", counting)
     # vector 0 of basis 1 becomes e_3, so the table's copy that zeroes
     # column 3 holds a zero line and its Gram raises
     parts = fam4.bases[0].parts.copy()

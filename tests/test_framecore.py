@@ -178,6 +178,13 @@ def test_equivalence_identity_and_phase():
     )
 
 
+@pytest.mark.parametrize("perm", [(1.0, 0.0, 2.0, 3.0), ("1", 0, 2, 3), (True, 0, 2, 3)])
+def test_entry_permutation_refuses_non_indices(perm):
+    # the rule of scalars._columns: integers by _ints, and no floats
+    with pytest.raises(ValueError, match="not a permutation of the entry indices"):
+        apply_equivalence(fixtures.sixteen_lines_d4(), EntryPermutation(perm))
+
+
 def test_equivalence_exact_path_with_gaussian_units():
     lines = fixtures.lines64_d8()
     spun = apply_equivalence(lines, CoordPhases((Scalar.gauss(0, 1),) * 8))

@@ -44,7 +44,6 @@ from mublines.framecore import (
     _block_rows,
     _encode,
     _float_table,
-    _gram,
     _perfect_matching,
     _self_grams,
     _stack,
@@ -77,8 +76,8 @@ def gaussian_sets(draw, bound=BIG):
 @given(gaussian_sets())
 def test_exact_gram_is_exact_and_agrees_with_float(lines):
     floated = LineSet(lines.dim, tuple(CVector.make(v.to_array()) for v in lines.vectors))
-    _, _, mag2, norm2, _ = next(_gram([lines]))
-    _, _, mag, norm, _ = next(_gram([floated]))
+    (mag2,), (norm2,) = _self_grams(_stack([lines]))
+    (mag,), (norm,) = _self_grams(_stack([floated]))
     n = len(lines)
     for j in range(n):
         assert norm2[j] == lines.vectors[j].norm2()
@@ -308,19 +307,20 @@ def int64_limit(d):
 
 def assert_gram_is_python_exact(sets):
     """Every block of the Gram of sets of one shape, each set's own through
-    _gram and through the stacked _self_grams, and each block row of
-    _block_rows, with mag * d and every squared norm, equals the inner() /
+    a one-set stack and through the stacked _self_grams, and each block row
+    of _block_rows, with mag * d and every squared norm, equals the inner() /
     norm2() reference in Python ints."""
     d = sets[0].dim
     stack = _stack(sets)
-    blocks, (mags, norms), rows = list(_gram(sets)), _self_grams(stack), list(_block_rows(stack))
+    blocks = [_self_grams(_stack([s])) for s in sets]
+    (mags, norms), rows = _self_grams(stack), list(_block_rows(stack))
     assert len(blocks) == len(mags) == len(sets) and len(rows) == len(sets) - 1
-    for j, k, mag, norms_j, norms_k in blocks:
-        want = [[inner(x, y).abs2() for y in sets[k].vectors] for x in sets[j].vectors]
+    for j, ((mag,), (norms_j,)) in enumerate(blocks):
+        want = [[inner(x, y).abs2() for y in sets[j].vectors] for x in sets[j].vectors]
         want_norms = [x.norm2() for x in sets[j].vectors]
-        assert j == k and mag.tolist() == mags[j].tolist() == want
+        assert mag.tolist() == mags[j].tolist() == want
         assert (mag * d).tolist() == [[value * d for value in row] for row in want]
-        assert norms_j.tolist() == norms_k.tolist() == norms[j].tolist() == want_norms
+        assert norms_j.tolist() == norms[j].tolist() == want_norms
     for j, row in enumerate(rows):
         want = [[inner(x, y).abs2() for later in sets[j + 1:] for y in later.vectors]
                 for x in sets[j].vectors]
@@ -335,7 +335,7 @@ def test_exact_gram_at_the_int64_bound(d):
         extremal = CVector.gauss([(m, m)] * d)  # |<x, x>|^2 = 4 d^2 M^4
         other = CVector.gauss([(m, -m)] + [(-m, m)] * (d - 1))
         lines = LineSet(d, (extremal, other))
-        assert next(_gram([lines]))[2].dtype == wide
+        assert _self_grams(_stack([lines]))[0].dtype == wide
         assert_gram_is_python_exact([lines, LineSet(d, (other, extremal))])
 
 
@@ -356,7 +356,7 @@ def test_verify_mubs_on_either_side_of_the_int64_bound(side):
 def test_exact_gram_of_parts_at_and_past_the_int64_range():
     for m in (2**63 - 1, 2**63, -(2**63), 2**64):
         lines = LineSet(2, (CVector.gauss([(m, 1), (0, -m)]), CVector.gauss([(1, m), (m, 2)])))
-        assert next(_gram([lines]))[2].dtype == object
+        assert _self_grams(_stack([lines]))[0].dtype == object
         assert_gram_is_python_exact([lines, LineSet(2, lines.vectors[::-1])])
 
 
@@ -484,7 +484,7 @@ def theorem46_reference(family, perm):
     """theorem46_predicate one permutation at a time, as it was before the
     column-pair table: L(pi, 0), its own Gram, the cross-basis blocks."""
     lines = l_block(family, ScalingSpec(perm, Scalar.gauss(0, 0)))
-    _, _, mag, _, _ = next(_gram([lines]))
+    (mag,), _ = _self_grams(_stack([lines]))
     basis = np.arange(len(lines)) // 4
     cross = mag[basis[:, None] != basis[None, :]]
     if lines.exact:
