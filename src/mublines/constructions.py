@@ -212,9 +212,10 @@ def c1_search(
     and backtracking visits only the permutations no pair rules out.  The
     self blocks are left to the certifier: in an orthogonal basis of
     unimodular vectors every pair has |<x'_a, x'_b>| = ||v|^2 - 1| and every
-    norm is the same, so a self block spreads by 0; elsewhere the table
-    prunes less.  The survivors are certified together, by the stacked form
-    of l_block's scaling and gram_analyze's float analysis (_l_blocks,
+    norm is the same, so a self block has no spread of its own.  Leaving
+    them out can only let more survivors through; it never changes the
+    hits.  The survivors are certified together, by the stacked form of
+    l_block's scaling and gram_analyze's float analysis (_l_blocks,
     framecore._float_reports), in tiles of at most _CHUNK Gram entries (or
     of one survivor), so that memory does not grow with their number.  That
     certifier alone decides the hits and their reports: the table can skip
