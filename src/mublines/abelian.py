@@ -60,10 +60,7 @@ class GroupElement:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.exponents) != len(self.group.orders):
-            raise ValueError("exponent tuple length does not match the group")
-        reduced = tuple(e % n for e, n in zip(self.exponents, self.group.orders))
-        object.__setattr__(self, "exponents", reduced)
+        _reduce(self, "exponent tuple length")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.group != self.group:
@@ -84,10 +81,7 @@ class Character:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.exponents) != len(self.group.orders):
-            raise ValueError("character exponent length does not match the group")
-        reduced = tuple(j % n for j, n in zip(self.exponents, self.group.orders))
-        object.__setattr__(self, "exponents", reduced)
+        _reduce(self, "character exponent length")
 
     def __call__(self, g: GroupElement) -> Scalar:
         return char_eval(self, g)
@@ -95,6 +89,14 @@ class Character:
     def phase_fraction(self, g: GroupElement) -> Fraction:
         """Exponent t of chi(g) = e^(2*pi*i*t), reduced into [0, 1)."""
         return Fraction(*_phase(self, g))
+
+
+def _reduce(item: GroupElement | Character, what: str) -> None:
+    """Check the exponent count (what) of item and reduce each exponent."""
+    if len(item.exponents) != len(item.group.orders):
+        raise ValueError(f"{what} does not match the group")
+    reduced = tuple(e % n for e, n in zip(item.exponents, item.group.orders))
+    object.__setattr__(item, "exponents", reduced)
 
 
 def _phase_weights(group: FiniteAbelianGroup) -> tuple[int, tuple[int, ...]]:
@@ -113,28 +115,25 @@ def _phase(chi: Character, g: GroupElement) -> tuple[int, int]:
     return t % modulus, modulus
 
 
+def _lexicographic(kind, group: FiniteAbelianGroup) -> list:
+    """kind(group, e) for all |G| exponent tuples e, in lexicographic order."""
+    return [kind(group, exps) for exps in itertools.product(*(range(n) for n in group.orders))]
+
+
 def enumerate_elements(group: FiniteAbelianGroup) -> list[GroupElement]:
     """All |G| elements in lexicographic order of their exponent tuples."""
-    return [
-        GroupElement(group, exps)
-        for exps in itertools.product(*(range(n) for n in group.orders))
-    ]
+    return _lexicographic(GroupElement, group)
 
 
 def characters(group: FiniteAbelianGroup) -> list[Character]:
     """All |G| characters, lexicographic by exponent tuple."""
-    return [
-        Character(group, exps)
-        for exps in itertools.product(*(range(n) for n in group.orders))
-    ]
+    return _lexicographic(Character, group)
 
 
 def char_eval(chi: Character, g: GroupElement) -> Scalar:
-    """Evaluate a character; exact Gaussian integer when its reduced order
-    divides 4, so chi(g) = 1 is always exact."""
-    t, modulus = _phase(chi, g)
-    common = math.gcd(t, modulus)
-    return root_of_unity(t // common, modulus // common)
+    """Evaluate a character by scalars.root_of_unity, which decides whether
+    the value is exact."""
+    return root_of_unity(*_phase(chi, g))
 
 
 def _subgroup_closure(group: FiniteAbelianGroup, generators) -> set[tuple[int, ...]]:

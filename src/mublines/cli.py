@@ -17,6 +17,7 @@ import math
 import sys
 
 from .scalars import (
+    _C1_BUDGET,
     DEFAULT_TOL,
     _columns,
     _gauss_if_integral,
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--rds", default=None)
     p.add_argument("--phase-roots", type=int, default=4)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=_C1_BUDGET)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_search)
 

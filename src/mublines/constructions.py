@@ -28,17 +28,20 @@ from .abelian import (
     rds_verify,
 )
 from .framecore import (
+    _CHUNK,
+    _SPREAD_TOLS,
     DEFAULT_TOL,
-    DimensionMismatch,
     GramReport,
     LineSet,
+    _check_bases,
     _cmul,
+    _complex,
     _float_reports,
     _self_grams,
     _stack,
     verify_mubs,
 )
-from .scalars import Scalar, _columns, _gauss_if_integral
+from .scalars import _C1_BUDGET, Scalar, _columns, _gauss_if_integral
 
 
 class InvalidRds(ValueError):
@@ -60,11 +63,7 @@ class MubFamily:
         construction indexes it by that shape."""
         if len(self.bases) != self.dim:
             raise ValueError(f"a family in C^{self.dim} must have exactly {self.dim} bases")
-        for basis in self.bases:
-            if basis.dim != self.dim:
-                raise DimensionMismatch(f"a basis in C^{basis.dim} in a family in C^{self.dim}")
-            if len(basis) != self.dim:
-                raise ValueError(f"a basis of C^{self.dim} must have exactly {self.dim} vectors")
+        _check_bases(self.bases, self.dim)
 
     @functools.cached_property
     def _theorem46_table(self) -> np.ndarray:
@@ -136,8 +135,8 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
         raise InvalidRds("character grouping by restriction to N is not d-by-d")
 
     # the L-th roots of unity are the values of the generating character of
-    # Z_L; char_eval reduces t / L, so phase 0 stays the exact Gaussian 1.  A
-    # basis is exact iff every root it uses is
+    # Z_L; root_of_unity reduces t / L, so phase 0 stays the exact Gaussian 1.
+    # A basis is exact iff every root it uses is
     cyclic = FiniteAbelianGroup((modulus,))
     root = Character(cyclic, (1,))
     values = [char_eval(root, cyclic.element((t,))) for t in range(modulus)]
@@ -198,28 +197,25 @@ def c1_magnitudes(d: int) -> list[float]:
 def c1_search(
     family: MubFamily,
     phase_roots: int = 4,
-    budget: int = 200_000,
+    budget: int = _C1_BUDGET,
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[ScalingSpec, GramReport]]:
     """Exhaustive Construction-1 search over all permutations and all
     v = zeta * |v| on the phase grid; returns the equiangular hits in
     lexicographic (perm, magnitude-desc, phase) order.
 
-    The block of bases j and k depends on pi only through (pi(j), pi(k)),
-    and gram_analyze says "no" to every float set whose values spread more
-    than 10*tol.  So a table of the column pairs whose cross block (j, k)
-    spreads more (_PairTable) rules out every permutation through them,
-    and backtracking visits only the permutations no pair rules out.  The
-    self blocks are left to the certifier: in an orthogonal basis of
-    unimodular vectors every pair has |<x'_a, x'_b>| = ||v|^2 - 1| and every
-    norm is the same, so a self block has no spread of its own.  Leaving
-    them out can only let more survivors through; it never changes the
-    hits.  The survivors are certified together, by the stacked form of
-    l_block's scaling and gram_analyze's float analysis (_l_blocks,
-    framecore._float_reports), in tiles of at most _CHUNK Gram entries (or
-    of one survivor), so that memory does not grow with their number.  That
-    certifier alone decides the hits and their reports: the table can skip
-    work, never say "yes".
+    Block (j, k) of an L-block depends on pi only through (pi(j), pi(k)),
+    and framecore._report says "no" to a float set whose values spread more
+    than _SPREAD_TOLS * tol.  So a table of the column pairs whose cross
+    block spreads more (_PairTable, by its own expansion of the block) rules
+    out every permutation through them, and backtracking visits only the
+    rest.  The self blocks are left to the certifier: in an orthogonal basis
+    of unimodular vectors each value is ||v|^2 - 1| over equal norms, so
+    they have no spread of their own, and leaving them out can only let
+    more survivors through.  The survivors are certified in tiles of at most
+    _CHUNK Gram entries (or of one survivor) by _l_blocks and
+    framecore._float_reports, which alone decide the hits and their
+    reports: the table can skip work, never say "yes".
     """
     d = family.dim
     mags = c1_magnitudes(d)
@@ -236,8 +232,8 @@ def c1_search(
     # the certifier's input checks, so that a zero vector or a non-finite
     # entry raises whatever the table rules out
     _self_grams(_stack(family.bases))
-    mats = np.stack([basis.to_matrix() for basis in family.bases])
-    table = _PairTable(mats, np.array(values), 10 * tol + _C1_SLACK)
+    mats = _complex(family._union[1]).reshape(d, d, d)
+    table = _PairTable(mats, np.array(values), _SPREAD_TOLS * tol + _C1_SLACK)
 
     hits = []
     perm: list[int] = []  # 0-based columns pi(1), ..., pi(len(perm))
@@ -330,12 +326,6 @@ class _PairTable(dict):
         return masks
 
 
-#: entries per chunk of the table's (v, p, ...) tensors, and Gram entries per
-#: tile of c1_search's survivors, about 1 MB per complex temporary; the search
-#: workload (d <= 5, at most 16 candidates) fits in one
-_CHUNK = 2**16
-
-
 def _chunks(n: int, d: int, width: int):
     """Slices (vs, ps) tiling n candidates by d columns, each tile holding at
     most _CHUNK // width (candidate, column) pairs, but at least one."""
@@ -383,10 +373,11 @@ def _zeroed_table(family: MubFamily, cols) -> np.ndarray:
     product with 0, which keeps a non-finite entry non-finite, in float as
     soon as one basis is."""
     d = family.dim
-    parts = _l_blocks(family, cols, [Scalar.gauss(0)] * len(cols))
-    (mag,), _ = _self_grams(_stack([LineSet.from_parts(parts.reshape(2, -1, d))]))
+    lines = LineSet.from_parts(_l_blocks(family, cols, [Scalar.gauss(0)] * len(cols))
+                               .reshape(2, -1, d))
+    (mag,), _ = _self_grams(_stack([lines]))
     # exact blocks hold squared magnitudes, float blocks magnitudes
-    ok = mag == 2 if parts.dtype == object else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
+    ok = mag == 2 if lines.exact else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
     return ok.reshape((len(cols), d, d) * 2).all(axis=(2, 5))
 
 

@@ -7,10 +7,11 @@ double precision otherwise.  _stack builds the stack; its exact path runs in
 int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary part|,
 and in Python ints beyond that bound, so it never overflows.  gram_analyze
 and theorem46_predicate read a one-set stack, _self_grams(_stack([lines])),
-and c1_search its survivors through _float_reports.  verify_mubs checks the
-stack of its bases, then each basis against all later ones in one block row
-(_block_rows).  Zero vectors, non-finite entries and non-integral
-gaussian-int JSON entries raise, never read as "yes".
+and c1_search its survivors through _float_reports; _report alone says
+"equiangular".  verify_mubs checks the stack of its bases, then each basis
+against all later ones in one block row (_block_rows).  Zero vectors,
+non-finite entries and non-integral gaussian-int JSON entries raise, never
+read as "yes".
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +37,19 @@ from .scalars import (  # noqa: F401
     mub_bound,
     special_bound_f,
 )
+
+
+#: entries per tile of a chunked computation, about 1 MB per complex
+#: temporary: lines_equal's candidate pairs, and c1_search's pair-table
+#: tensors and survivor Grams; the search workload (d <= 5, at most 16
+#: candidates) fits in one
+_CHUNK = 2**16
+
+#: a float set is equiangular only when its normalized values spread by at
+#: most _SPREAD_TOLS * tol, as the transitive closure of its clustering can
+#: chain values far apart into one cluster; c1_search's pair table prunes by
+#: this same bound
+_SPREAD_TOLS = 10
 
 
 class DimensionMismatch(ValueError):
@@ -175,8 +190,10 @@ def _complex(parts: np.ndarray) -> np.ndarray:
 
 def _cmul(x: np.ndarray, re, im) -> tuple[np.ndarray, np.ndarray]:
     """(x[0] + i x[1]) * (re + i im) entrywise, as (real, imaginary) parts,
-    with the rounding of Scalar.__mul__."""
-    return x[0] * re - x[1] * im, x[0] * im + x[1] * re
+    with the rounding of Scalar.__mul__ and no warning: a non-finite product
+    meets _self_grams' finiteness check before any verdict."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return x[0] * re - x[1] * im, x[0] * im + x[1] * re
 
 
 @dataclass(frozen=True)
@@ -189,14 +206,21 @@ class GramReport:
     exact: bool
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "norms": list(self.norms),
-            "angle_clusters": [[a, m] for a, m in self.angle_clusters],
-            "equiangular": self.equiangular,
-            "common_angle": self.common_angle,
-            "exact": self.exact,
-        }
+        """The fields, with lists for tuples."""
+        return dict(vars(self), norms=list(self.norms),
+                    angle_clusters=[list(cluster) for cluster in self.angle_clusters])
+
+
+def _report(norms: tuple[float, ...], clusters: tuple[tuple[float, int], ...],
+            spread: float | None = None, tol: float | None = None) -> GramReport:
+    """The GramReport of a set from its norms and angle clusters: equiangular
+    iff one cluster and, for a float set (spread, the range of its
+    normalized values, given), a spread of at most _SPREAD_TOLS * tol."""
+    exact = spread is None
+    equi = len(clusters) == 1 and (exact or spread <= _SPREAD_TOLS * tol)
+    return GramReport(size=len(norms), norms=norms, angle_clusters=clusters,
+                      equiangular=equi, common_angle=clusters[0][0] if equi else None,
+                      exact=exact)
 
 
 def _stack(sets) -> np.ndarray:
@@ -277,15 +301,16 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
             zip(mag[upper].tolist(), np.outer(norms, norms)[upper].tolist())).items():
         counts[Fraction(num, den)] += count
     clusters = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
-    equi = len(clusters) == 1
-    return GramReport(
-        size=m,
-        norms=tuple(math.sqrt(n2) for n2 in norms.tolist()),
-        angle_clusters=clusters,
-        equiangular=equi,
-        common_angle=clusters[0][0] if equi else None,
-        exact=True,
-    )
+    return _report(tuple(map(_exact_norm, norms.tolist())), clusters)
+
+
+def _exact_norm(n2: int) -> float:
+    """sqrt(n2) of an exact squared norm, by the integer square root where n2
+    is beyond float64; ValueError where the norm is too."""
+    try:
+        return math.sqrt(n2) if n2 <= sys.float_info.max else float(math.isqrt(n2))
+    except OverflowError:
+        raise ValueError("line set has a norm beyond float64") from None
 
 
 def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
@@ -299,18 +324,11 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     np.divide(mag, norms[:, :, None] * norms[:, None, :], out=mag)  # mag is ours
     upper = np.broadcast_to(~np.tri(m, dtype=bool), mag.shape)  # each set's pairs j < k
     order = np.sort(mag[upper].reshape(len(mag), -1), axis=1)
-    # transitive closure can chain values far apart into one cluster; such a
-    # set is not equiangular (c1_search's pruning table relies on this rule)
-    narrow = (order[:, -1] - order[:, 0] <= 10 * tol).tolist()
     reports = []
-    for row, norm, ok in zip(order, norms.tolist(), narrow):
+    for row, norm, spread in zip(order, norms.tolist(), (order[:, -1] - order[:, 0]).tolist()):
         cut = [0, *(np.flatnonzero(np.diff(row) > tol) + 1).tolist(), len(row)]
         clusters = tuple((float(row[a:b].sum()) / (b - a), b - a) for a, b in zip(cut, cut[1:]))
-        equi = len(clusters) == 1 and ok
-        reports.append(GramReport(size=m, norms=tuple(norm), angle_clusters=clusters,
-                                  equiangular=equi,
-                                  common_angle=clusters[0][0] if equi else None,
-                                  exact=False))
+        reports.append(_report(tuple(norm), clusters, spread, tol))
     return reports
 
 
@@ -327,11 +345,7 @@ def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
     if not bases:
         raise ValueError("no bases supplied")
     d = bases[0].dim
-    for basis in bases:
-        if basis.dim != d:
-            raise DimensionMismatch("bases live in different dimensions")
-        if len(basis) != d:
-            raise ValueError(f"a basis of C^{d} must have exactly {d} vectors")
+    _check_bases(bases, d)
 
     stack = _stack(bases)
     exact = stack.dtype != complex
@@ -350,6 +364,15 @@ def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
         if not ok.all():
             return False
     return True
+
+
+def _check_bases(bases, d: int) -> None:
+    """The one shape rule for bases of C^d: each is d vectors in C^d."""
+    for basis in bases:
+        if basis.dim != d:
+            raise DimensionMismatch(f"a basis in C^{basis.dim} in a family in C^{d}")
+        if len(basis) != d:
+            raise ValueError(f"a basis of C^{d} must have exactly {d} vectors")
 
 
 def _block_rows(stack: np.ndarray):
@@ -462,7 +485,7 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
     # 2 - 2|<x, y>|^2, does not cancel near equality; it decides each
     # candidate, in chunks so memory stays O(n^2 + chunk * d) at any tol
     match = np.zeros(len(rows), dtype=bool)
-    chunk = max(1, 2**16 // max(1, a.dim))
+    chunk = max(1, _CHUNK // max(1, a.dim))
     for start in range(0, len(rows), chunk):
         j, k = rows[start:start + chunk], cols[start:start + chunk]
         x = am[j]

@@ -6,8 +6,8 @@ what lets the dimension-8 certificates run at zero tolerance.  Any arithmetic
 mixing an exact scalar with a float one silently degrades to float.
 
 This module imports no numpy, so it also holds what the CLI reads before
-numpy loads: the default tolerance, the closed-form bounds and the
-permutation check.
+numpy loads: the default tolerance, c1_search's default budget, the
+closed-form bounds and the permutation check.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ import numbers
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
+
+#: the largest Construction-1 search space c1_search (and `mublines search`)
+#: runs unless the budget is raised
+_C1_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -51,22 +55,16 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         other = Scalar.coerce(other)
-        if self.exact and other.exact:
-            return Scalar.gauss(self.re + other.re, self.im + other.im)
-        return Scalar(self.re + other.re, self.im + other.im, False)
+        return Scalar(self.re + other.re, self.im + other.im, self.exact and other.exact)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         other = Scalar.coerce(other)
         re = self.re * other.re - self.im * other.im
         im = self.re * other.im + self.im * other.re
-        if self.exact and other.exact:
-            return Scalar.gauss(re, im)
-        return Scalar(re, im, False)
+        return Scalar(re, im, self.exact and other.exact)
 
     def conj(self) -> "Scalar":
-        if self.exact:
-            return Scalar.gauss(self.re, -self.im)
-        return Scalar(self.re, -self.im, False)
+        return Scalar(self.re, -self.im, self.exact)
 
     def abs2(self):
         """Squared magnitude; an int on the exact path."""
@@ -140,12 +138,14 @@ def _gauss_if_integral(z: complex) -> Scalar:
 
 
 def root_of_unity(numerator: int, denominator: int) -> Scalar:
-    """e^(2*pi*i*numerator/denominator), exact when the order divides 4."""
-    numerator %= denominator
-    if 4 % denominator == 0:
-        quarter = numerator * (4 // denominator) % 4
-        return GAUSSIAN_UNITS[quarter]
-    return Scalar.from_complex(cmath.exp(2j * cmath.pi * numerator / denominator))
+    """e^(2*pi*i*numerator/denominator), exact when its order, the reduced
+    denominator, divides 4: so e^0 = 1 is always exact."""
+    common = math.gcd(numerator, denominator)
+    order = denominator // common
+    numerator = numerator // common % order
+    if 4 % order == 0:
+        return GAUSSIAN_UNITS[numerator * (4 // order)]
+    return Scalar.from_complex(cmath.exp(2j * cmath.pi * numerator / order))
 
 
 def max_angle(d: int) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,38 @@ def test_construct_nan_parameter_exits_2(capsys):
                        "--a", "nan", "--b", "1")
     assert code == 2
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("c3", "--a", "inf", "--b", "0"), ("c3", "--a", "inf", "--b", "0", "--variant", "i-twist"),
+    ("c1", "--v", "1e308*10")])
+def test_a_non_finite_constant_exits_2_with_one_line_and_no_warning(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(capsys, "construct", argv[0], "--d", "4", "--perm", "1,3,4,2", *argv[1:])
+    assert got == (2, "", "error: line set has a non-finite entry\n")
+
+
+def test_verify_reports_exact_norms_whose_squares_pass_float64(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "field": "gaussian-int",
+                                "vectors": [[[10**200, 0], [0, 0]], [[0, 0], [10**200, 0]]]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["equiangular"] and report["exact"] and report["norms"] == [1e200, 1e200]
+
+
+def test_exact_constructs_past_float64_report_or_exit_2(capsys):
+    # c1: squared norms near 1e400, norms near 1e200, reported; c3: norms
+    # near 2e308, beyond float64 themselves
+    code, out, err = run(capsys, "construct", "c1", "--d", "4", "--perm", "1,3,4,2",
+                         "--v", "1e200")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1].startswith("16 vectors: NOT equiangular; angle clusters: ")
+    got = run(capsys, "construct", "c3", "--d", "4", "--perm", "1,3,4,2",
+              "--a", "1e308", "--b", "1e308")
+    assert got == (2, "", "error: line set has a norm beyond float64\n")
 
 
 def test_verify_rejects_non_integer_gaussian_entry(capsys, tmp_path):

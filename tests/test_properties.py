@@ -55,7 +55,7 @@ from mublines.framecore import (
     lines_equal,
     verify_mubs,
 )
-from mublines.scalars import GAUSSIAN_UNITS, Scalar
+from mublines.scalars import GAUSSIAN_UNITS, Scalar, _gauss_if_integral
 
 BIG = 2**40
 
@@ -292,6 +292,70 @@ def test_lineset_rebuilt_from_its_view_has_the_same_array(lines):
         assert again.parts.tolist() == lines.parts.tolist()
     else:  # bit for bit, signed zeros included
         assert again.parts.tobytes() == lines.parts.tobytes()
+
+
+# --- scaled entries against Scalar.__mul__ ----------------------------------
+
+
+def bits(x):
+    """A part as it compares bit for bit: an int as itself, a float by its
+    bit pattern, so that -0.0 and 0.0 differ."""
+    return x if type(x) is int else struct.pack("<d", x)
+
+
+def scaled_union(family, cols, c, exact, twist=False):
+    """The union of the bases with entry cols[j] of every vector of basis j
+    multiplied by c, entry by entry through Scalar.__mul__, each entry
+    floated first unless exact, and every entry then multiplied by -1 if
+    twist: rows of (re, im) bits."""
+    minus = Scalar.gauss(-1)
+    rows = []
+    for j, basis in enumerate(family.bases):
+        for re_row, im_row in zip(*basis.parts.tolist()):
+            row = [Scalar(re, im, True) if exact else Scalar(float(re), float(im))
+                   for re, im in zip(re_row, im_row)]
+            row[cols[j]] = row[cols[j]] * c
+            rows.append([(bits(z.re), bits(z.im))
+                         for z in ([z * minus for z in row] if twist else row)])
+    return rows
+
+
+def table_bits(lines):
+    return [[(bits(re), bits(im)) for re, im in row]
+            for row in lines.parts.transpose(1, 2, 0).tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(families, st.data(), st.one_of(
+    scalars, st.builds(Scalar.gauss, st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))))
+def test_l_block_scales_an_entry_as_scalar_mul(family, data, v):
+    perm = tuple(data.draw(st.permutations(range(1, family.dim + 1))))
+    lines = l_block(family, ScalingSpec(perm, v))
+    exact = v.exact and all(b.exact for b in family.bases)
+    assert lines.exact == exact
+    assert table_bits(lines) == scaled_union(family, [p - 1 for p in perm], v, exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families, st.data(), st.one_of(st.integers(-3, 3), st.floats(-3, 3)),
+       st.one_of(st.integers(-3, 3), st.floats(-3, 3)), st.sampled_from(["default", "i-twist"]))
+def test_construction3_pair_scales_entries_as_scalar_mul(family, data, a, b, variant):
+    perm = tuple(data.draw(st.permutations(range(1, family.dim + 1))))
+    lines = construction3_pair(family, BlockPairSpec(perm, a, b, variant))
+    v = complex(a, b)
+    v, vp = (1j * v, 1j * (2 - v)) if variant == "i-twist" else (v, 2 - v)
+    v, vp = _gauss_if_integral(v), _gauss_if_integral(vp)
+    exact = v.exact and vp.exact and all(basis.exact for basis in family.bases)
+    assert lines.exact == exact
+    cols = [p - 1 for p in perm]
+    halves = zip(scaled_union(family, cols, v, exact),
+                 scaled_union(family, cols, vp, exact, twist=variant == "i-twist"))
+    assert table_bits(lines) == [left + right for left, right in halves]
+
+
+def test_the_scaling_families_are_exact_and_float():
+    exact = {d: all(b.exact for b in family.bases) for d, family in FAMILIES.items()}
+    assert exact == {2: True, 3: False, 4: True, 5: False}
 
 
 # --- the exact Gram at the int64 bound --------------------------------------
