@@ -136,16 +136,17 @@ def char_eval(chi: Character, g: GroupElement) -> Scalar:
     return root_of_unity(*_phase(chi, g))
 
 
-def _subgroup_closure(group: FiniteAbelianGroup, generators) -> set[tuple[int, ...]]:
-    seen = {group.identity().exponents}
-    frontier = [group.identity()]
-    gens = [g if isinstance(g, GroupElement) else group.element(g) for g in generators]
+def _subgroup_closure(orders: tuple[int, ...], generators) -> set[tuple[int, ...]]:
+    """The subgroup of Z_{n_1} x ... x Z_{n_k} that the exponent tuples
+    generators generate, as exponent tuples."""
+    seen = {(0,) * len(orders)}
+    frontier = list(seen)
     while frontier:
         current = frontier.pop()
-        for gen in gens:
-            nxt = current * gen
-            if nxt.exponents not in seen:
-                seen.add(nxt.exponents)
+        for gen in generators:
+            nxt = tuple((a + b) % n for a, b, n in zip(current, gen, orders))
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
     return seen
 
@@ -165,7 +166,7 @@ class RelativeDifferenceSet:
                 raise ValueError("RDS data must live in the stated group")
 
     def forbidden_subgroup(self) -> set[tuple[int, ...]]:
-        return _subgroup_closure(self.group, self.forbidden)
+        return _subgroup_closure(self.group.orders, [g.exponents for g in self.forbidden])
 
 
 def rds_verify(rds: RelativeDifferenceSet) -> tuple[int, int, int, int]:
@@ -259,34 +260,6 @@ def builtin_rds(d: int) -> RelativeDifferenceSet:
     group = FiniteAbelianGroup(orders)
     return RelativeDifferenceSet(group, tuple(map(group.element, forbidden)),
                                  tuple(map(group.element, elements)), label=f"builtin:{d}")
-
-
-_WORD_LETTERS = "xyzw"
-
-
-def parse_group_word(group: FiniteAbelianGroup, text: str) -> GroupElement:
-    """Parse multiplicative notation like "1", "x", "y^2" or "x^3 y^3" into
-    an exponent tuple; letters x, y, z, w name the cyclic factors in order."""
-    import re
-
-    text = text.strip()
-    exponents = [0] * len(group.orders)
-    if text == "1":
-        return group.element(exponents)
-    pattern = re.compile(r"([a-z])(?:\^(-?\d+))?")
-    pos = 0
-    for match in pattern.finditer(text.replace(" ", "").replace("*", "")):
-        if match.start() != pos:
-            raise ValueError(f"cannot parse group word {text!r}")
-        pos = match.end()
-        letter, power = match.group(1), match.group(2)
-        idx = _WORD_LETTERS.find(letter)
-        if idx < 0 or idx >= len(group.orders):
-            raise ValueError(f"unknown generator {letter!r} in {text!r}")
-        exponents[idx] += int(power) if power is not None else 1
-    if pos != len(text.replace(" ", "").replace("*", "")):
-        raise ValueError(f"cannot parse group word {text!r}")
-    return group.element(exponents)
 
 
 def rds_to_json(rds: RelativeDifferenceSet) -> dict:

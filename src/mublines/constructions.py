@@ -24,7 +24,6 @@ from .abelian import (
     _phase_weights,
     builtin_rds,
     char_eval,
-    characters,
     rds_verify,
 )
 from .framecore import (
@@ -116,23 +115,24 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
         raise InvalidRds(f"need a (d,d,d,1)-RDS, got {(m, n, k, lam)}")
     d = m
 
-    # every character value is an integer phase numerator t mod L, so the
-    # restrictions to N and the rows are two integer matrix products; their
-    # entries stay below rank * |G|^2, far inside int64 for any listable G
+    # character j, j running over the exponent tuples in the lexicographic
+    # order of characters(), is chi_j(g) = e^(2*pi*i*t/L) with
+    # t = sum_i j_i * g_i * L / n_i mod L, so the restrictions to N and the
+    # rows are two integer matrix products, their entries below
+    # rank * |G|^2, far inside int64.  Two characters agree on N iff they
+    # agree on its generators, and a (d,d,d,1)-RDS gives each restriction
+    # to |G| / |N| = d characters
+    orders = rds.group.orders
     modulus, weights = _phase_weights(rds.group)
-    chars = np.array([chi.exponents for chi in characters(rds.group)]) * weights
-    subgroup = np.array(sorted(rds.forbidden_subgroup()))
-    elements = np.array([g.exponents for g in rds.elements])
-    signatures = chars @ subgroup.T % modulus
-    rows = chars @ elements.T % modulus
+    chars = np.indices(orders).reshape(len(orders), -1).T * weights
+    signatures = chars @ np.array([g.exponents for g in rds.forbidden]).T % modulus
+    rows = chars @ np.array([g.exponents for g in rds.elements]).T % modulus
 
-    # characters are lexicographic, so first-seen order of the signatures
-    # orders the groups by their lexicographically smallest member
+    # first-seen order of the signatures orders the groups by their
+    # lexicographically smallest member
     groups: dict[bytes, list[int]] = {}
     for index, signature in enumerate(signatures):
         groups.setdefault(signature.tobytes(), []).append(index)
-    if any(len(members) != d for members in groups.values()) or len(groups) != d:
-        raise InvalidRds("character grouping by restriction to N is not d-by-d")
 
     # the L-th roots of unity are the values of the generating character of
     # Z_L; root_of_unity reduces t / L, so phase 0 stays the exact Gaussian 1.
@@ -201,8 +201,9 @@ def c1_search(
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[ScalingSpec, GramReport]]:
     """Exhaustive Construction-1 search over all permutations and all
-    v = zeta * |v| on the phase grid; returns the equiangular hits in
-    lexicographic (perm, magnitude-desc, phase) order.
+    v = zeta * |v| on the grid of phase_roots >= 1 phases (ValueError
+    otherwise); returns the equiangular hits in lexicographic (perm,
+    magnitude-desc, phase) order.
 
     Block (j, k) of an L-block depends on pi only through (pi(j), pi(k)),
     and framecore._report says "no" to a float set whose values spread more
@@ -217,6 +218,8 @@ def c1_search(
     framecore._float_reports, which alone decide the hits and their
     reports: the table can skip work, never say "yes".
     """
+    if phase_roots < 1:
+        raise ValueError("phase_roots must be at least 1")
     d = family.dim
     mags = c1_magnitudes(d)
     space = math.factorial(d) * phase_roots * len(mags)
@@ -227,8 +230,6 @@ def c1_search(
         )
     values = [cmath.exp(2j * cmath.pi * p / phase_roots) * mag
               for mag in mags for p in range(phase_roots) if mag != 0.0 or p == 0]
-    if not values:
-        return []
     # the certifier's input checks, so that a zero vector or a non-finite
     # entry raises whatever the table rules out
     _self_grams(_stack(family.bases))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,10 +304,19 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
 
 
 def _exact_norm(n2: int) -> float:
-    """sqrt(n2) of an exact squared norm, by the integer square root where n2
-    is beyond float64; ValueError where the norm is too."""
+    """sqrt(n2) of an exact squared norm, correctly rounded; ValueError where
+    the norm is beyond float64.  math.sqrt is correctly rounded and float(n2)
+    exact while n2 <= 2^53.  Past that, the integer root of n2 * 4^k has at
+    least 55 bits, and setting its last bit when the root is inexact leaves
+    the one rounding of float() where the true root's would be."""
+    if n2 <= 2**53:
+        return math.sqrt(n2)
+    k = max(0, 55 - n2.bit_length() // 2)
+    scaled = n2 << 2 * k
+    root = math.isqrt(scaled)
+    root |= root * root != scaled
     try:
-        return math.sqrt(n2) if n2 <= sys.float_info.max else float(math.isqrt(n2))
+        return math.ldexp(float(root), -k)
     except OverflowError:
         raise ValueError("line set has a norm beyond float64") from None
 
@@ -538,9 +546,11 @@ def lineset_to_json(lines: LineSet) -> dict:
 
 
 def lineset_from_json(data: dict) -> LineSet:
-    """Entries must be JSON numbers: integers in a gaussian-int set, within
-    float64 range in a complex-f64 one; anything else raises ValueError."""
-    dim = int(data["dim"])
+    """dim must be an integer by scalars._ints (2.0 reads as 2; 2.7, "2" and
+    true do not), and entries JSON numbers: integers in a gaussian-int set,
+    within float64 range in a complex-f64 one; anything else raises
+    ValueError."""
+    (dim,) = _ints([data["dim"]], "line-set dim")
     rows = data["vectors"]
     flat = _table_entries(rows)
     if flat is None or not set(map(len, rows)) <= {dim}:

@@ -17,7 +17,6 @@ from mublines.abelian import (
     char_eval,
     characters,
     enumerate_elements,
-    parse_group_word,
     rds_from_json,
     rds_to_json,
     rds_verify,
@@ -207,16 +206,6 @@ def test_rds_json_roundtrip():
     }
     back = rds_from_json(data)
     assert rds_verify(back) == (4, 4, 4, 1)
-
-
-def test_parse_group_word():
-    g = FiniteAbelianGroup((4, 4))
-    assert parse_group_word(g, "1").exponents == (0, 0)
-    assert parse_group_word(g, "x").exponents == (1, 0)
-    assert parse_group_word(g, "x^3 y^3").exponents == (3, 3)
-    assert parse_group_word(g, "x^2y").exponents == (2, 1)
-    with pytest.raises(ValueError):
-        parse_group_word(g, "q^2")
 
 
 def test_char_eval_matches_fraction_definition():

@@ -200,6 +200,24 @@ def test_exact_constructs_past_float64_report_or_exit_2(capsys):
     assert got == (2, "", "error: line set has a norm beyond float64\n")
 
 
+@pytest.mark.parametrize("dim, code", [(2.0, 0), (2.7, 2), ("2", 2), (True, 2)])
+def test_verify_reads_dim_as_an_integer(capsys, tmp_path, dim, code):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"dim": dim, "field": "gaussian-int",
+                                "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    got, out, err = run(capsys, "verify", str(path))
+    assert got == code
+    if code == 2:
+        assert (out, err) == ("", "error: malformed or invalid line set: "
+                                  "non-integer entry in line-set dim\n")
+
+
+@pytest.mark.parametrize("roots", ["0", "-3"])
+def test_search_c1_with_no_phase_roots_exits_2(capsys, roots):
+    got = run(capsys, "search", "c1", "--d", "4", "--phase-roots", roots)
+    assert got == (2, "", "error: phase_roots must be at least 1\n")
+
+
 def test_verify_rejects_non_integer_gaussian_entry(capsys, tmp_path):
     path = tmp_path / "c3ext.json"
     run(capsys, "--out", str(path), "construct", "c3ext")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fixtures
-from mublines.abelian import builtin_rds
+from mublines.abelian import FiniteAbelianGroup, RelativeDifferenceSet, builtin_rds
 from mublines.constructions import (
     BlockPairSpec,
     BudgetExceeded,
@@ -201,6 +201,12 @@ def test_c1_search_budget():
     family = mubs_from_rds(builtin_rds(5))
     with pytest.raises(BudgetExceeded):
         c1_search(family, phase_roots=20, budget=100)
+
+
+@pytest.mark.parametrize("phase_roots", [0, -3])
+def test_c1_search_refuses_a_grid_with_no_roots(fam4, phase_roots):
+    with pytest.raises(ValueError, match="phase_roots must be at least 1"):
+        c1_search(fam4, phase_roots)
 
 
 def test_c1_magnitude_lemma_postcheck(fam4, fam3):
@@ -516,11 +522,34 @@ def _reference_bases(rds):
             for chars in ordered]
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 11, 13, 17, 19, 23, 29, 31])
-def test_mubs_from_rds_entries_equal_char_eval(d):
-    rds = builtin_rds(d)
+def _rds(orders, forbidden, elements):
+    group = FiniteAbelianGroup(orders)
+    return RelativeDifferenceSet(group, tuple(map(group.element, forbidden)),
+                                 tuple(map(group.element, elements)))
+
+
+#: (d, d, d, 1)-RDSs whose forbidden subgroups have other generating sets
+#: than the builtins' own: another pair, a redundant triple, a generator
+#: that is not a factor's canonical one, and a repeated one
+OTHER_RDS = {
+    "z4xz4-n-22-02": ((4, 4), [(2, 2), (0, 2)], [(0, 0), (1, 0), (0, 1), (3, 3)]),
+    "z4xz4-n-20-02-22": ((4, 4), [(2, 0), (0, 2), (2, 2)], [(0, 0), (1, 0), (0, 1), (3, 3)]),
+    "z3xz3-n-20": ((3, 3), [(2, 0)], [(0, 0), (0, 1), (1, 2)]),
+    "z5xz5-n-03": ((5, 5), [(0, 3)], [(x, x * x % 5) for x in range(5)]),
+    "z7xz7-n-30": ((7, 7), [(3, 0)], [(x * x % 7, x) for x in range(7)]),
+    "z4-n-2-2": ((4,), [(2,), (2,)], [(0,), (1,)]),
+}
+
+
+@pytest.mark.parametrize("rds", [
+    *(pytest.param(builtin_rds(d), id=str(d))
+      for d in [2, 3, 4, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+    *(pytest.param(_rds(*spec), id=name) for name, spec in OTHER_RDS.items()),
+])
+def test_mubs_from_rds_entries_equal_char_eval(rds):
     family = mubs_from_rds(rds)
     reference = _reference_bases(rds)
+    d = len(rds.elements)
     assert len(family.bases) == len(reference) == d
     for basis, ref_basis in zip(family.bases, reference):
         assert len(basis.vectors) == len(ref_basis) == d

@@ -386,6 +386,16 @@ def test_lineset_from_json_reads_integral_floats_exactly():
     assert back.vectors == fixtures.lines64_d8().vectors
 
 
+@pytest.mark.parametrize("dim", [2.0, 2.7, "2", True])
+def test_lineset_from_json_reads_dim_as_an_integer(dim):
+    data = {"dim": dim, "field": "gaussian-int", "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    if dim == 2.0 and not isinstance(dim, bool):
+        assert lineset_from_json(data).dim == 2
+    else:
+        with pytest.raises(ValueError, match="non-integer entry in line-set dim"):
+            lineset_from_json(data)
+
+
 @pytest.mark.parametrize("bad", [1.0, True, pytest.param(np.int64(1), id="int64")])
 def test_exact_lineset_refuses_anything_but_python_ints(bad):
     parts = np.array([[[1, 0]], [[0, 1]]], dtype=object)

@@ -3,9 +3,10 @@ Gaussian-integer line sets, with entries far past 2^32 and entries at the
 edge of the exact Gram's int64 bound, of the float analysis against its
 per-set form, of verify_mubs against its per-block form, of the line-set
 array against its CVector view, of Theorem 4.6's column-pair table, of the
-line matching and of the JSON encoder."""
+line matching, of the JSON encoder and of the exact norm's rounding."""
 
 import cmath
+import decimal
 import itertools
 import json
 import math
@@ -43,6 +44,7 @@ from mublines.framecore import (
     _block,
     _block_rows,
     _encode,
+    _exact_norm,
     _float_table,
     _perfect_matching,
     _self_grams,
@@ -422,6 +424,31 @@ def test_exact_gram_of_parts_at_and_past_the_int64_range():
         lines = LineSet(2, (CVector.gauss([(m, 1), (0, -m)]), CVector.gauss([(1, m), (m, 2)])))
         assert _self_grams(_stack([lines]))[0].dtype == object
         assert_gram_is_python_exact([lines, LineSet(2, lines.vectors[::-1])])
+
+
+def correctly_rounded_sqrt(n2: int) -> float:
+    """sqrt(n2) to 700 digits, then rounded once to float64 (inf past it).
+    A root of n2 < 2^2100 that is not a float midpoint lies more than
+    10^-640 of itself away from every midpoint, so the decimal rounding
+    cannot move it across one."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        return float(decimal.Decimal(n2).sqrt())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 2**2100),
+                 st.integers(1, 2100).flatmap(lambda b: st.integers(2**(b - 1), 2**b))))
+@example(5718077380419264044)  # math.sqrt(float(n2)) is one ulp off
+@example(2**53 + 1)
+@example(2**2048 - 1)  # the root rounds up to 2^1024
+def test_exact_norm_is_the_correctly_rounded_root(n2):
+    want = correctly_rounded_sqrt(n2)
+    if math.isinf(want):
+        with pytest.raises(ValueError, match="norm beyond float64"):
+            _exact_norm(n2)
+    else:
+        assert _exact_norm(n2) == want
 
 
 @st.composite
