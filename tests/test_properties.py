@@ -428,7 +428,7 @@ def test_exact_gram_of_parts_at_and_past_the_int64_range():
 
 def correctly_rounded_sqrt(n2: int) -> float:
     """sqrt(n2) to 700 digits, then rounded once to float64 (inf past it).
-    A root of n2 < 2^2100 that is not a float midpoint lies more than
+    A root of n2 <= 2^2100 that is not a float midpoint lies more than
     10^-640 of itself away from every midpoint, so the decimal rounding
     cannot move it across one."""
     with decimal.localcontext() as ctx:
