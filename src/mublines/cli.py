@@ -99,7 +99,7 @@ def cmd_mubs(args) -> int:
 
     family = constructions.mubs_from_rds(rds)
     # mubs_from_rds has passed verify_mubs at DEFAULT_TOL, and every float
-    # check is value <= tol, so only a tighter (or NaN) tol can still fail
+    # check is value <= tol, so only a tighter tol can still fail
     ok = args.tol >= DEFAULT_TOL or framecore.verify_mubs(list(family.bases), args.tol)
     payload = {
         "dim": family.dim,
@@ -139,6 +139,8 @@ def _build_lines(args):
         if args.perm is None or (kind == "c1" and args.v is None):
             raise CliError("construct c1 requires --perm and --v" if kind == "c1"
                            else "construct c3 requires --perm")
+        if kind == "c3" and (args.a is None) != (args.b is None):
+            raise CliError("construct c3 takes both --a and --b, or neither")
         perm = _parse_perm(args.perm)
         _columns(perm, len(rds.elements))
         family = _family(rds)
@@ -152,7 +154,7 @@ def _build_lines(args):
     if kind == "c2":
         return constructions.construction2_family(args.a if args.a is not None else 0.0)
     if kind == "c3":
-        if args.a is None or args.b is None:
+        if args.a is None:
             a, b = constructions.construction3_solve(family.dim)[0]
         else:
             a, b = args.a, args.b
@@ -298,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an infinite tol would call every set equiangular, a NaN one fail every check
+    if not 0 <= args.tol < math.inf:
+        parser.error(f"argument --tol: must be a finite number >= 0, got {args.tol}")
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

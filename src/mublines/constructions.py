@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -207,16 +208,17 @@ def c1_search(
 
     Block (j, k) of an L-block depends on pi only through (pi(j), pi(k)),
     and framecore._report says "no" to a float set whose values spread more
-    than _SPREAD_TOLS * tol.  So a table of the column pairs whose cross
-    block spreads more (_PairTable, by its own expansion of the block) rules
-    out every permutation through them, and backtracking visits only the
-    rest.  The self blocks are left to the certifier: in an orthogonal basis
-    of unimodular vectors each value is ||v|^2 - 1| over equal norms, so
-    they have no spread of their own, and leaving them out can only let
-    more survivors through.  The survivors are certified in tiles of at most
-    _CHUNK Gram entries (or of one survivor) by _l_blocks and
-    framecore._float_reports, which alone decide the hits and their
-    reports: the table can skip work, never say "yes".
+    than _SPREAD_TOLS * tol.  So the column pairs whose cross block spreads
+    more (_pair_masks, by its own expansion of the block, built on a basis
+    pair's first use) rule out every permutation through them, and
+    backtracking generates only the rest.  The self blocks are left to the
+    certifier: in an orthogonal basis of unimodular vectors each value is
+    ||v|^2 - 1| over equal norms, so they have no spread of their own, and
+    leaving them out can only let more survivors through.  The survivors
+    are generated first, then certified in tiles of at most _CHUNK Gram
+    entries (or of one survivor) by _l_blocks and framecore._float_reports,
+    which alone decide the hits and their reports: the masks can skip work,
+    never say "yes".
     """
     if phase_roots < 1:
         raise ValueError("phase_roots must be at least 1")
@@ -231,100 +233,80 @@ def c1_search(
     values = [cmath.exp(2j * cmath.pi * p / phase_roots) * mag
               for mag in mags for p in range(phase_roots) if mag != 0.0 or p == 0]
     # the certifier's input checks, so that a zero vector or a non-finite
-    # entry raises whatever the table rules out
+    # entry raises whatever the masks rule out
     _self_grams(_stack(family.bases))
+    # mats[j, a, l]: entry l of vector a of basis j; norm2[j, a]: its squared norm
     mats = _complex(family._union[1]).reshape(d, d, d)
-    table = _PairTable(mats, np.array(values), _SPREAD_TOLS * tol + _C1_SLACK)
-
-    hits = []
+    norm2 = (np.abs(mats) ** 2).sum(axis=2)
+    bound = _SPREAD_TOLS * tol + _C1_SLACK
+    masks: dict[tuple[int, int], list[list[int]]] = {}
     perm: list[int] = []  # 0-based columns pi(1), ..., pi(len(perm))
-    tile: list[ScalingSpec] = []  # survivors not yet certified
-    tile_size = max(1, _CHUNK // d**4)  # a survivor's Gram has d^4 entries
 
-    def certify() -> None:
-        parts = _l_blocks(family, [[p - 1 for p in spec.perm] for spec in tile],
-                          [spec.v for spec in tile])
-        hits.extend((spec, report) for spec, report in zip(tile, _float_reports(parts, tol))
-                    if report.equiangular)
-        tile.clear()
-
-    def extend(alive: int) -> None:
+    def survivors(alive: int):
         k = len(perm)
         if k == d:
-            for i, v in enumerate(values):
-                if alive >> i & 1:
-                    tile.append(ScalingSpec(tuple(p + 1 for p in perm), Scalar.from_complex(v)))
-                    if len(tile) == tile_size:
-                        certify()
+            yield from (ScalingSpec(tuple(p + 1 for p in perm), Scalar.from_complex(v))
+                        for i, v in enumerate(values) if alive >> i & 1)
             return
         for q in range(d):
             if q in perm:
                 continue
             mask = alive
             for j, p in enumerate(perm):
-                mask &= table[j, k][p][q]
+                pair = masks.get((j, k))
+                if pair is None:
+                    pair = masks[j, k] = _pair_masks(mats[j], mats[k], norm2[j], norm2[k],
+                                                     np.array(values), bound)
+                mask &= pair[p][q]
                 if not mask:
                     break
             if mask:
                 perm.append(q)
-                extend(mask)
+                yield from survivors(mask)
                 perm.pop()
 
-    extend((1 << len(values)) - 1)
-    if tile:
-        certify()
+    found, hits = survivors((1 << len(values)) - 1), []
+    # a survivor's Gram has d^4 entries
+    while tile := list(itertools.islice(found, max(1, _CHUNK // d**4))):
+        parts = _l_blocks(family, [[p - 1 for p in spec.perm] for spec in tile],
+                          [spec.v for spec in tile])
+        hits += [(spec, report) for spec, report in zip(tile, _float_reports(parts, tol))
+                 if report.equiangular]
     return hits
 
 
-#: the table's values and gram_analyze's differ by rounding, a few d * eps on
-#: magnitudes normalized to at most 1; this keeps the table on the safe side
+#: the masks' values and gram_analyze's differ by rounding, a few d * eps on
+#: magnitudes normalized to at most 1; this keeps the masks on the safe side
 _C1_SLACK = 1e-12
 
 
-class _PairTable(dict):
-    """table[j, k][p][q] for bases j < k: a bit mask over the candidates,
-    bit i clear iff scaling column p of basis j and column q of basis k by
-    values[i] spreads the normalized magnitudes of the cross block (j, k) by
-    more than bound.  An undefined (NaN) spread keeps its bit.
-
-    A pair's masks are made on first use, so a search that dies early builds
-    few of them.  Each is a vectorised evaluation over (v, p, q, a, b), in
-    chunks of candidates v and columns p (_chunks), so memory does not grow
-    with the number of candidates.  Only p != q is ever read: a permutation
-    sends j and k to different columns.
-    """
-
-    def __init__(self, mats: np.ndarray, values: np.ndarray, bound: float):
-        super().__init__()  # mats[j, a, l]: entry l of vector a of basis j
-        self.mats, self.values, self.bound = mats, values, bound
-        self.w = np.abs(values) ** 2 - 1  # |v|^2 - 1
-        self.norm2 = (np.abs(mats) ** 2).sum(axis=2)  # (j, a)
-
-    def norms(self, j: int, vs: slice, ps: slice) -> np.ndarray:
-        """(v, p, a): sqrt(|x_a|^2 + (|v|^2 - 1) |x_a[p]|^2), the norm of
-        vector a of basis j with column p scaled by v."""
-        return np.sqrt(self.norm2[j] + self.w[vs, None, None] * np.abs(self.mats[j].T[ps]) ** 2)
-
-    def __missing__(self, key: tuple[int, int]) -> list[list[int]]:
-        j, k = key
-        x, y = self.mats[j], self.mats[k]
-        d = len(x)
-        g, t = x @ y.conj().T, _outer(x, y)
-        ok = np.empty((len(self.values), d, d), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero norms read NaN
-            for vs, ps in _chunks(len(self.values), d, d ** 3):
-                vm1 = (self.values[vs] - 1)[:, None, None, None, None]
-                # <x', y'> = G + (v - 1) x_p conj(y_p) + (conj v - 1) x_q conj(y_q),
-                # indexed (v, p, q, a, b)
-                inner = g + vm1 * t[ps, None] + vm1.conj() * t[None, :]
-                cos = np.abs(inner) / (self.norms(j, vs, ps)[:, :, None, :, None]
-                                       * self.norms(k, vs, slice(None))[:, None, :, None, :])
-                ok[vs, ps] = ~(cos.max(axis=(3, 4)) - cos.min(axis=(3, 4)) > self.bound)
-        bits = np.packbits(ok, axis=0, bitorder="little")
-        masks = [[int.from_bytes(bits[:, p, q].tobytes(), "little") for q in range(d)]
-                 for p in range(d)]
-        self[key] = masks
-        return masks
+def _pair_masks(x, y, nx, ny, values, bound: float) -> list[list[int]]:
+    """masks[p][q] for bases x, y (x[a, l]: entry l of vector a) whose
+    vectors have squared norms nx, ny: a bit mask over the candidates, bit i
+    clear iff scaling column p of x and column q of y by values[i] spreads
+    the normalized magnitudes of their cross block by more than bound.  An
+    undefined (NaN) spread keeps its bit.  Evaluated over (v, p, q, a, b) in
+    tiles of candidates v and columns p (_chunks), so memory does not grow
+    with the candidates; only p != q is ever read."""
+    d = len(x)
+    w = np.abs(values) ** 2 - 1  # |v|^2 - 1
+    g = x @ y.conj().T
+    t = x.T[:, :, None] * y.conj().T[:, None, :]  # (p, a, b): x[a, p] conj(y[b, p])
+    ok = np.empty((len(values), d, d), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero norms read NaN
+        for vs, ps in _chunks(len(values), d, d ** 3):
+            vm1 = (values[vs] - 1)[:, None, None, None, None]
+            # <x', y'> = G + (v - 1) x_p conj(y_p) + (conj v - 1) x_q conj(y_q),
+            # indexed (v, p, q, a, b)
+            inner = g + vm1 * t[ps, None] + vm1.conj() * t[None, :]
+            # (v, p, a): the norm of vector a with column p scaled by v
+            xn = np.sqrt(nx + w[vs, None, None] * np.abs(x.T[ps]) ** 2)
+            yn = np.sqrt(ny + w[vs, None, None] * np.abs(y.T) ** 2)
+            cos = np.abs(inner) / (xn[:, :, None, :, None] * yn[:, None, :, None, :])
+            ok[vs, ps] = ~(cos.max(axis=(3, 4)) - cos.min(axis=(3, 4)) > bound)
+    bits = np.packbits(ok, axis=0, bitorder="little")
+    return [[int.from_bytes(bits[:, p, q].tobytes(), "little") for q in range(d)]
+            for p in range(d)]
 
 
 def _chunks(n: int, d: int, width: int):
@@ -335,11 +317,6 @@ def _chunks(n: int, d: int, width: int):
     for v in range(0, n, step_v):
         for p in range(0, d, step_p):
             yield slice(v, v + step_v), slice(p, p + step_p)
-
-
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(p, a, b) -> x[a, p] * conj(y[b, p])."""
-    return x.T[:, :, None] * y.conj().T[:, None, :]
 
 
 def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:

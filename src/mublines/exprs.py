@@ -23,8 +23,11 @@ def parse_constant(text: str) -> complex:
 
 
 def _eval(node: ast.AST, text: str) -> complex:
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return complex(node.value)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):  # not a bool
+        try:
+            return complex(node.value)
+        except OverflowError:
+            raise ExpressionError(f"a number beyond float64 in constant {text!r}") from None
     if isinstance(node, ast.Name) and node.id == "i":
         return 1j
     if isinstance(node, ast.UnaryOp):

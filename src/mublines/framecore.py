@@ -39,14 +39,14 @@ from .scalars import (  # noqa: F401
 
 
 #: entries per tile of a chunked computation, about 1 MB per complex
-#: temporary: lines_equal's candidate pairs, and c1_search's pair-table
+#: temporary: lines_equal's candidate pairs, and c1_search's pair-mask
 #: tensors and survivor Grams; the search workload (d <= 5, at most 16
 #: candidates) fits in one
 _CHUNK = 2**16
 
 #: a float set is equiangular only when its normalized values spread by at
 #: most _SPREAD_TOLS * tol, as the transitive closure of its clustering can
-#: chain values far apart into one cluster; c1_search's pair table prunes by
+#: chain values far apart into one cluster; c1_search's pair masks prune by
 #: this same bound
 _SPREAD_TOLS = 10
 
@@ -546,18 +546,22 @@ def lineset_to_json(lines: LineSet) -> dict:
 
 
 def lineset_from_json(data: dict) -> LineSet:
-    """dim must be an integer by scalars._ints (2.0 reads as 2; 2.7, "2" and
-    true do not), and entries JSON numbers: integers in a gaussian-int set,
-    within float64 range in a complex-f64 one; anything else raises
+    """field must be "gaussian-int" or "complex-f64" (absent reads as
+    complex-f64), dim an integer by scalars._ints (2.0 reads as 2; 2.7, "2"
+    and true do not), and entries JSON numbers: integers in a gaussian-int
+    set, within float64 range in a complex-f64 one; anything else raises
     ValueError."""
     (dim,) = _ints([data["dim"]], "line-set dim")
+    field = data.get("field", "complex-f64")
+    if field not in ("gaussian-int", "complex-f64"):
+        raise ValueError(f"line-set field must be gaussian-int or complex-f64, got {field!r}")
     rows = data["vectors"]
     flat = _table_entries(rows)
     if flat is None or not set(map(len, rows)) <= {dim}:
         raise DimensionMismatch(f"vectors must be lists of {dim} [re, im] pairs")
     if not set(map(type, flat)) <= {int, float}:
         raise ValueError("line-set entries must be JSON numbers")
-    if data.get("field") == "gaussian-int":
+    if field == "gaussian-int":
         parts = np.array(_ints(flat, "gaussian-int line set"), dtype=object)
     else:
         try:

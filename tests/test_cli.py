@@ -414,3 +414,51 @@ def test_verify_loads_no_construction_module(tmp_path):
     assert code == 0
     assert "mublines.framecore" in modules
     assert not {"mublines.abelian", "mublines.constructions"} & modules
+
+
+#: a block pair that is NOT equiangular at the default tol
+_C3_NO = ("construct", "c3", "--d", "4", "--perm", "1,2,3,4", "--a", "0.3", "--b", "0.1")
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1e-9"])
+@pytest.mark.parametrize("command", ["verify", "construct", "mubs", "search"])
+def test_tol_must_be_finite_and_non_negative(capsys, tmp_path, command, tol):
+    # an infinite tol once called _C3_NO equiangular, and a NaN one failed
+    # a correct family of MUBs
+    path = tmp_path / "c3.json"
+    assert run(capsys, "--out", str(path), *_C3_NO)[0] == 1
+    argv = {"verify": ("verify", str(path)), "construct": _C3_NO,
+            "mubs": ("mubs", "--rds", "builtin:3"), "search": ("search", "c1", "--d", "3")}
+    with pytest.raises(SystemExit) as exc:
+        main([f"--tol={tol}", *argv[command]])
+    assert exc.value.code == 2
+    assert "error: argument --tol: must be a finite number >= 0, got " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [("--a", "0"), ("--b", "5")])
+def test_construct_c3_takes_both_a_and_b_or_neither(tmp_path, given):
+    proc, modules = fresh_process(tmp_path, "construct", "c3", "--d", "4", "--perm", "1,3,4,2",
+                                  *given)
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", "error: construct c3 takes both --a and --b, "
+                                              "or neither\n")
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("v, message", [
+    pytest.param("True", "unsupported syntax in constant 'True'", id="true"),
+    pytest.param("1" + "0" * 400, "a number beyond float64 in constant", id="10^400"),
+])
+def test_construct_c1_constant_is_a_float64_number(capsys, v, message):
+    code, out, err = run(capsys, "construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", v)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_verify_refuses_an_unknown_field(capsys, tmp_path):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"dim": 2, "field": "gaussian_int",
+                                "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    assert run(capsys, "verify", str(path)) == (
+        2, "", "error: malformed or invalid line set: line-set field must be gaussian-int or "
+               "complex-f64, got 'gaussian_int'\n")

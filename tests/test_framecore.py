@@ -482,3 +482,11 @@ def test_lineset_from_json_keeps_huge_gaussian_integers_exact():
 def test_lineset_from_json_rejects_wrong_shapes(vectors):
     with pytest.raises((ValueError, TypeError)):
         lineset_from_json({"dim": 4, "field": "complex-f64", "vectors": vectors})
+
+
+@pytest.mark.parametrize("field", ["gaussian_int", "Gaussian-Int", "complex_f64", 7, None, True,
+                                   ["gaussian-int"]])
+def test_lineset_from_json_refuses_an_unknown_field(field):
+    data = {"dim": 2, "field": field, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    with pytest.raises(ValueError, match="line-set field must be gaussian-int or complex-f64"):
+        lineset_from_json(data)
