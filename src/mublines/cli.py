@@ -4,9 +4,10 @@ Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
 2 usage or input error.
 
 Each command imports the library modules it runs, and only once its input
-has been read and checked: `bounds`, a missing file, an unsupported RDS and
-a `construct` permutation that does not fit d exit before numpy loads, and
-`verify` loads framecore alone.
+has been read and checked: `bounds`, a missing file, an unsupported RDS, a
+`--d` that differs from the d of `--rds` and a `construct` permutation that
+does not fit d exit before numpy loads (for a builtin RDS), and `verify`
+loads framecore alone.
 """
 
 from __future__ import annotations
@@ -114,8 +115,15 @@ def cmd_mubs(args) -> int:
 
 
 def _rds(args):
-    """The RelativeDifferenceSet of --rds, or of builtin:<--d>."""
-    return _resolve_rds(args.rds or f"builtin:{args.d}")
+    """The RelativeDifferenceSet of --rds, or of builtin:<--d> (d = 4 when
+    neither is given); CliError if --d and --rds name different d."""
+    if not args.rds:
+        return _resolve_rds(f"builtin:{4 if args.d is None else args.d}")
+    rds = _resolve_rds(args.rds)
+    if args.d is not None and args.d != len(rds.elements):
+        raise CliError(f"--d {args.d} conflicts with --rds {args.rds}, "
+                       f"an RDS of d = {len(rds.elements)}")
+    return rds
 
 
 def _family(rds):
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run one of the line constructions")
     p.add_argument("kind", choices=["c1", "c2", "c3", "c3ext", "hoggar", "wh"])
-    p.add_argument("--d", type=int, default=4)
+    p.add_argument("--d", type=int, default=None, help="4 unless --rds gives d")
     p.add_argument("--rds", default=None)
     p.add_argument("--perm", default=None, help="e.g. 1,3,4,2")
     p.add_argument("--v", default=None, help='e.g. "sqrt(2+sqrt(5))"')
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive Construction-1 search")
     p.add_argument("what", choices=["c1"])
-    p.add_argument("--d", type=int, default=4)
+    p.add_argument("--d", type=int, default=None, help="4 unless --rds gives d")
     p.add_argument("--rds", default=None)
     p.add_argument("--phase-roots", type=int, default=4)
     p.add_argument("--budget", type=int, default=_C1_BUDGET)

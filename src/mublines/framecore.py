@@ -63,12 +63,38 @@ class NonUnitPhase(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CVector:
-    entries: tuple[Scalar, ...]
+    """A vector of C^d in one of two forms, the other derived on first use:
+    its entries, a tuple of Scalars, or its row, a read-only (2, d) array of
+    the real and imaginary parts, Python ints (dtype=object) when every
+    entry is exact and float64 otherwise.
+
+    CVector(entries) holds entries.  LineSet.vectors holds rows, views into
+    the set's parts, and CVector.make of a 1-D complex or float ndarray
+    holds a row of its own; such a vector makes its Scalars only when
+    .entries is read, from one pool per set (per vector for make), so equal
+    entries share one Scalar.  dim, exact, is_zero, norm2 and to_array read
+    the row when there is one; equality, hashing and repr are those of the
+    entries.
+    """
+
+    __slots__ = ("_entries", "_parts", "_pool")
+
+    def __init__(self, entries: tuple[Scalar, ...]):
+        self._entries, self._parts, self._pool = entries, None, None
+
+    @classmethod
+    def _of_row(cls, row: np.ndarray, pool: dict) -> "CVector":
+        vector = cls.__new__(cls)
+        vector._entries, vector._parts, vector._pool = None, row, pool
+        return vector
 
     @staticmethod
     def make(values) -> "CVector":
+        if type(values) is np.ndarray and values.ndim == 1 and values.dtype in (complex, float):
+            row = np.array((values.real, values.imag))  # a float's imaginary parts are 0.0
+            row.flags.writeable = False
+            return CVector._of_row(row, {})
         return CVector(tuple(Scalar.coerce(v) for v in values))
 
     @staticmethod
@@ -77,25 +103,71 @@ class CVector:
         return CVector(tuple(Scalar.gauss(a, b) for a, b in pairs))
 
     @property
+    def entries(self) -> tuple[Scalar, ...]:
+        if self._entries is None:
+            row, pool = self._parts, self._pool
+            exact = row.dtype == object
+            # a float is keyed by its bits, so 0.0 and -0.0 stay apart
+            keys = list(zip(*(row if exact else row.view(np.uint64)).tolist()))
+            for key, value in zip(keys, zip(*row.tolist())):
+                if key not in pool:
+                    pool[key] = Scalar(*value, exact)
+            self._entries = tuple(map(pool.__getitem__, keys))
+        return self._entries
+
+    @property
+    def _row(self) -> np.ndarray:
+        if self._parts is None:
+            entries = self._entries
+            row = np.array([[e.re for e in entries], [e.im for e in entries]],
+                           dtype=object if all(e.exact for e in entries) else float)
+            row.flags.writeable = False
+            self._parts = row
+        return self._parts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"CVector(entries={self.entries!r})"
+
+    @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._entries) if self._parts is None else self._parts.shape[1]
 
     @property
     def exact(self) -> bool:
-        return all(e.exact for e in self.entries)
+        if self._parts is None:
+            return all(e.exact for e in self._entries)
+        return self._parts.dtype == object or not self._parts.size  # no entry: vacuously
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        if self._parts is None:
+            return all(e.is_zero() for e in self._entries)
+        return not self._parts.any()
 
     def norm2(self):
         """Squared norm; an int on the exact path."""
+        if self._parts is None:
+            squares = [e.abs2() for e in self._entries]
+        else:
+            re, im = self._parts
+            with np.errstate(over="ignore"):  # inf, as Scalar.abs2 gives it
+                squares = (re * re + im * im).tolist()
         total = 0
-        for e in self.entries:
-            total = total + e.abs2()
+        for square in squares:  # in order, as the float sum rounds
+            total = total + square
         return total
 
     def to_array(self) -> np.ndarray:
-        return np.array([e.to_complex() for e in self.entries], dtype=complex)
+        if self._parts is None:
+            return np.array([e.to_complex() for e in self._entries], dtype=complex)
+        return _complex(self._parts)
 
 
 def inner(x: CVector, y: CVector) -> Scalar:
@@ -113,19 +185,18 @@ class LineSet:
     the real and imaginary parts of the n spanning vectors, Python ints
     (dtype=object) in an exact Gaussian-integer set and float64 otherwise.
 
-    LineSet(dim, vectors, provenance) builds a set from CVectors, exact iff
-    every entry is; LineSet.from_parts copies an array.  .vectors is a view
-    built on first use; only the CLI's fiducial reader reads it.
+    LineSet(dim, vectors, provenance) stacks the rows of CVectors (see
+    CVector), exact iff every vector is; LineSet.from_parts copies an array.
+    .vectors, built on first use, holds one CVector per line whose row is a
+    view into parts; no Scalar is made until a vector's .entries is read.
     """
 
     def __init__(self, dim: int, vectors, provenance: dict | None = None):
         if any(v.dim != dim for v in vectors):
             raise DimensionMismatch("all vectors must share the set dimension")
-        exact = all(e.exact for v in vectors for e in v.entries)
-        parts = np.array([[e.re for v in vectors for e in v.entries],
-                          [e.im for v in vectors for e in v.entries]],
-                         dtype=object if exact else float)
-        self._own(parts.reshape(2, len(vectors), dim), provenance)
+        exact = all(v.exact for v in vectors)  # a float set floats its exact rows
+        parts = np.array([v._row for v in vectors], dtype=object if exact else float)
+        self._own(parts.reshape(len(vectors), 2, dim).transpose(1, 0, 2), provenance)
 
     @classmethod
     def from_parts(cls, parts, provenance: dict | None = None) -> "LineSet":
@@ -162,18 +233,12 @@ class LineSet:
 
     @property
     def vectors(self) -> tuple[CVector, ...]:
-        """The lines as CVectors; equal entries share one Scalar."""
+        """The lines as CVectors backed by rows of parts; equal entries share
+        one Scalar of the set's pool."""
         if self._vectors is None:
-            flat = self._parts.reshape(2, -1)
-            # a float is keyed by its bits, so 0.0 and -0.0 stay apart
-            re, im = (np.unique(part, return_inverse=True)[1]
-                      for part in (flat if self.exact else flat.view(np.uint64)))
-            _, first, inverse = np.unique(re * flat.shape[1] + im, return_index=True,
-                                          return_inverse=True)
-            pool = np.array([Scalar(*value, self.exact) for value in zip(*flat[:, first].tolist())]
-                            + [None])  # an object array, even when empty
-            rows = pool[inverse].reshape(len(self), self.dim)
-            self._vectors = tuple(CVector(tuple(row)) for row in rows)
+            pool: dict = {}
+            self._vectors = tuple(CVector._of_row(row, pool)
+                                  for row in self._parts.transpose(1, 0, 2))
         return self._vectors
 
     def to_matrix(self) -> np.ndarray:
@@ -233,8 +298,12 @@ def _stack(sets) -> np.ndarray:
     parts = np.stack([s.parts for s in sets], axis=1)  # object if any set is exact
     if not all(s.exact for s in sets):  # float the whole stack, exact sets too
         return _complex(parts)
-    big = max(parts.max(), -parts.min()) if parts.size else 0
-    return parts.astype(np.int64) if 4 * parts.shape[3]**3 * big**4 <= 2**63 - 1 else parts
+    try:  # one cast, which also finds M
+        ints = parts.astype(np.int64)
+    except OverflowError:  # a part past int64, so past the bound too
+        return parts
+    big = max(int(ints.max()), -int(ints.min())) if ints.size else 0
+    return ints if 4 * parts.shape[3]**3 * big**4 <= 2**63 - 1 else parts
 
 
 def _self_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -622,7 +691,7 @@ def _float_table(rows: list) -> str | None:
     """The JSON text of rows if it is a table of _table_entries with nonempty
     rows and at least _TABLE_MIN entries, all floats; None otherwise.
     json.dumps sees each distinct float once, keyed by its bits as in
-    LineSet.vectors, so 0.0 and -0.0 stay apart."""
+    CVector.entries, so 0.0 and -0.0 stay apart."""
     try:  # an int table goes back before any pass over it
         if type(rows[0][0][0]) is not float:
             return None

@@ -406,6 +406,30 @@ def test_a_bad_construct_permutation_exits_without_numpy(tmp_path, argv, message
     assert "numpy" not in modules
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "c1", "--d", "5", "--rds", "builtin:4"),
+    ("construct", "c1", "--d", "5", "--rds", "builtin:4", "--perm", "1,3,4,2", "--v", "1"),
+    ("construct", "c3", "--d", "3", "--rds", "builtin:4", "--perm", "1,3,4,2"),
+])
+def test_a_d_that_conflicts_with_the_rds_exits_without_numpy(tmp_path, argv):
+    proc, modules = fresh_process(tmp_path, *argv)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --d {} conflicts with --rds builtin:4, an RDS of d = 4\n".format(
+        argv[argv.index("--d") + 1])
+    assert proc.stdout == ""
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("command, options", [
+    (("search", "c1"), ("--rds", "builtin:4")),
+    (("construct", "c1"), ("--rds", "builtin:4", "--perm", "1,3,4,2", "--v", "sqrt(2+sqrt(5))")),
+])
+def test_a_d_that_agrees_with_the_rds_changes_nothing(tmp_path, command, options):
+    proc, _ = fresh_process(tmp_path, *command, "--d", "4", *options)
+    assert proc.returncode == 0
+    assert proc.stdout == fresh_process(tmp_path, *command, *options)[0].stdout
+
+
 def test_verify_loads_no_construction_module(tmp_path):
     from mublines.constructions import construction3_d4_extension
 

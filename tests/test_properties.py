@@ -296,6 +296,112 @@ def test_lineset_rebuilt_from_its_view_has_the_same_array(lines):
         assert again.parts.tobytes() == lines.parts.tobytes()
 
 
+#: float parts with the values whose bits a float comparison loses
+edge_floats = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def raw_sets(draw, nan=True):
+    """The parts of 0..5 vectors in C^d, d in 0..4: float64 ones with signed
+    zeros, NaNs and infinities, or Python ints reaching past int64."""
+    n, d = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        part = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+        flat = draw(st.lists(part, min_size=2 * n * d, max_size=2 * n * d))
+        return LineSet.from_parts(np.array(flat, dtype=object).reshape(2, n, d))
+    part = edge_floats if nan else edge_floats.filter(lambda x: not math.isnan(x))
+    flat = draw(st.lists(part, min_size=2 * n * d, max_size=2 * n * d))
+    return LineSet.from_parts(np.array(flat, dtype=float).reshape(2, n, d))
+
+
+def scalar_backed(vector):
+    """The vector rebuilt entry by entry from fresh Scalars."""
+    return CVector(tuple(Scalar(z.re, z.im, z.exact) for z in vector.entries))
+
+
+def same_bits(a, b):
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_sets())
+def test_lineset_rebuilt_from_its_rows_or_its_scalars_has_the_same_array(lines):
+    for vectors in (lines.vectors, tuple(map(scalar_backed, lines.vectors))):
+        again = LineSet(lines.dim, vectors)
+        assert again.parts.shape == lines.parts.shape
+        if not lines.parts.size:  # exact iff every entry is: vacuously
+            assert again.exact
+        elif lines.exact:
+            assert again.exact and again.parts.tolist() == lines.parts.tolist()
+        else:  # bit for bit: signed zeros, NaNs and infinities included
+            assert not again.exact and again.parts.tobytes() == lines.parts.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_sets())
+def test_a_row_backed_vector_reads_as_its_scalars_do(lines):
+    with np.errstate(all="ignore"):  # inf * 0 in a float norm: nan either way
+        for row_backed in lines.vectors:
+            scalars = scalar_backed(row_backed)
+            assert row_backed.dim == scalars.dim == lines.dim
+            assert row_backed.exact == scalars.exact == (lines.exact or not lines.dim)
+            assert row_backed.is_zero() == scalars.is_zero()
+            assert same_bits(row_backed.to_array(), scalars.to_array())
+            if lines.exact:
+                assert row_backed.norm2() == scalars.norm2()
+                assert type(row_backed.norm2()) is int
+            else:
+                assert same_bits(row_backed.norm2(), scalars.norm2())
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_sets(nan=False))
+def test_row_backed_and_scalar_backed_vectors_compare_and_hash_alike(lines):
+    # NaN is left out: Scalar(nan, 0.0) equals no other Scalar
+    for row_backed in lines.vectors:
+        scalars = scalar_backed(row_backed)
+        assert row_backed == scalars and scalars == row_backed
+        assert hash(row_backed) == hash(scalars)
+        assert repr(row_backed) == repr(scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(edge_floats, edge_floats), max_size=6), st.booleans())
+def test_make_of_a_complex_or_float_array_is_make_of_its_entries(pairs, real):
+    values = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    if real:
+        values = values.real.copy()
+    made = CVector.make(values)
+    per_entry = CVector(tuple(Scalar.coerce(x) for x in values))
+    assert same_bits([(z.re, z.im) for z in made.entries],
+                     [(z.re, z.im) for z in per_entry.entries])
+    assert made.exact == per_entry.exact == (not len(values))  # exact: vacuously
+    assert made.dim == per_entry.dim == len(values)
+    assert same_bits(made.to_array(), per_entry.to_array())
+    if not np.isnan(values).any():
+        assert made == per_entry and hash(made) == hash(per_entry)
+    values[...] = 7  # make copied the array
+    assert same_bits(made.to_array(), per_entry.to_array())
+
+
+@pytest.mark.parametrize("values", [np.arange(3), np.zeros((2, 2)), np.zeros((2, 2), complex),
+                                    np.zeros(2, np.float32)], ids=["int", "2-D", "2-D complex",
+                                                                  "float32"])
+def test_make_refuses_the_arrays_it_refused_before(values):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        CVector.make(values)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, np.int64(2)], ids=["float", "bool", "int64"])
+def test_an_exact_scalar_holding_no_python_int_cannot_enter_a_set(bad):
+    with pytest.raises(ValueError, match="Python ints"):
+        LineSet(2, (CVector((Scalar.gauss(1), Scalar(bad, 0, True))),))
+    with pytest.raises(ValueError, match="Python ints"):  # next to a row-backed vector
+        LineSet(2, (LineSet.from_parts(np.array([[[1, 0]], [[0, 0]]], dtype=object)).vectors[0],
+                    CVector((Scalar.gauss(1), Scalar(bad, 0, True)))))
+
+
 # --- scaled entries against Scalar.__mul__ ----------------------------------
 
 
