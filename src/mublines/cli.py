@@ -117,9 +117,7 @@ def cmd_mubs(args) -> int:
 def _rds(args):
     """The RelativeDifferenceSet of --rds, or of builtin:<--d> (d = 4 when
     neither is given); CliError if --d and --rds name different d."""
-    if not args.rds:
-        return _resolve_rds(f"builtin:{4 if args.d is None else args.d}")
-    rds = _resolve_rds(args.rds)
+    rds = _resolve_rds(args.rds or f"builtin:{4 if args.d is None else args.d}")
     if args.d is not None and args.d != len(rds.elements):
         raise CliError(f"--d {args.d} conflicts with --rds {args.rds}, "
                        f"an RDS of d = {len(rds.elements)}")
