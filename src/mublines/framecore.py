@@ -64,29 +64,30 @@ class NonUnitPhase(ValueError):
 
 
 class CVector:
-    """A vector of C^d in one of two forms, the other derived on first use:
-    its entries, a tuple of Scalars, or its row, a read-only (2, d) array of
-    the real and imaginary parts, Python ints (dtype=object) when every
-    entry is exact and float64 otherwise.
+    """A vector of C^d, held as its row: a read-only (2, d) array of the real
+    and imaginary parts, Python ints (dtype=object) when every entry is exact
+    and float64 otherwise.  dim, exact, is_zero, norm2 and to_array read it.
 
-    CVector(entries) holds entries.  LineSet.vectors holds rows, views into
-    the set's parts, and CVector.make of a 1-D complex or float ndarray
-    holds a row of its own; such a vector makes its Scalars only when
-    .entries is read, from one pool per set (per vector for make), so equal
-    entries share one Scalar.  dim, exact, is_zero, norm2 and to_array read
-    the row when there is one; equality, hashing and repr are those of the
-    entries.
+    CVector(entries) builds the row from its Scalars and keeps them.
+    LineSet.vectors gives rows that are views into the set's parts, and
+    CVector.make of a 1-D complex or float ndarray a row of its own; such a
+    vector makes its Scalars only when .entries is read, from one pool per
+    set (per vector for make), so equal entries share one Scalar.  Equality,
+    hashing and repr are those of the entries.
     """
 
-    __slots__ = ("_entries", "_parts", "_pool")
+    __slots__ = ("_row", "_entries", "_pool")
 
     def __init__(self, entries: tuple[Scalar, ...]):
-        self._entries, self._parts, self._pool = entries, None, None
+        row = np.array([[e.re for e in entries], [e.im for e in entries]],
+                       dtype=object if all(e.exact for e in entries) else float)
+        row.flags.writeable = False
+        self._row, self._entries, self._pool = row, entries, None
 
     @classmethod
     def _of_row(cls, row: np.ndarray, pool: dict) -> "CVector":
         vector = cls.__new__(cls)
-        vector._entries, vector._parts, vector._pool = None, row, pool
+        vector._row, vector._entries, vector._pool = row, None, pool
         return vector
 
     @staticmethod
@@ -105,7 +106,7 @@ class CVector:
     @property
     def entries(self) -> tuple[Scalar, ...]:
         if self._entries is None:
-            row, pool = self._parts, self._pool
+            row, pool = self._row, self._pool
             exact = row.dtype == object
             # a float is keyed by its bits, so 0.0 and -0.0 stay apart
             keys = list(zip(*(row if exact else row.view(np.uint64)).tolist()))
@@ -114,16 +115,6 @@ class CVector:
                     pool[key] = Scalar(*value, exact)
             self._entries = tuple(map(pool.__getitem__, keys))
         return self._entries
-
-    @property
-    def _row(self) -> np.ndarray:
-        if self._parts is None:
-            entries = self._entries
-            row = np.array([[e.re for e in entries], [e.im for e in entries]],
-                           dtype=object if all(e.exact for e in entries) else float)
-            row.flags.writeable = False
-            self._parts = row
-        return self._parts
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -138,36 +129,27 @@ class CVector:
 
     @property
     def dim(self) -> int:
-        return len(self._entries) if self._parts is None else self._parts.shape[1]
+        return self._row.shape[1]
 
     @property
     def exact(self) -> bool:
-        if self._parts is None:
-            return all(e.exact for e in self._entries)
-        return self._parts.dtype == object or not self._parts.size  # no entry: vacuously
+        return self._row.dtype == object or not self._row.size  # no entry: vacuously
 
     def is_zero(self) -> bool:
-        if self._parts is None:
-            return all(e.is_zero() for e in self._entries)
-        return not self._parts.any()
+        return not self._row.any()
 
     def norm2(self):
         """Squared norm; an int on the exact path."""
-        if self._parts is None:
-            squares = [e.abs2() for e in self._entries]
-        else:
-            re, im = self._parts
-            with np.errstate(over="ignore"):  # inf, as Scalar.abs2 gives it
-                squares = (re * re + im * im).tolist()
+        re, im = self._row
+        with np.errstate(over="ignore"):  # inf, as Scalar.abs2 gives it
+            squares = (re * re + im * im).tolist()
         total = 0
         for square in squares:  # in order, as the float sum rounds
             total = total + square
         return total
 
     def to_array(self) -> np.ndarray:
-        if self._parts is None:
-            return np.array([e.to_complex() for e in self._entries], dtype=complex)
-        return _complex(self._parts)
+        return _complex(self._row)
 
 
 def inner(x: CVector, y: CVector) -> Scalar:
