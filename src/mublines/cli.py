@@ -5,9 +5,9 @@ Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
 
 Each command imports the library modules it runs, and only once its input
 has been read and checked: `bounds`, a missing file, an unsupported RDS, a
-`--d` that differs from the d of `--rds` and a `construct` permutation that
-does not fit d exit before numpy loads (for a builtin RDS), and `verify`
-loads framecore alone.
+`--d` that differs from the d of `--rds`, a `construct` permutation that
+does not fit d and a `construct` option that its kind does not read exit
+before numpy loads (for a builtin RDS), and `verify` loads framecore alone.
 """
 
 from __future__ import annotations
@@ -131,13 +131,21 @@ def _family(rds):
     return constructions.mubs_from_rds(rds)
 
 
+#: the options of `construct` that each kind reads; any other one given
+#: exits 2, as it would change nothing
+_READS = {
+    "c1": {"d", "rds", "perm", "v"},
+    "c2": {"a"},
+    "c3": {"d", "rds", "perm", "a", "b", "variant"},
+    "c3ext": set(),
+    "hoggar": set(),
+    "wh": {"fiducial"},
+}
+
+
 def _build_lines(args):
     """The LineSet of `construct <kind>`, or of `wh`."""
     kind = args.kind
-    if kind == "wh":
-        from . import weylheisenberg
-
-        return weylheisenberg.wh_orbit(_resolve_fiducial(args.fiducial))
     if kind in ("c1", "c3"):
         # the permutation is checked before numpy loads: its length d is the
         # number of RDS elements, d for a (d, d, d, 1)-RDS
@@ -149,6 +157,17 @@ def _build_lines(args):
             raise CliError("construct c3 takes both --a and --b, or neither")
         perm = _parse_perm(args.perm)
         _columns(perm, len(rds.elements))
+    # after the kind's own checks, which name a bad permutation first
+    unread = sorted(name for name in set().union(*_READS.values()) - _READS[kind]
+                    if getattr(args, name, None) is not None)
+    if unread:
+        raise CliError(f"construct {kind} does not read "
+                       + ", ".join(f"--{name}" for name in unread))
+    if kind == "wh":
+        from . import weylheisenberg
+
+        return weylheisenberg.wh_orbit(_resolve_fiducial(args.fiducial))
+    if kind in ("c1", "c3"):
         family = _family(rds)
     from . import constructions
 
@@ -164,7 +183,7 @@ def _build_lines(args):
             a, b = constructions.construction3_solve(family.dim)[0]
         else:
             a, b = args.a, args.b
-        spec = constructions.BlockPairSpec(perm, a, b, args.variant)
+        spec = constructions.BlockPairSpec(perm, a, b, args.variant or "default")
         return constructions.construction3_pair(family, spec)
     if kind == "c3ext":
         return constructions.construction3_d4_extension()
@@ -274,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", default=None, help='e.g. "sqrt(2+sqrt(5))"')
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--variant", choices=["default", "i-twist"],
-                   default="default")
+    p.add_argument("--variant", choices=["default", "i-twist"], default=None)
     p.add_argument("--fiducial", default=None)
     p.set_defaults(func=cmd_construct)
 

@@ -292,6 +292,7 @@ def _pair_masks(x, y, nx, ny, values, bound: float) -> list[list[int]]:
     w = np.abs(values) ** 2 - 1  # |v|^2 - 1
     g = x @ y.conj().T
     t = x.T[:, :, None] * y.conj().T[:, None, :]  # (p, a, b): x[a, p] conj(y[b, p])
+    x2, y2 = np.abs(x.T) ** 2, np.abs(y.T) ** 2  # (p, a): |x[a, p]|^2
     ok = np.empty((len(values), d, d), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero norms read NaN
         for vs, ps in _chunks(len(values), d, d ** 3):
@@ -300,10 +301,11 @@ def _pair_masks(x, y, nx, ny, values, bound: float) -> list[list[int]]:
             # indexed (v, p, q, a, b)
             inner = g + vm1 * t[ps, None] + vm1.conj() * t[None, :]
             # (v, p, a): the norm of vector a with column p scaled by v
-            xn = np.sqrt(nx + w[vs, None, None] * np.abs(x.T[ps]) ** 2)
-            yn = np.sqrt(ny + w[vs, None, None] * np.abs(y.T) ** 2)
-            cos = np.abs(inner) / (xn[:, :, None, :, None] * yn[:, None, :, None, :])
-            ok[vs, ps] = ~(cos.max(axis=(3, 4)) - cos.min(axis=(3, 4)) > bound)
+            xn = np.sqrt(nx + w[vs, None, None] * x2[ps])
+            yn = np.sqrt(ny + w[vs, None, None] * y2)
+            cos = np.abs(inner)
+            cos /= xn[:, :, None, :, None] * yn[:, None, :, None, :]
+            ok[vs, ps] = ~(np.ptp(cos.reshape(*cos.shape[:3], -1), axis=3) > bound)
     bits = np.packbits(ok, axis=0, bitorder="little")
     return [[int.from_bytes(bits[:, p, q].tobytes(), "little") for q in range(d)]
             for p in range(d)]

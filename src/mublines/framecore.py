@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -345,12 +344,20 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
         return _float_reports(lines.parts[:, None], tol)[0]
     (mag,), (norms,) = _self_grams(_stack([lines]))
     upper = ~np.tri(m, dtype=bool)  # the pairs j < k
-    counts: Counter[Fraction] = Counter()
-    # Python ints: Fraction cross-multiplies, which could wrap in int64
-    for (num, den), count in Counter(
-            zip(mag[upper].tolist(), np.outer(norms, norms)[upper].tolist())).items():
-        counts[Fraction(num, den)] += count
-    clusters = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
+    # each pair's |<x, y>|^2 / (|x|^2 |y|^2) in lowest terms, so that equal
+    # values have equal (num, den), grouped by one sort; the same calls run
+    # on int64 parts (no product here exceeds _stack's bound) and on Python
+    # ints.  Only the distinct values become Fractions, which compare by
+    # cross-multiplying, so no int64 product decides their order
+    num, den = mag[upper], np.outer(norms, norms)[upper]
+    common = np.gcd(num, den)  # den > 0: no zero vector
+    num, den = num // common, den // common
+    order = np.lexsort((num, den))
+    num, den = num[order], den[order]
+    first = np.concatenate(([True], (num[1:] != num[:-1]) | (den[1:] != den[:-1])))
+    sizes = np.diff(np.append(np.flatnonzero(first), len(num))).tolist()
+    keys = map(Fraction, num[first].tolist(), den[first].tolist())
+    clusters = tuple((math.sqrt(float(key)), size) for key, size in sorted(zip(keys, sizes)))
     return _report(tuple(map(_exact_norm, norms.tolist())), clusters)
 
 
@@ -376,17 +383,31 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     """gram_analyze of each float set of a stack, parts (2, S, m, d) with
     m >= 2: one Gram of the stack (_self_grams), then the normalized values
     of each set clustered by transitive closure, its sorted row split at
-    gaps > tol.  Each cluster's mean is taken from its own 1-D slice, whose
-    rounding a row-wise mean over the stack does not reproduce."""
+    gaps > tol.  One comparison over the stack finds the gaps, and only a
+    set with one finds where they are.  A cluster's mean is the sum of its
+    values over its size.  The sets with one cluster take their sums from
+    one row-wise sum of their rows, which sums each C-contiguous row as
+    numpy sums that row alone, bit for bit
+    (test_row_sums_of_a_stack_are_the_sums_of_its_rows); a set with gaps
+    sums each cluster's own 1-D slice."""
     m = parts.shape[2]
     mag, norms = _self_grams(_complex(parts))
     np.divide(mag, norms[:, :, None] * norms[:, None, :], out=mag)  # mag is ours
     upper = np.broadcast_to(~np.tri(m, dtype=bool), mag.shape)  # each set's pairs j < k
     order = np.sort(mag[upper].reshape(len(mag), -1), axis=1)
+    size = order.shape[1]
+    gaps = np.diff(order, axis=1) > tol
+    single = ~gaps.any(axis=1)
+    totals = iter(order[single].sum(axis=1).tolist())
+    spreads = (order[:, -1] - order[:, 0]).tolist()
     reports = []
-    for row, norm, spread in zip(order, norms.tolist(), (order[:, -1] - order[:, 0]).tolist()):
-        cut = [0, *(np.flatnonzero(np.diff(row) > tol) + 1).tolist(), len(row)]
-        clusters = tuple((float(row[a:b].sum()) / (b - a), b - a) for a, b in zip(cut, cut[1:]))
+    for s, (norm, spread, one) in enumerate(zip(norms.tolist(), spreads, single.tolist())):
+        if one:
+            clusters = ((next(totals) / size, size),)
+        else:
+            row, cut = order[s], [0, *(np.flatnonzero(gaps[s]) + 1).tolist(), size]
+            clusters = tuple((float(row[a:b].sum()) / (b - a), b - a)
+                             for a, b in zip(cut, cut[1:]))
         reports.append(_report(tuple(norm), clusters, spread, tol))
     return reports
 

@@ -113,6 +113,8 @@ def _indices(values) -> list[int] | None:
     and no float, which numpy refuses as an index even when integral; None
     otherwise (a bool, a string, 1.0, 1.5)."""
     values = list(values)
+    if set(map(type, values)) <= {int}:  # as in _ints: a bool's type is bool
+        return values
     try:
         ints = _ints(values, "indices")
     except ValueError:

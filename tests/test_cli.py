@@ -406,6 +406,28 @@ def test_a_bad_construct_permutation_exits_without_numpy(tmp_path, argv, message
     assert "numpy" not in modules
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (("construct", "c2", "--b", "5", "--perm", "9,9"), "c2 does not read --b, --perm"),
+    (("construct", "hoggar", "--perm", "1,2"), "hoggar does not read --perm"),
+    (("construct", "c3ext", "--v", "7", "--a", "3"), "c3ext does not read --a, --v"),
+    (("construct", "wh", "--perm", "1,2"), "wh does not read --perm"),
+    (("construct", "c2", "--d", "4", "--rds", "builtin:4"), "c2 does not read --d, --rds"),
+    (("construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", "1", "--fiducial", "x"),
+     "c1 does not read --fiducial"),
+    (("construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", "1", "--variant", "default"),
+     "c1 does not read --variant"),
+])
+def test_an_option_the_kind_does_not_read_exits_2_without_numpy(tmp_path, argv, unread):
+    proc, modules = fresh_process(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: construct {unread}\n")
+    assert "numpy" not in modules
+
+
+def test_construct_c3_variant_default_is_the_default(capsys):
+    argv = ("construct", "c3", "--d", "4", "--perm", "1,3,4,2", "--a", "2", "--b", "1")
+    assert run(capsys, *argv, "--variant", "default") == run(capsys, *argv)
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "c1", "--d", "5", "--rds", "builtin:4"),
     ("construct", "c1", "--d", "5", "--rds", "builtin:4", "--perm", "1,3,4,2", "--v", "1"),

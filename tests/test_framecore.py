@@ -29,7 +29,7 @@ from mublines.framecore import (
     special_bound_f,
     verify_mubs,
 )
-from mublines.scalars import Scalar, _ints
+from mublines.scalars import Scalar, _indices, _ints
 
 
 def basis_lineset(rows):
@@ -183,6 +183,15 @@ def test_entry_permutation_refuses_non_indices(perm):
     # the rule of scalars._columns: integers by _ints, and no floats
     with pytest.raises(ValueError, match="not a permutation of the entry indices"):
         apply_equivalence(fixtures.sixteen_lines_d4(), EntryPermutation(perm))
+
+
+@pytest.mark.parametrize("values, want", [
+    ([3, 0, 2], [3, 0, 2]), ([np.int64(3), 0], [3, 0]), ([], []),
+    ([1.0, 0], None), ([True, 0], None), (["1", 0], None), ([1.5], None)])
+def test_indices_reads_integers_and_refuses_floats_bools_and_strings(values, want):
+    got = _indices(values)
+    assert got == want
+    assert got is None or all(type(x) is int for x in got)
 
 
 def test_equivalence_exact_path_with_gaussian_units():

@@ -45,6 +45,7 @@ from mublines.framecore import (
     _block_rows,
     _encode,
     _exact_norm,
+    _float_reports,
     _float_table,
     _perfect_matching,
     _self_grams,
@@ -124,6 +125,58 @@ def test_exact_clusters_count_each_rational_value(lines):
     counts = Counter(Fraction(inner(x, y).abs2(), x.norm2() * y.norm2()) for x, y in pairs)
     want = tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
     assert gram_analyze(lines).angle_clusters == want
+
+
+def fraction_clusters(lines):
+    """The exact clusters of a set from a Counter of Fractions over its
+    pairs, one Python-int inner product at a time."""
+    pairs = itertools.combinations(lines.vectors, 2)
+    counts = Counter(Fraction(inner(x, y).abs2(), x.norm2() * y.norm2()) for x, y in pairs)
+    return tuple((math.sqrt(float(key)), counts[key]) for key in sorted(counts))
+
+
+@st.composite
+def multiples(draw, bound):
+    """2..8 vectors c u in Z[i]^d, d in 1..4: each a nonzero Gaussian
+    multiple c, parts up to bound, of one of 1..3 short vectors u with parts
+    in -1..1.  Multiples of one u share their values at unequal norms, so
+    equal values have unequal (num, den) until reduced, and orthogonal u
+    give inner products 0."""
+    d = draw(st.integers(1, 4))
+    short = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=d, max_size=d)
+    us = draw(st.lists(short.filter(lambda u: any(a or b for a, b in u)), min_size=1, max_size=3))
+    part = st.integers(-bound, bound)
+    vectors = []
+    for _ in range(draw(st.integers(2, 8))):
+        u = draw(st.sampled_from(us))
+        c, s = draw(st.tuples(part, part).filter(lambda c: c != (0, 0)))
+        vectors.append(CVector.gauss([(c * a - s * b, c * b + s * a) for a, b in u]))
+    return LineSet(d, tuple(vectors))
+
+
+def shared_values(scale):
+    """Five vectors of C^2 with unequal norms: e1 and its multiples 2 and 3i
+    share the value 1, e2 is orthogonal to them, and (1 + i, 1 - i) meets
+    each at 1/2; vector k is scaled by scale * (k + 1)."""
+    rows = ([(1, 0), (0, 0)], [(0, 0), (1, 0)], [(2, 0), (0, 0)], [(0, 3), (0, 0)],
+            [(1, 1), (1, -1)])
+    return LineSet(2, tuple(CVector.gauss([(scale * (k + 1) * a, scale * (k + 1) * b)
+                                           for a, b in row]) for k, row in enumerate(rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(multiples(bound=3), multiples(bound=2**10), multiples(bound=2**70)))
+@example(shared_values(1))
+@example(shared_values(2**70))
+def test_exact_clusters_group_equal_values_of_unequal_norms(lines):
+    assert gram_analyze(lines).angle_clusters == fraction_clusters(lines)
+
+
+def test_the_exact_examples_reach_both_paths():
+    small, big = shared_values(1), shared_values(2**70)
+    assert _stack([small]).dtype == np.int64 and _stack([big]).dtype == object
+    for lines in (small, big):
+        assert gram_analyze(lines).angle_clusters == ((0.0, 3), (math.sqrt(0.5), 4), (1.0, 3))
 
 
 # --- the float analysis against its per-set form ---------------------------
@@ -228,6 +281,63 @@ def test_the_float_examples_reach_each_case():
         per_set_float_report(float_set([(1, 0), (1e160, 1e160), (1, 1)]), DEFAULT_TOL)
     big = per_set_float_report(float_set([(1, 0), (1e150, 1e150), (1, 1)]), DEFAULT_TOL)
     assert big.norms[1] > 1e150
+
+
+@pytest.mark.parametrize("shape", [(4096, 6), (256, 120), (104, 300), (64, 2016), (1, 461_280)])
+def test_row_sums_of_a_stack_are_the_sums_of_its_rows(shape):
+    # _float_reports takes a one-cluster set's sum from one row-wise sum of
+    # its stack, and a cluster of a set with cuts from its own slice
+    order = np.sort(np.random.default_rng(sum(shape)).random(shape), axis=1)
+    assert order.sum(axis=1).tobytes() == np.array([row.sum() for row in order]).tobytes()
+
+
+@st.composite
+def float_stacks(draw):
+    """The parts (2, S, n, d) of 1..6 float sets of n in 2..8 nonzero
+    vectors in C^d, d in 1..4.  A set is either on a coarse grid, jittered
+    or not (tied values, several clusters), or n real multiples of one
+    vector (one cluster, its values 1 up to rounding)."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+    size = 2 * n * d
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            grid = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                                 min_size=size, max_size=size))
+            noise = draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
+            jitter = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+            sets.append((np.array(grid) + jitter * np.array(noise)).reshape(2, n, d))
+        else:
+            vector = draw(st.lists(st.sampled_from([-1.0, 0.5, 1.0, 2.0]),
+                                   min_size=2 * d, max_size=2 * d))
+            scales = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]),
+                                   min_size=n, max_size=n))
+            sets.append(np.reshape(vector, (2, 1, d)) * np.reshape(scales, (1, n, 1)))
+    parts = np.stack(sets, axis=1)
+    assume(parts.any(axis=(0, 3)).all())  # no zero vector
+    return parts
+
+
+#: the float union of the d = 4 MUBs (two clusters of tied values, 0 and
+#: 1/2) and a Construction 1 hit (one cluster), stacked
+MIXED = np.stack([MUBS4.parts, l_block(mubs_from_rds(builtin_rds(4)), ScalingSpec(
+    (1, 3, 4, 2), Scalar.from_complex(math.sqrt(2 + math.sqrt(5))))).parts, MUBS4.parts], axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_stacks(), st.sampled_from([0.0, DEFAULT_TOL, 1e-3, 0.06, 0.3]))
+@example(MIXED, DEFAULT_TOL)
+@example(MIXED, 0.0)
+def test_a_stacks_float_reports_are_its_sets_own_reports(parts, tol):
+    want = [per_set_float_report(LineSet.from_parts(parts[:, s]), tol)
+            for s in range(parts.shape[1])]
+    # bit for bit: a float's repr gives it back exactly, the sign of a zero too
+    assert repr(_float_reports(parts, tol)) == repr(want)
+
+
+def test_the_mixed_stack_has_one_and_several_clusters():
+    counts = [len(report.angle_clusters) for report in _float_reports(MIXED, DEFAULT_TOL)]
+    assert counts == [2, 1, 2]
 
 
 # --- the line-set array against its CVector view ----------------------------

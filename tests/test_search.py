@@ -1,20 +1,23 @@
 """c1_search against the exhaustive loop it replaced, kept here as the
 reference: every permutation and every candidate v, each certified by
-l_block + gram_analyze."""
+l_block + gram_analyze; and its pair masks against a loop over the
+candidates and column pairs that scales the bases themselves."""
 
 import cmath
 import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mublines.abelian import builtin_rds
 from mublines.constructions import (
     MubFamily,
     ScalingSpec,
+    _pair_masks,
     c1_magnitudes,
     c1_search,
     l_block,
@@ -155,3 +158,79 @@ def test_c1_search_memory_does_not_grow_with_the_survivors():
         tracemalloc.stop()
     assert len(hits) == 9440
     assert peak < 32 * 2**20
+
+
+def loop_spreads(x, y, values):
+    """spreads[i, p, q]: the range of the normalized magnitudes of the cross
+    block of bases x and y (x[a, l]: entry l of vector a) once column p of x
+    and column q of y are multiplied by values[i], one block at a time; NaN
+    where a vector has norm 0."""
+    d = len(x)
+    spreads = np.empty((len(values), d, d))
+    for i, v in enumerate(values):
+        for p in range(d):
+            for q in range(d):
+                xs, ys = x.copy(), y.copy()
+                xs[:, p] *= v
+                ys[:, q] *= v
+                norms = np.outer(np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cos = np.abs(xs @ ys.conj().T) / norms
+                spreads[i, p, q] = cos.max() - cos.min()  # NaN if one is
+    return spreads
+
+
+def off_diagonal(masks):
+    """The masks[p][q] with p != q, the only ones c1_search reads: a
+    permutation scales a different column in each basis."""
+    return [[mask for q, mask in enumerate(row) if q != p] for p, row in enumerate(masks)]
+
+
+def masks_of(spreads, bound):
+    """off_diagonal of masks[p][q], bit i set unless spreads[i, p, q] >
+    bound: a NaN keeps its bit."""
+    keep = ~(spreads > bound)
+    return off_diagonal([[sum(1 << i for i in np.flatnonzero(keep[:, p, q]).tolist())
+                          for q in range(keep.shape[2])] for p in range(keep.shape[1])])
+
+
+def squared_norms(x):
+    return (np.abs(x) ** 2).sum(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 10), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-8, 0.05, 0.2, 0.5]), st.booleans())
+def test_pair_masks_equal_a_loop_over_candidates_and_columns(d, count, seed, bound, zero):
+    # random orthonormal bases and candidates; with zero, one vector of x
+    # has norm 0, so every block reads NaN and keeps every bit
+    rng = np.random.default_rng(seed)
+    x, y = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            for _ in range(2))
+    if zero:
+        x[rng.integers(d)] = 0
+    values = 2 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+    spreads = loop_spreads(x, y, values)
+    # the two compute each magnitude in a different order, so a spread
+    # within rounding of the bound may fall on either side
+    assume(not (np.abs(spreads[:, ~np.eye(d, dtype=bool)] - bound) < 1e-9).any())
+    masks = off_diagonal(_pair_masks(x, y, squared_norms(x), squared_norms(y), values, bound))
+    assert masks == masks_of(spreads, bound)
+    if zero:
+        assert masks == [[(1 << count) - 1] * (d - 1)] * d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pair_masks_of_a_family_equal_the_loop(d):
+    # the candidates of c1_search at 8 roots on the builtin family, whose
+    # spreads are 0 up to rounding wherever a column pair admits v; at d = 5
+    # none does, so the search ends at its first basis pair
+    x, y = (b.to_matrix() for b in FAMILIES[d].bases[:2])
+    values = np.array([cmath.exp(2j * cmath.pi * p / 8) * mag
+                       for mag in c1_magnitudes(d) for p in range(8)])
+    bound = 10 * DEFAULT_TOL + 1e-12
+    spreads = loop_spreads(x, y, values)
+    assert not (np.abs(spreads[:, ~np.eye(d, dtype=bool)] - bound) < 1e-9).any()
+    masks = off_diagonal(_pair_masks(x, y, squared_norms(x), squared_norms(y), values, bound))
+    assert masks == masks_of(spreads, bound)
+    assert any(any(row) for row in masks) == (d < 5)
