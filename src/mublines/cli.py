@@ -6,8 +6,9 @@ Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
 Each command imports the library modules it runs, and only once its input
 has been read and checked: `bounds`, a missing file, an unsupported RDS, a
 `--d` that differs from the d of `--rds`, a `construct` permutation that
-does not fit d and a `construct` option that its kind does not read exit
-before numpy loads (for a builtin RDS), and `verify` loads framecore alone.
+does not fit d and an option that its command (or `construct` kind) does
+not read exit before numpy loads (for a builtin RDS), and `verify` loads
+framecore alone.
 """
 
 from __future__ import annotations
@@ -131,16 +132,29 @@ def _family(rds):
     return constructions.mubs_from_rds(rds)
 
 
-#: the options of `construct` that each kind reads; any other one given
-#: exits 2, as it would change nothing
+#: the options that each command, and each kind of `construct` (and `wh`),
+#: reads; any other one given exits 2, as it would change nothing
 _READS = {
-    "c1": {"d", "rds", "perm", "v"},
-    "c2": {"a"},
-    "c3": {"d", "rds", "perm", "a", "b", "variant"},
-    "c3ext": set(),
-    "hoggar": set(),
-    "wh": {"fiducial"},
+    "bounds": {"d"},
+    "mubs": {"tol", "out", "rds"},
+    "search": {"tol", "d", "rds"},
+    "verify": {"tol"},
+    "c1": {"tol", "out", "format", "d", "rds", "perm", "v"},
+    "c2": {"tol", "out", "format", "a"},
+    "c3": {"tol", "out", "format", "d", "rds", "perm", "a", "b", "variant"},
+    "c3ext": {"tol", "out", "format"},
+    "hoggar": {"tol", "out", "format"},
+    "wh": {"tol", "out", "format", "fiducial"},
 }
+
+
+def _refuse_unread(args, row: str, what: str) -> None:
+    """CliError naming every option of the table given to args but not read
+    by the row."""
+    unread = sorted(name for name in set().union(*_READS.values()) - _READS[row]
+                    if getattr(args, name, None) is not None)
+    if unread:
+        raise CliError(f"{what} does not read " + ", ".join(f"--{name}" for name in unread))
 
 
 def _build_lines(args):
@@ -157,12 +171,7 @@ def _build_lines(args):
             raise CliError("construct c3 takes both --a and --b, or neither")
         perm = _parse_perm(args.perm)
         _columns(perm, len(rds.elements))
-    # after the kind's own checks, which name a bad permutation first
-    unread = sorted(name for name in set().union(*_READS.values()) - _READS[kind]
-                    if getattr(args, name, None) is not None)
-    if unread:
-        raise CliError(f"construct {kind} does not read "
-                       + ", ".join(f"--{name}" for name in unread))
+    _refuse_unread(args, kind, f"construct {kind}")  # after a bad permutation is named
     if kind == "wh":
         from . import weylheisenberg
 
@@ -275,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mublines",
         description="Construct and verify complex equiangular lines and MUBs",
     )
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    # --tol and --format default to None, read as DEFAULT_TOL and "summary"
+    parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--out", default=None, help="write JSON output here")
-    parser.add_argument("--format", choices=["json", "summary"],
-                        default="summary")
+    parser.add_argument("--format", choices=["json", "summary"], default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mubs", help="build MUBs from a relative difference set")
@@ -325,9 +334,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # an infinite tol would call every set equiangular, a NaN one fail every check
-    if not 0 <= args.tol < math.inf:
+    if args.tol is not None and not 0 <= args.tol < math.inf:
         parser.error(f"argument --tol: must be a finite number >= 0, got {args.tol}")
     try:
+        if args.func is not cmd_construct:  # construct checks after its permutation
+            _refuse_unread(args, args.command, args.command)
+        args.tol = DEFAULT_TOL if args.tol is None else args.tol
+        args.format = args.format or "summary"
         return args.func(args)
     except (CliError, ValueError) as exc:
         # RdsError, InvalidRds, ZeroVectorError, ExpressionError and the Gram's

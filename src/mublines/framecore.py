@@ -1,24 +1,28 @@
 """Complex vectors, line sets, Gram-angle analysis and equivalence moves.
 
-gram_analyze, verify_mubs, constructions.theorem46_predicate and
-constructions.c1_search all read one Gram computation, _self_grams over a
-stack of sets: exact on Gaussian-integer input (the tolerance ignored),
-double precision otherwise.  _stack builds the stack; its exact path runs in
-int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or imaginary part|,
-and in Python ints beyond that bound, so it never overflows.  gram_analyze
-and theorem46_predicate read a one-set stack, _self_grams(_stack([lines])),
-and c1_search its survivors through _float_reports; _report alone says
-"equiangular".  verify_mubs checks the stack of its bases, then each basis
-against all later ones in one block row (_block_rows).  Zero vectors,
-non-finite entries and non-integral gaussian-int JSON entries raise, never
-read as "yes".
+The verifiers read two Gram computations.  _self_grams gives the whole Gram
+of every set of a stack: exact on Gaussian-integer input (the tolerance
+ignored), double precision otherwise.  _stack builds the stack; its exact
+path runs in int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or
+imaginary part|, and in Python ints beyond that bound, so it never
+overflows.  gram_analyze of an exact set, verify_mubs and
+constructions.theorem46_predicate read it: verify_mubs checks the stack of
+its bases, then each basis against all later ones in one block row
+(_block_rows).  _float_reports, behind the float gram_analyze and the
+certifier of constructions.c1_search's survivors, walks a float Gram in row
+tiles of at most _CHUNK entries and never holds it whole.  _report alone
+says "equiangular".  Zero vectors, non-finite entries and non-integral
+gaussian-int JSON entries raise, never read as "yes".
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,9 +42,10 @@ from .scalars import (  # noqa: F401
 
 
 #: entries per tile of a chunked computation, about 1 MB per complex
-#: temporary: lines_equal's candidate pairs, and c1_search's pair-mask
-#: tensors and survivor Grams; the search workload (d <= 5, at most 16
-#: candidates) fits in one
+#: temporary: lines_equal's candidate pairs, c1_search's pair-mask tensors
+#: and survivor stacks, and the row tiles of _float_reports' Gram walk; the
+#: search workload (d <= 5, at most 16 candidates), a 64-line set and a union
+#: of up to 256 lines each fit in one
 _CHUNK = 2**16
 
 #: a float set is equiangular only when its normalized values spread by at
@@ -307,9 +312,13 @@ def _self_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("line set has a non-finite entry")
     else:
         norms = np.sqrt(np.diagonal(mag, axis1=1, axis2=2))
+    _refuse_zero(norms)
+    return mag, norms
+
+
+def _refuse_zero(norms: np.ndarray) -> None:
     if (norms == 0).any():
         raise ZeroVectorError("line sets may not contain the zero vector")
-    return mag, norms
 
 
 def _block(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
@@ -381,24 +390,55 @@ def _exact_norm(n2: int) -> float:
 
 def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     """gram_analyze of each float set of a stack, parts (2, S, m, d) with
-    m >= 2: one Gram of the stack (_self_grams), then the normalized values
-    of each set clustered by transitive closure, its sorted row split at
-    gaps > tol.  One comparison over the stack finds the gaps, and only a
-    set with one finds where they are.  A cluster's mean is the sum of its
-    values over its size.  The sets with one cluster take their sums from
-    one row-wise sum of their rows, which sums each C-contiguous row as
-    numpy sums that row alone, bit for bit
+    m >= 2.  The Gram of the stack is walked in row tiles of at most _CHUNK
+    entries (at least one row), last rows first.  A tile is the product of
+    its rows with every column, so each entry keeps the bits the whole
+    Gram gives it (test_a_gram_of_many_tiles_gives_the_full_grams_report);
+    a product with only some columns does not.  It raises on a non-finite entry, takes its rows' norms from its
+    diagonal and divides by the norms known by then (its rows' and later
+    rows').  Its pairs j < k fill its own run of one (S, m(m - 1)/2) array:
+    those of its square diagonal block (a cached mask), then the block to
+    its right as it stands.  Only their order within the run differs from
+    row-major, and the sort undoes that: no value is -0.0, and the one NaN
+    (0/0, where a product of norms underflows) has one bit pattern.  A zero
+    vector raises after the walk, so that a non-finite entry anywhere raises
+    first, as in _self_grams.
+
+    Each set's sorted values are then clustered by transitive closure,
+    split at gaps > tol.  One comparison over the stack, in chunks, finds
+    the gaps, and only a set with one finds where they are.  A cluster's
+    mean is the sum of its values over its size.  The sets with one cluster
+    take their sums from one row-wise sum of the stack, which sums each
+    C-contiguous row as numpy sums that row alone, bit for bit
     (test_row_sums_of_a_stack_are_the_sums_of_its_rows); a set with gaps
     sums each cluster's own 1-D slice."""
-    m = parts.shape[2]
-    mag, norms = _self_grams(_complex(parts))
-    np.divide(mag, norms[:, :, None] * norms[:, None, :], out=mag)  # mag is ours
-    upper = np.broadcast_to(~np.tri(m, dtype=bool), mag.shape)  # each set's pairs j < k
-    order = np.sort(mag[upper].reshape(len(mag), -1), axis=1)
+    sets, m = parts.shape[1:3]
+    mats = _complex(parts)
+    adjoint = _adjoint(mats)
+    norms = np.empty((sets, m))
+    order = np.empty((sets, m * (m - 1) // 2))
+    rows = max(1, _CHUNK // (sets * m))
+    for r0 in reversed(range(0, m, rows)):
+        r1 = min(r0 + rows, m)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked here
+            tile = _block(mats[:, r0:r1], adjoint)
+            if not np.isfinite(tile.max()):  # NaN or inf if any entry is
+                raise ValueError("line set has a non-finite entry")
+            norms[:, r0:r1] = np.sqrt(np.diagonal(tile, r0, axis1=1, axis2=2))
+            tile[:, :, r0:] /= norms[:, r0:r1, None] * norms[:, None, r0:]
+        start, stop = (r * (2 * m - r - 1) // 2 for r in (r0, r1))  # pairs above row r
+        mid = stop - (r1 - r0) * (m - r1)
+        order[:, start:mid] = tile[:, :, r0:r1][_upper(sets, r1 - r0)].reshape(sets, -1)
+        order[:, mid:stop].reshape(sets, r1 - r0, m - r1)[:] = tile[:, :, r1:]
+    _refuse_zero(norms)
+    order.sort(axis=1)
     size = order.shape[1]
-    gaps = np.diff(order, axis=1) > tol
+    gaps = np.empty((sets, size - 1), dtype=bool)
+    step = max(1, _CHUNK // sets)
+    for c in range(0, size - 1, step):
+        np.greater(np.diff(order[:, c:c + step + 1], axis=1), tol, out=gaps[:, c:c + step])
     single = ~gaps.any(axis=1)
-    totals = iter(order[single].sum(axis=1).tolist())
+    totals = iter(order.sum(axis=1)[single].tolist())
     spreads = (order[:, -1] - order[:, 0]).tolist()
     reports = []
     for s, (norm, spread, one) in enumerate(zip(norms.tolist(), spreads, single.tolist())):
@@ -410,6 +450,15 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
                              for a, b in zip(cut, cut[1:]))
         reports.append(_report(tuple(norm), clusters, spread, tol))
     return reports
+
+
+@functools.lru_cache(maxsize=32)
+def _upper(sets: int, n: int) -> np.ndarray:
+    """The read-only mask of the pairs j < k of a stack of n x n blocks,
+    shape (sets, n, n): no larger than the tile it masks."""
+    mask = np.tile(~np.tri(n, dtype=bool), (sets, 1, 1))
+    mask.flags.writeable = False
+    return mask
 
 
 def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
@@ -656,9 +705,15 @@ def _table_entries(rows) -> list | None:
 
 
 def dump_json(obj: dict, path) -> None:
-    with open(path, "w") as fh:
+    """Write obj as JSON (_encode) and a newline to path, in place: an
+    existing file is not truncated on open, which on ext4 makes its close
+    flush the new data, but cut at the end of what was written.  Only a
+    regular file is cut, as ftruncate fails on a device such as /dev/null."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.writelines(_encode(obj))
         fh.write("\n")
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _encode(obj):

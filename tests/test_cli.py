@@ -75,6 +75,11 @@ def test_construct_c3ext_exact(capsys, tmp_path):
     assert len(data["vectors"]) == 64
 
 
+def test_out_may_be_a_device(capsys):
+    # only a regular file is cut to what was written
+    assert run(capsys, "--out", os.devnull, "construct", "c3ext")[0] == 0
+
+
 def test_construct_c2_and_hoggar(capsys):
     assert run(capsys, "construct", "c2", "--a", "0.37")[0] == 0
     assert run(capsys, "construct", "hoggar")[0] == 0
@@ -421,6 +426,24 @@ def test_an_option_the_kind_does_not_read_exits_2_without_numpy(tmp_path, argv, 
     proc, modules = fresh_process(tmp_path, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: construct {unread}\n")
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (("--out", "o.json", "verify", "lines.json"), "verify does not read --out"),
+    (("--out", "o.json", "search", "c1"), "search does not read --out"),
+    (("--out", "o.json", "bounds", "--d", "4"), "bounds does not read --out"),
+    (("--format", "json", "mubs", "--rds", "builtin:3"), "mubs does not read --format"),
+    (("--format", "summary", "verify", "lines.json"), "verify does not read --format"),
+    (("--format", "json", "search", "c1"), "search does not read --format"),
+    (("--format", "json", "bounds", "--d", "4"), "bounds does not read --format"),
+    (("--tol", "1e-3", "bounds", "--d", "4"), "bounds does not read --tol"),
+    (("--tol", "0", "--out", "o.json", "bounds", "--d", "4"), "bounds does not read --out, --tol"),
+])
+def test_a_global_option_the_command_does_not_read_exits_2_without_numpy(tmp_path, argv, unread):
+    proc, modules = fresh_process(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {unread}\n")
+    assert "numpy" not in modules
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_construct_c3_variant_default_is_the_default(capsys):

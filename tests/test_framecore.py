@@ -19,6 +19,7 @@ from mublines.framecore import (
     VectorPhases,
     ZeroVectorError,
     apply_equivalence,
+    dump_json,
     gram_analyze,
     inner,
     lines_equal,
@@ -324,6 +325,16 @@ def test_lineset_json_roundtrip_exact(tmp_path):
     back = lineset_from_json(json.loads(text))
     assert back.exact
     assert back.vectors == lines.vectors
+
+
+def test_dump_json_over_a_longer_file_writes_what_a_fresh_file_gets(tmp_path):
+    data = lineset_to_json(fixtures.sixteen_lines_d4())
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    dump_json(data, fresh)
+    old.write_text("x" * (3 * len(fresh.read_bytes())))
+    dump_json(data, old)
+    assert old.read_bytes() == fresh.read_bytes()
+    assert fresh.read_text() == json.dumps(data, sort_keys=True) + "\n"
 
 
 def test_lineset_json_roundtrip_float():

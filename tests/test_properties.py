@@ -12,6 +12,7 @@ import json
 import math
 import random
 import struct
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from mublines.framecore import (
     LineSet,
     VectorPhases,
     ZeroVectorError,
+    _CHUNK,
     _adjoint,
     _block,
     _block_rows,
@@ -338,6 +340,63 @@ def test_a_stacks_float_reports_are_its_sets_own_reports(parts, tol):
 def test_the_mixed_stack_has_one_and_several_clusters():
     counts = [len(report.angle_clusters) for report in _float_reports(MIXED, DEFAULT_TOL)]
     assert counts == [2, 1, 2]
+
+
+# --- the float Gram walked in row tiles ---------------------------------------
+
+
+def float_union(d):
+    """The float union of the builtin MUBs of C^d: d^2 lines."""
+    return LineSet.from_parts(np.concatenate(
+        [b.parts for b in mubs_from_rds(builtin_rds(d)).bases], axis=1).astype(float))
+
+
+def clustered_set(m=300, d=3, seed=18):
+    """m float lines in C^d, each one of 12 small-integer vectors with a
+    1e-12 jitter: many clusters of tied values."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, size=(2, 12, d)).astype(float)
+    base[0, :, 0] += 3  # no zero vector
+    return LineSet.from_parts(base[:, rng.integers(0, 12, size=m)]
+                              + 1e-12 * rng.standard_normal((2, m, d)))
+
+
+@pytest.mark.parametrize("make", [pytest.param(lambda: float_union(d), id=f"union-{d}")
+                                  for d in (17, 23, 29, 31)]
+                         + [pytest.param(clustered_set, id="clustered-300")])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-13, 1e-3])
+def test_a_gram_of_many_tiles_gives_the_full_grams_report(make, tol):
+    lines = make()
+    assert len(lines) ** 2 > _CHUNK  # more than one row tile
+    want = per_set_float_report(lines, tol)
+    assert repr(gram_analyze(lines, tol)) == repr(want)  # bit for bit
+    if make is clustered_set and tol == DEFAULT_TOL:
+        assert len(want.angle_clusters) > 10
+
+
+def test_a_non_finite_entry_in_the_last_tile_walked_raises_before_a_zero_vector():
+    # the walk starts at the last rows, whose zero vector it sees first
+    parts = np.array(clustered_set().parts)
+    parts[:, -1] = 0
+    with pytest.raises(ZeroVectorError):
+        gram_analyze(LineSet.from_parts(parts))
+    parts[0, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="non-finite") as got:
+        gram_analyze(LineSet.from_parts(parts))
+    assert type(got.value) is ValueError
+
+
+def test_the_float_gram_of_the_d31_union_stays_within_10_mib():
+    # the whole complex Gram of its 961 lines alone takes 14.8 MB
+    lines = float_union(31)
+    tracemalloc.start()
+    try:
+        report = gram_analyze(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.angle_clusters) == 2
+    assert peak <= 10 * 2**20
 
 
 # --- the line-set array against its CVector view ----------------------------
