@@ -3,12 +3,10 @@
 Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
 2 usage or input error.
 
-Each command imports the library modules it runs, and only once its input
-has been read and checked: `bounds`, a missing file, an unsupported RDS, a
-`--d` that differs from the d of `--rds`, a `construct` permutation that
-does not fit d and an option that its command (or `construct` kind) does
-not read exit before numpy loads (for a builtin RDS), and `verify` loads
-framecore alone.
+`main` checks the options of every command in one place, `_check_options`,
+before the command runs; each command then imports the library modules it
+runs.  So `bounds` and every option error exit before numpy loads (for a
+builtin RDS), and `verify` loads framecore alone.
 """
 
 from __future__ import annotations
@@ -49,30 +47,6 @@ def _load(path: str, what: str, parse):
         raise CliError(f"malformed or invalid {what}: {exc}")
 
 
-def _resolve_rds(ref: str):
-    """The RelativeDifferenceSet of a reference; abelian loads no numpy."""
-    from . import abelian
-
-    if ref.startswith("builtin:"):
-        try:
-            d = int(ref.split(":", 1)[1])
-        except ValueError:
-            raise CliError(f"bad builtin RDS reference {ref!r}")
-        return abelian.builtin_rds(d)
-    if ref.startswith("file:"):
-        return _load(ref.split(":", 1)[1], "RDS", abelian.rds_from_json)
-    raise CliError(f"RDS reference must be builtin:<d> or file:<path>, got {ref!r}")
-
-
-def _parse_perm(text: str) -> tuple[int, ...]:
-    """The integers of "1,3,4,2"; scalars._columns checks that they are a
-    permutation."""
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise CliError(f"bad permutation {text!r}")
-
-
 def _emit(data: dict, out_path: str | None) -> None:
     from . import framecore
 
@@ -96,16 +70,15 @@ def _report_summary(report, fmt: str) -> None:
 
 
 def cmd_mubs(args) -> int:
-    rds = _resolve_rds(args.rds)
     from . import abelian, constructions, framecore
 
-    family = constructions.mubs_from_rds(rds)
+    family = constructions.mubs_from_rds(args.rds)
     # mubs_from_rds has passed verify_mubs at DEFAULT_TOL, and every float
     # check is value <= tol, so only a tighter tol can still fail
     ok = args.tol >= DEFAULT_TOL or framecore.verify_mubs(list(family.bases), args.tol)
     payload = {
         "dim": family.dim,
-        "rds": abelian.rds_to_json(rds),
+        "rds": abelian.rds_to_json(args.rds),
         "bases": [framecore.lineset_to_json(b) for b in family.bases],
         "verified": ok,
     }
@@ -113,23 +86,6 @@ def cmd_mubs(args) -> int:
     print(f"{family.dim} MUBs in C^{family.dim}: verify_mubs = {ok}",
           file=sys.stderr)
     return EXIT_OK if ok else EXIT_FAILED
-
-
-def _rds(args):
-    """The RelativeDifferenceSet of --rds, or of builtin:<--d> (d = 4 when
-    neither is given); CliError if --d and --rds name different d."""
-    rds = _resolve_rds(args.rds or f"builtin:{4 if args.d is None else args.d}")
-    if args.d is not None and args.d != len(rds.elements):
-        raise CliError(f"--d {args.d} conflicts with --rds {args.rds}, "
-                       f"an RDS of d = {len(rds.elements)}")
-    return rds
-
-
-def _family(rds):
-    """The MubFamily of an RDS; the first use of numpy."""
-    from . import constructions
-
-    return constructions.mubs_from_rds(rds)
 
 
 #: the options that each command, and each kind of `construct` (and `wh`),
@@ -147,58 +103,93 @@ _READS = {
     "wh": {"tol", "out", "format", "fiducial"},
 }
 
+#: the options a row cannot run without
+_REQUIRES = {"c1": ("perm", "v"), "c3": ("perm",)}
 
-def _refuse_unread(args, row: str, what: str) -> None:
-    """CliError naming every option of the table given to args but not read
-    by the row."""
-    unread = sorted(name for name in set().union(*_READS.values()) - _READS[row]
+#: the value of an option its row reads when it is not given; c3's --a and
+#: --b stay unset, for the first point of construction3_solve
+_DEFAULTS = {"tol": DEFAULT_TOL, "format": "summary", "variant": "default",
+             "fiducial": "builtin:d4", ("c2", "a"): 0.0}
+
+
+def _check_options(args) -> None:
+    """Check args against its row of _READS, before numpy loads, then fill in
+    its defaults. In order: --rds (builtin:<--d>, or d = 4, if not given) is
+    resolved into args.rds and --d checked against it, then come the required
+    options, c3's --a/--b pair, the permutation (into args.perm) and the
+    options the row does not read; the first to fail raises."""
+    kind = getattr(args, "kind", None)
+    row = kind or args.command
+    what = f"construct {kind}" if kind else row
+    reads = _READS[row]
+    if "rds" in reads:
+        from . import abelian
+
+        d = getattr(args, "d", None)
+        ref = args.rds or f"builtin:{4 if d is None else d}"
+        if ref.startswith("builtin:"):
+            try:
+                n = int(ref.split(":", 1)[1])
+            except ValueError:
+                raise CliError(f"bad builtin RDS reference {ref!r}")
+            args.rds = abelian.builtin_rds(n)
+        elif ref.startswith("file:"):
+            args.rds = _load(ref.split(":", 1)[1], "RDS", abelian.rds_from_json)
+        else:
+            raise CliError(f"RDS reference must be builtin:<d> or file:<path>, got {ref!r}")
+        if d is not None and d != len(args.rds.elements):
+            raise CliError(f"--d {d} conflicts with --rds {ref}, "
+                           f"an RDS of d = {len(args.rds.elements)}")
+    required = _REQUIRES.get(row, ())
+    if any(getattr(args, name) is None for name in required):
+        raise CliError(f"{what} requires " + " and ".join(f"--{name}" for name in required))
+    if row == "c3" and (args.a is None) != (args.b is None):
+        raise CliError("construct c3 takes both --a and --b, or neither")
+    if "perm" in reads:
+        # its length d is the number of RDS elements, d for a (d, d, d, 1)-RDS
+        try:
+            perm = tuple(int(p) for p in args.perm.split(","))
+        except ValueError:
+            raise CliError(f"bad permutation {args.perm!r}")
+        _columns(perm, len(args.rds.elements))
+        args.perm = perm
+    unread = sorted(name for name in set().union(*_READS.values()) - reads
                     if getattr(args, name, None) is not None)
     if unread:
         raise CliError(f"{what} does not read " + ", ".join(f"--{name}" for name in unread))
+    for name in reads:
+        if getattr(args, name) is None:
+            setattr(args, name, _DEFAULTS.get((row, name), _DEFAULTS.get(name)))
 
 
 def _build_lines(args):
     """The LineSet of `construct <kind>`, or of `wh`."""
     kind = args.kind
-    if kind in ("c1", "c3"):
-        # the permutation is checked before numpy loads: its length d is the
-        # number of RDS elements, d for a (d, d, d, 1)-RDS
-        rds = _rds(args)
-        if args.perm is None or (kind == "c1" and args.v is None):
-            raise CliError("construct c1 requires --perm and --v" if kind == "c1"
-                           else "construct c3 requires --perm")
-        if kind == "c3" and (args.a is None) != (args.b is None):
-            raise CliError("construct c3 takes both --a and --b, or neither")
-        perm = _parse_perm(args.perm)
-        _columns(perm, len(rds.elements))
-    _refuse_unread(args, kind, f"construct {kind}")  # after a bad permutation is named
     if kind == "wh":
         from . import weylheisenberg
 
         return weylheisenberg.wh_orbit(_resolve_fiducial(args.fiducial))
-    if kind in ("c1", "c3"):
-        family = _family(rds)
     from . import constructions
 
     if kind == "c1":
         from .exprs import parse_constant
 
-        spec = constructions.ScalingSpec(perm, _gauss_if_integral(parse_constant(args.v)))
+        family = constructions.mubs_from_rds(args.rds)
+        spec = constructions.ScalingSpec(args.perm, _gauss_if_integral(parse_constant(args.v)))
         return constructions.l_block(family, spec)
     if kind == "c2":
-        return constructions.construction2_family(args.a if args.a is not None else 0.0)
+        return constructions.construction2_family(args.a)
     if kind == "c3":
+        family = constructions.mubs_from_rds(args.rds)
         if args.a is None:
             a, b = constructions.construction3_solve(family.dim)[0]
         else:
             a, b = args.a, args.b
-        spec = constructions.BlockPairSpec(perm, a, b, args.variant or "default")
+        spec = constructions.BlockPairSpec(args.perm, a, b, args.variant)
         return constructions.construction3_pair(family, spec)
     if kind == "c3ext":
         return constructions.construction3_d4_extension()
-    if kind == "hoggar":
-        return constructions.hoggar_tensor_orbit()
-    raise CliError(f"unknown construction kind {kind!r}")
+    return constructions.hoggar_tensor_orbit()
 
 
 def cmd_construct(args) -> int:
@@ -229,9 +220,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    family = _family(_rds(args))
     from . import constructions
 
+    family = constructions.mubs_from_rds(args.rds)
     budget = math.inf if args.force else args.budget
     try:
         hits = constructions.c1_search(family, args.phase_roots, budget, args.tol)
@@ -264,11 +255,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _resolve_fiducial(ref: str | None):
+def _resolve_fiducial(ref: str):
     """The weylheisenberg.Fiducial of a reference."""
     from . import weylheisenberg
 
-    ref = ref or "builtin:d4"
     if ref == "builtin:d4":
         return weylheisenberg.fiducial_d4()
     if ref.startswith("file:"):
@@ -284,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mublines",
         description="Construct and verify complex equiangular lines and MUBs",
     )
-    # --tol and --format default to None, read as DEFAULT_TOL and "summary"
+    # every option the table names defaults to None: _check_options tells an
+    # option given from one not given, then fills in _DEFAULTS
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--out", default=None, help="write JSON output here")
     parser.add_argument("--format", choices=["json", "summary"], default=None)
@@ -324,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("wh", help="Weyl-Heisenberg orbit of a fiducial")
-    p.add_argument("--fiducial", default="builtin:d4")
+    p.add_argument("--fiducial", default=None)
     p.set_defaults(func=cmd_construct, kind="wh")
 
     return parser
@@ -337,10 +328,7 @@ def main(argv=None) -> int:
     if args.tol is not None and not 0 <= args.tol < math.inf:
         parser.error(f"argument --tol: must be a finite number >= 0, got {args.tol}")
     try:
-        if args.func is not cmd_construct:  # construct checks after its permutation
-            _refuse_unread(args, args.command, args.command)
-        args.tol = DEFAULT_TOL if args.tol is None else args.tol
-        args.format = args.format or "summary"
+        _check_options(args)
         return args.func(args)
     except (CliError, ValueError) as exc:
         # RdsError, InvalidRds, ZeroVectorError, ExpressionError and the Gram's

@@ -368,8 +368,11 @@ def construction2_family(a: float) -> LineSet:
     """64 lines in C^8 from the dimension-4 MUBs and the one-parameter
     column blocks C_j(a), D_j(a); equals the (twisted) Hoggar set at a=0."""
     bases = [basis.to_matrix() for basis in mubs_from_rds(builtin_rds(4)).bases]
-    c = (a - 1 + 1j * (a + 1)) / math.sqrt(1 + a * a)
-    dval = (a + 1 + 1j * (a - 1)) / math.sqrt(1 + a * a)
+    # past |a| ~ 1.3e154, 1 + a * a overflows; |a| is then the rounded root
+    root = math.sqrt(1 + a * a)
+    root = root if math.isfinite(root) else abs(a)
+    c = (a - 1 + 1j * (a + 1)) / root
+    dval = (a + 1 + 1j * (a - 1)) / root
     blocks = []
     for j, basis in enumerate(bases):
         col = np.zeros((4, 4), dtype=complex)

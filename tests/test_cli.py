@@ -531,3 +531,72 @@ def test_verify_refuses_an_unknown_field(capsys, tmp_path):
     assert run(capsys, "verify", str(path)) == (
         2, "", "error: malformed or invalid line set: line-set field must be gaussian-int or "
                "complex-f64, got 'gaussian_int'\n")
+
+
+#: the options each command line reads, transcribed from README's CLI table
+README_READS = {
+    "bounds": {"d"},
+    "mubs": {"tol", "out", "rds"},
+    "search": {"tol", "d", "rds"},
+    "verify": {"tol"},
+    "construct c1": {"tol", "out", "format", "d", "rds", "perm", "v"},
+    "construct c2": {"tol", "out", "format", "a"},
+    "construct c3": {"tol", "out", "format", "d", "rds", "perm", "a", "b", "variant"},
+    "construct c3ext": {"tol", "out", "format"},
+    "construct hoggar": {"tol", "out", "format"},
+    "construct wh": {"tol", "out", "format", "fiducial"},
+    "wh": {"tol", "out", "format", "fiducial"},
+}
+#: each row's command line with its required options, and the options its
+#: subcommand takes besides the global --tol, --out and --format
+ROW_ARGV = {
+    "bounds": (("bounds", "--d", "4"), {"d"}),
+    "mubs": (("mubs", "--rds", "builtin:4"), {"rds"}),
+    "search": (("search", "c1"), {"d", "rds"}),
+    "verify": (("verify", "lines.json"), set()),
+    "wh": (("wh",), {"fiducial"}),
+    **{f"construct {kind}": (("construct", kind, *required),
+                             {"d", "rds", "perm", "v", "a", "b", "variant", "fiducial"})
+       for kind, required in [("c1", ("--perm", "1,3,4,2", "--v", "1")), ("c2", ()),
+                              ("c3", ("--perm", "1,3,4,2")), ("c3ext", ()), ("hoggar", ()),
+                              ("wh", ())]},
+}
+OPTION_VALUES = {"tol": "1e-3", "out": "o.json", "format": "json", "d": "4",
+                 "rds": "builtin:4", "perm": "1,2", "v": "1", "a": "1", "b": "1",
+                 "variant": "default", "fiducial": "builtin:d4"}
+
+#: main(argv) for each argv list of the first argument, in one interpreter;
+#: prints each (exit code, stdout, stderr) and whether numpy loaded
+_FRESH_MANY = """
+import contextlib, io, json, sys
+import mublines.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = mublines.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([results, "numpy" in sys.modules]))
+"""
+
+
+def test_every_option_a_row_does_not_read_exits_2_without_numpy(tmp_path):
+    cases = []
+    for row, (argv, own) in ROW_ARGV.items():
+        for name in sorted(({"tol", "out", "format"} | own) - README_READS[row]):
+            option = (f"--{name}", OPTION_VALUES[name])
+            cases.append((row, name, [*option, *argv] if name in ("tol", "out", "format")
+                          else [*argv, *option]))
+    assert len(cases) == 44
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MANY, json.dumps([c[2] for c in cases])],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    results, numpy_loaded = json.loads(proc.stdout)
+    for (row, name, argv), result in zip(cases, results):
+        assert result == [2, "", f"error: {row} does not read --{name}\n"], argv
+    assert not numpy_loaded
+    assert not (tmp_path / "o.json").exists()

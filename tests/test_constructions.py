@@ -285,6 +285,15 @@ def test_construction2_limit_entry_magnitude():
     assert abs(abs(entry) - math.sqrt(2)) < 1e-12
 
 
+@pytest.mark.parametrize("a", [1e200, -1e300, 1.4e154])
+def test_construction2_is_equiangular_where_1_plus_a_squared_overflows(a):
+    # sqrt(1 + a * a) is inf here, which once made C_j(a) and D_j(a) zero
+    report = gram_analyze(construction2_family(a))
+    assert report.equiangular
+    assert abs(report.common_angle - 1 / 3) < 1e-9
+    assert construction2_family(a).to_matrix()[0, 4] == complex(1, 1) * math.copysign(1, a)
+
+
 def test_hoggar_orbit():
     lines = hoggar_tensor_orbit()
     assert len(lines) == 64

@@ -326,13 +326,27 @@ MIXED = np.stack([MUBS4.parts, l_block(mubs_from_rds(builtin_rds(4)), ScalingSpe
     (1, 3, 4, 2), Scalar.from_complex(math.sqrt(2 + math.sqrt(5))))).parts, MUBS4.parts], axis=1)
 
 
+#: a stack whose second set has a vector of one jittered entry, 1e-12 times
+#: 1.07e-243, whose squared norm underflows to 0
+UNDERFLOW = np.array([[[[1.0], [2.0]], [[1e-12 * 1.07e-243], [1.0]]],
+                      [[[0.0], [0.0]], [[0.0], [0.0]]]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(float_stacks(), st.sampled_from([0.0, DEFAULT_TOL, 1e-3, 0.06, 0.3]))
 @example(MIXED, DEFAULT_TOL)
 @example(MIXED, 0.0)
+@example(UNDERFLOW, 0.0)
 def test_a_stacks_float_reports_are_its_sets_own_reports(parts, tol):
-    want = [per_set_float_report(LineSet.from_parts(parts[:, s]), tol)
-            for s in range(parts.shape[1])]
+    try:
+        want = [per_set_float_report(LineSet.from_parts(parts[:, s]), tol)
+                for s in range(parts.shape[1])]
+    except ZeroVectorError:
+        # a nonzero vector whose squared norm underflows is a zero vector to
+        # both, and the stack refuses it as its set does
+        with pytest.raises(ZeroVectorError):
+            _float_reports(parts, tol)
+        return
     # bit for bit: a float's repr gives it back exactly, the sign of a zero too
     assert repr(_float_reports(parts, tol)) == repr(want)
 
