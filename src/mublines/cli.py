@@ -116,8 +116,9 @@ def _check_options(args) -> None:
     """Check args against its row of _READS, before numpy loads, then fill in
     its defaults. In order: --rds (builtin:<--d>, or d = 4, if not given) is
     resolved into args.rds and --d checked against it, then come the required
-    options, c3's --a/--b pair, the permutation (into args.perm) and the
-    options the row does not read; the first to fail raises."""
+    options, c3's --a/--b pair, the permutation (into args.perm), the
+    options the row does not read, the constant --v (into args.v, a Scalar)
+    and the form of --fiducial; the first to fail raises."""
     kind = getattr(args, "kind", None)
     row = kind or args.command
     what = f"construct {kind}" if kind else row
@@ -160,6 +161,13 @@ def _check_options(args) -> None:
     for name in reads:
         if getattr(args, name) is None:
             setattr(args, name, _DEFAULTS.get((row, name), _DEFAULTS.get(name)))
+    if "v" in reads:
+        from .exprs import parse_constant
+
+        args.v = _gauss_if_integral(parse_constant(args.v))
+    ref = getattr(args, "fiducial", None)
+    if "fiducial" in reads and ref != "builtin:d4" and not ref.startswith("file:"):
+        raise CliError(f"fiducial must be builtin:d4 or file:<path>, got {ref!r}")
 
 
 def _build_lines(args):
@@ -172,11 +180,8 @@ def _build_lines(args):
     from . import constructions
 
     if kind == "c1":
-        from .exprs import parse_constant
-
         family = constructions.mubs_from_rds(args.rds)
-        spec = constructions.ScalingSpec(args.perm, _gauss_if_integral(parse_constant(args.v)))
-        return constructions.l_block(family, spec)
+        return constructions.l_block(family, constructions.ScalingSpec(args.perm, args.v))
     if kind == "c2":
         return constructions.construction2_family(args.a)
     if kind == "c3":
@@ -256,17 +261,16 @@ def cmd_bounds(args) -> int:
 
 
 def _resolve_fiducial(ref: str):
-    """The weylheisenberg.Fiducial of a reference."""
+    """The weylheisenberg.Fiducial of a reference, builtin:d4 or file:<path>
+    as _check_options has checked."""
     from . import weylheisenberg
 
     if ref == "builtin:d4":
         return weylheisenberg.fiducial_d4()
-    if ref.startswith("file:"):
-        # {"vector": [[re, im], ...]} is a one-vector complex-f64 line set
-        return _load(ref.split(":", 1)[1], "fiducial", lambda data: weylheisenberg.Fiducial(
-            _lineset_from_json({"dim": len(data["vector"]),
-                                         "vectors": [data["vector"]]}).vectors[0], "user"))
-    raise CliError(f"fiducial must be builtin:d4 or file:<path>, got {ref!r}")
+    # {"vector": [[re, im], ...]} is a one-vector complex-f64 line set
+    return _load(ref.split(":", 1)[1], "fiducial", lambda data: weylheisenberg.Fiducial(
+        _lineset_from_json({"dim": len(data["vector"]), "vectors": [data["vector"]]}).vectors[0],
+        "user"))
 
 
 def build_parser() -> argparse.ArgumentParser:

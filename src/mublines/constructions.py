@@ -18,17 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import (
-    Character,
-    FiniteAbelianGroup,
-    RelativeDifferenceSet,
-    _phase_weights,
-    builtin_rds,
-    char_eval,
-    rds_verify,
-)
+from .abelian import RelativeDifferenceSet, _phase_weights, builtin_rds, rds_verify
 from .framecore import (
-    _CHUNK,
     _SPREAD_TOLS,
     DEFAULT_TOL,
     GramReport,
@@ -39,9 +30,10 @@ from .framecore import (
     _float_reports,
     _self_grams,
     _stack,
+    _tile,
     verify_mubs,
 )
-from .scalars import _C1_BUDGET, Scalar, _columns, _gauss_if_integral
+from .scalars import _C1_BUDGET, Scalar, _columns, _gauss_if_integral, root_of_unity
 
 
 class InvalidRds(ValueError):
@@ -135,12 +127,9 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
     for index, signature in enumerate(signatures):
         groups.setdefault(signature.tobytes(), []).append(index)
 
-    # the L-th roots of unity are the values of the generating character of
-    # Z_L; root_of_unity reduces t / L, so phase 0 stays the exact Gaussian 1.
-    # A basis is exact iff every root it uses is
-    cyclic = FiniteAbelianGroup((modulus,))
-    root = Character(cyclic, (1,))
-    values = [char_eval(root, cyclic.element((t,))) for t in range(modulus)]
+    # the L-th roots of unity; root_of_unity reduces t / L, so phase 0 stays
+    # the exact Gaussian 1.  A basis is exact iff every root it uses is
+    values = [root_of_unity(t, modulus) for t in range(modulus)]
     exact = np.array([z.exact for z in values])
     table = np.array([[z.re for z in values], [z.im for z in values]], dtype=object)
     floats = table.astype(float)
@@ -215,8 +204,8 @@ def c1_search(
     certifier: in an orthogonal basis of unimodular vectors each value is
     ||v|^2 - 1| over equal norms, so they have no spread of their own, and
     leaving them out can only let more survivors through.  The survivors
-    are generated first, then certified in tiles of at most _CHUNK Gram
-    entries (or of one survivor) by _l_blocks and framecore._float_reports,
+    are generated first, then certified in tiles of _tile(d^4) survivors
+    (a survivor's Gram has d^4 entries) by _l_blocks and _float_reports,
     which alone decide the hits and their reports: the masks can skip work,
     never say "yes".
     """
@@ -266,8 +255,7 @@ def c1_search(
                 perm.pop()
 
     found, hits = survivors((1 << len(values)) - 1), []
-    # a survivor's Gram has d^4 entries
-    while tile := list(itertools.islice(found, max(1, _CHUNK // d**4))):
+    while tile := list(itertools.islice(found, _tile(d**4))):
         parts = _l_blocks(family, [[p - 1 for p in spec.perm] for spec in tile],
                           [spec.v for spec in tile])
         hits += [(spec, report) for spec, report in zip(tile, _float_reports(parts, tol))
@@ -286,16 +274,19 @@ def _pair_masks(x, y, nx, ny, values, bound: float) -> list[list[int]]:
     clear iff scaling column p of x and column q of y by values[i] spreads
     the normalized magnitudes of their cross block by more than bound.  An
     undefined (NaN) spread keeps its bit.  Evaluated over (v, p, q, a, b) in
-    tiles of candidates v and columns p (_chunks), so memory does not grow
-    with the candidates; only p != q is ever read."""
+    tiles of candidates v (d^4 entries each) by tiles of columns p (d^3
+    each), both by framecore._tile, so memory does not grow with the
+    candidates; only p != q is ever read."""
     d = len(x)
     w = np.abs(values) ** 2 - 1  # |v|^2 - 1
     g = x @ y.conj().T
     t = x.T[:, :, None] * y.conj().T[:, None, :]  # (p, a, b): x[a, p] conj(y[b, p])
     x2, y2 = np.abs(x.T) ** 2, np.abs(y.T) ** 2  # (p, a): |x[a, p]|^2
     ok = np.empty((len(values), d, d), dtype=bool)
+    step_v, step_p = _tile(d ** 4), _tile(d ** 3)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero norms read NaN
-        for vs, ps in _chunks(len(values), d, d ** 3):
+        for v, p in itertools.product(range(0, len(values), step_v), range(0, d, step_p)):
+            vs, ps = slice(v, v + step_v), slice(p, p + step_p)
             vm1 = (values[vs] - 1)[:, None, None, None, None]
             # <x', y'> = G + (v - 1) x_p conj(y_p) + (conj v - 1) x_q conj(y_q),
             # indexed (v, p, q, a, b)
@@ -309,16 +300,6 @@ def _pair_masks(x, y, nx, ny, values, bound: float) -> list[list[int]]:
     bits = np.packbits(ok, axis=0, bitorder="little")
     return [[int.from_bytes(bits[:, p, q].tobytes(), "little") for q in range(d)]
             for p in range(d)]
-
-
-def _chunks(n: int, d: int, width: int):
-    """Slices (vs, ps) tiling n candidates by d columns, each tile holding at
-    most _CHUNK // width (candidate, column) pairs, but at least one."""
-    pairs = max(1, _CHUNK // width)
-    step_v, step_p = max(1, pairs // d), min(d, pairs)
-    for v in range(0, n, step_v):
-        for p in range(0, d, step_p):
-            yield slice(v, v + step_v), slice(p, p + step_p)
 
 
 def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:

@@ -45,8 +45,15 @@ from .scalars import (  # noqa: F401
 #: temporary: lines_equal's candidate pairs, c1_search's pair-mask tensors
 #: and survivor stacks, and the row tiles of _float_reports' Gram walk; the
 #: search workload (d <= 5, at most 16 candidates), a 64-line set and a union
-#: of up to 256 lines each fit in one
+#: of up to 256 lines each fit in one.  Each walk sizes its tiles by _tile
 _CHUNK = 2**16
+
+
+def _tile(width: int) -> int:
+    """The items per tile of a walk whose items hold width entries each: as
+    many as fit in _CHUNK entries, and at least one."""
+    return max(1, _CHUNK // max(1, width))
+
 
 #: a float set is equiangular only when its normalized values spread by at
 #: most _SPREAD_TOLS * tol, as the transitive closure of its clustering can
@@ -390,34 +397,37 @@ def _exact_norm(n2: int) -> float:
 
 def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     """gram_analyze of each float set of a stack, parts (2, S, m, d) with
-    m >= 2.  The Gram of the stack is walked in row tiles of at most _CHUNK
-    entries (at least one row), last rows first.  A tile is the product of
-    its rows with every column, so each entry keeps the bits the whole
-    Gram gives it (test_a_gram_of_many_tiles_gives_the_full_grams_report);
-    a product with only some columns does not.  It raises on a non-finite entry, takes its rows' norms from its
-    diagonal and divides by the norms known by then (its rows' and later
-    rows').  Its pairs j < k fill its own run of one (S, m(m - 1)/2) array:
-    those of its square diagonal block (a cached mask), then the block to
-    its right as it stands.  Only their order within the run differs from
-    row-major, and the sort undoes that: no value is -0.0, and the one NaN
-    (0/0, where a product of norms underflows) has one bit pattern.  A zero
-    vector raises after the walk, so that a non-finite entry anywhere raises
+    m >= 2.  The Gram of the stack is walked in row tiles of _tile(S m)
+    rows, last rows first.  A tile is the product of its rows with every
+    column; a product with only some columns would round differently.  At
+    the shipped _CHUNK each entry was checked to keep the bits the whole
+    Gram gives it (test_a_gram_of_many_tiles_gives_the_full_grams_report),
+    and only there: BLAS may round a shorter tile differently, and at
+    _CHUNK = 2^12 one norm of the d = 13 union moved by one ulp.  A tile
+    raises on a non-finite entry, takes its rows' norms from its diagonal
+    and divides by the norms known by then (its rows' and later rows').
+    Its pairs j < k fill its own run of one (S, m(m - 1)/2) array: those of
+    its square diagonal block (a cached mask), then the block to its right
+    as it stands.  Only their order within the run differs from row-major,
+    and the sort undoes that: no value is -0.0, and the one NaN (0/0, where
+    a product of norms underflows) has one bit pattern.  A zero vector
+    raises after the walk, so that a non-finite entry anywhere raises
     first, as in _self_grams.
 
     Each set's sorted values are then clustered by transitive closure,
-    split at gaps > tol.  One comparison over the stack, in chunks, finds
-    the gaps, and only a set with one finds where they are.  A cluster's
-    mean is the sum of its values over its size.  The sets with one cluster
-    take their sums from one row-wise sum of the stack, which sums each
-    C-contiguous row as numpy sums that row alone, bit for bit
-    (test_row_sums_of_a_stack_are_the_sums_of_its_rows); a set with gaps
-    sums each cluster's own 1-D slice."""
+    split at gaps > tol.  One comparison over the stack, in chunks of
+    _tile(S) values per set, finds the gaps, and only a set with one finds
+    where they are.  A cluster's mean is the sum of its values over its
+    size.  The sets with one cluster take their sums from one row-wise sum
+    of the stack, which sums each C-contiguous row as numpy sums that row
+    alone, bit for bit (test_row_sums_of_a_stack_are_the_sums_of_its_rows);
+    a set with gaps sums each cluster's own 1-D slice."""
     sets, m = parts.shape[1:3]
     mats = _complex(parts)
     adjoint = _adjoint(mats)
     norms = np.empty((sets, m))
     order = np.empty((sets, m * (m - 1) // 2))
-    rows = max(1, _CHUNK // (sets * m))
+    rows = _tile(sets * m)
     for r0 in reversed(range(0, m, rows)):
         r1 = min(r0 + rows, m)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked here
@@ -434,7 +444,7 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     order.sort(axis=1)
     size = order.shape[1]
     gaps = np.empty((sets, size - 1), dtype=bool)
-    step = max(1, _CHUNK // sets)
+    step = _tile(sets)
     for c in range(0, size - 1, step):
         np.greater(np.diff(order[:, c:c + step + 1], axis=1), tol, out=gaps[:, c:c + step])
     single = ~gaps.any(axis=1)
@@ -614,7 +624,7 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
     # 2 - 2|<x, y>|^2, does not cancel near equality; it decides each
     # candidate, in chunks so memory stays O(n^2 + chunk * d) at any tol
     match = np.zeros(len(rows), dtype=bool)
-    chunk = max(1, _CHUNK // max(1, a.dim))
+    chunk = _tile(a.dim)
     for start in range(0, len(rows), chunk):
         j, k = rows[start:start + chunk], cols[start:start + chunk]
         x = am[j]

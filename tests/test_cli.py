@@ -403,6 +403,9 @@ def test_commands_that_need_no_numpy_exit_without_loading_it(tmp_path, argv, cod
      "perm must be a permutation of 1..5"),
     (("construct", "c1", "--d", "4", "--perm", "1,3,4,2"), "construct c1 requires --perm and --v"),
     (("construct", "c3", "--d", "3"), "construct c3 requires --perm"),
+    (("construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", "True"),
+     "unsupported syntax in constant 'True'"),
+    (("wh", "--fiducial", "nope"), "fiducial must be builtin:d4 or file:<path>, got 'nope'"),
 ])
 def test_a_bad_construct_permutation_exits_without_numpy(tmp_path, argv, message):
     proc, modules = fresh_process(tmp_path, *argv)

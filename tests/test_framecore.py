@@ -210,7 +210,7 @@ def test_equivalence_rejects_non_unit_phase():
         apply_equivalence(lines, CoordPhases((Scalar.gauss(1, 1),) * 4))
 
 
-def test_lines_equal_reflexive_and_phase_invariant():
+def test_lines_equal_reflexive_and_phase_invariant(chunk):
     a = fixtures.sixteen_lines_d4()
     assert lines_equal(a, a)
     rng = random.Random(5)

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mublines.abelian import builtin_rds
@@ -59,7 +59,7 @@ FAMILIES = {d: mubs_from_rds(builtin_rds(d)) for d in (2, 3, 4, 5)}
 
 @pytest.mark.parametrize("phase_roots", [1, 4, 8])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_c1_search_equals_brute_force(d, phase_roots):
+def test_c1_search_equals_brute_force(d, phase_roots, chunk):
     family = FAMILIES[d]
     assert c1_search(family, phase_roots) == brute_force_c1_search(family, phase_roots)
 
@@ -198,10 +198,13 @@ def squared_norms(x):
     return (np.abs(x) ** 2).sum(axis=1)
 
 
-@settings(max_examples=60, deadline=None)
+# the chunk fixture sets framecore._CHUNK once for all the examples, and
+# no example changes it
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(2, 4), st.integers(1, 10), st.integers(0, 2**32 - 1),
        st.sampled_from([1e-8, 0.05, 0.2, 0.5]), st.booleans())
-def test_pair_masks_equal_a_loop_over_candidates_and_columns(d, count, seed, bound, zero):
+def test_pair_masks_equal_a_loop_over_candidates_and_columns(chunk, d, count, seed, bound, zero):
     # random orthonormal bases and candidates; with zero, one vector of x
     # has norm 0, so every block reads NaN and keeps every bit
     rng = np.random.default_rng(seed)
@@ -221,7 +224,7 @@ def test_pair_masks_equal_a_loop_over_candidates_and_columns(d, count, seed, bou
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_pair_masks_of_a_family_equal_the_loop(d):
+def test_pair_masks_of_a_family_equal_the_loop(d, chunk):
     # the candidates of c1_search at 8 roots on the builtin family, whose
     # spreads are 0 up to rounding wherever a column pair admits v; at d = 5
     # none does, so the search ends at its first basis pair
