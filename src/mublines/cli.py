@@ -5,8 +5,11 @@ Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
 
 `main` checks the options of every command in one place, `_check_options`,
 before the command runs; each command then imports the library modules it
-runs.  So `bounds` and every option error exit before numpy loads (for a
-builtin RDS), and `verify` loads framecore alone.
+runs.  Every input file is read as strict JSON (RFC 8259: no NaN or
+Infinity), and a line-set or fiducial document is checked by the numpy-free
+scalars._line_set_entries before framecore builds it.  So `bounds`, every
+option error and every malformed line-set or fiducial file exit before numpy
+loads (for a builtin RDS), and `verify` loads framecore alone.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .scalars import (
     DEFAULT_TOL,
     _columns,
     _gauss_if_integral,
+    _line_set_entries,
     max_angle,
     mub_bound,
     special_bound_f,
@@ -35,12 +39,17 @@ class CliError(Exception):
     """A usage or input error; exits with EXIT_USAGE."""
 
 
+def _refuse_constant(name: str):
+    """json's parse_constant: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load(path: str, what: str, parse):
-    """parse() of the JSON document at path; CliError if it cannot be read
-    or parsed."""
+    """parse() of the strict JSON document at path; CliError if it cannot be
+    read or parsed."""
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_constant=_refuse_constant))
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError too
@@ -174,9 +183,10 @@ def _build_lines(args):
     """The LineSet of `construct <kind>`, or of `wh`."""
     kind = args.kind
     if kind == "wh":
+        fiducial = _resolve_fiducial(args.fiducial)
         from . import weylheisenberg
 
-        return weylheisenberg.wh_orbit(_resolve_fiducial(args.fiducial))
+        return weylheisenberg.wh_orbit(fiducial)
     from . import constructions
 
     if kind == "c1":
@@ -208,11 +218,12 @@ def cmd_construct(args) -> int:
 
 
 def _lineset_from_json(data: dict):
-    """framecore.lineset_from_json, with framecore imported once the document
-    has been read."""
+    """framecore.lineset_from_json, with framecore (and numpy) imported only
+    once _line_set_entries has passed the document."""
+    checked = _line_set_entries(data)
     from . import framecore
 
-    return framecore.lineset_from_json(data)
+    return framecore._lineset_of(data, *checked)
 
 
 def cmd_verify(args) -> int:
@@ -262,15 +273,18 @@ def cmd_bounds(args) -> int:
 
 def _resolve_fiducial(ref: str):
     """The weylheisenberg.Fiducial of a reference, builtin:d4 or file:<path>
-    as _check_options has checked."""
-    from . import weylheisenberg
-
+    as _check_options has checked; weylheisenberg (and numpy) loads once a
+    file has been read."""
     if ref == "builtin:d4":
+        from . import weylheisenberg
+
         return weylheisenberg.fiducial_d4()
     # {"vector": [[re, im], ...]} is a one-vector complex-f64 line set
-    return _load(ref.split(":", 1)[1], "fiducial", lambda data: weylheisenberg.Fiducial(
-        _lineset_from_json({"dim": len(data["vector"]), "vectors": [data["vector"]]}).vectors[0],
-        "user"))
+    vector = _load(ref.split(":", 1)[1], "fiducial", lambda data: _lineset_from_json(
+        {"dim": len(data["vector"]), "vectors": [data["vector"]]}).vectors[0])
+    from . import weylheisenberg
+
+    return weylheisenberg.Fiducial(vector, "user")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,30 +11,32 @@ its bases, then each basis against all later ones in one block row
 (_block_rows).  _float_reports, behind the float gram_analyze and the
 certifier of constructions.c1_search's survivors, walks a float Gram in row
 tiles of at most _CHUNK entries and never holds it whole.  _report alone
-says "equiangular".  Zero vectors, non-finite entries and non-integral
-gaussian-int JSON entries raise, never read as "yes".
+says "equiangular".  Zero vectors and non-finite entries raise, never read
+as "yes".  lineset_from_json builds the array of a line-set document whose
+every rule the numpy-free scalars._line_set_entries has checked.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
 import stat
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-# DEFAULT_TOL and the three bounds live in the numpy-free scalars module, so
-# that the CLI can read them before numpy loads; framecore.* names them too
+# DEFAULT_TOL, the three bounds and the line-set document rules live in the
+# numpy-free scalars module, so that the CLI can read them before numpy
+# loads; framecore.* names them too
 from .scalars import (  # noqa: F401
     DEFAULT_TOL,
+    DimensionMismatch,
     Scalar,
     _indices,
-    _ints,
+    _line_set_entries,
+    _table_entries,
     max_angle,
     mub_bound,
     special_bound_f,
@@ -60,10 +62,6 @@ def _tile(width: int) -> int:
 #: chain values far apart into one cluster; c1_search's pair masks prune by
 #: this same bound
 _SPREAD_TOLS = 10
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class ZeroVectorError(ValueError):
@@ -372,6 +370,8 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     num, den = num[order], den[order]
     first = np.concatenate(([True], (num[1:] != num[:-1]) | (den[1:] != den[:-1])))
     sizes = np.diff(np.append(np.flatnonzero(first), len(num))).tolist()
+    from fractions import Fraction  # imported where used: ~2 ms with decimal
+
     keys = map(Fraction, num[first].tolist(), den[first].tolist())
     clusters = tuple((math.sqrt(float(key)), size) for key, size in sorted(zip(keys, sizes)))
     return _report(tuple(map(_exact_norm, norms.tolist())), clusters)
@@ -677,41 +677,17 @@ def lineset_to_json(lines: LineSet) -> dict:
 
 
 def lineset_from_json(data: dict) -> LineSet:
-    """field must be "gaussian-int" or "complex-f64" (absent reads as
-    complex-f64), dim an integer by scalars._ints (2.0 reads as 2; 2.7, "2"
-    and true do not), and entries JSON numbers: integers in a gaussian-int
-    set, within float64 range in a complex-f64 one; anything else raises
-    ValueError."""
-    (dim,) = _ints([data["dim"]], "line-set dim")
-    field = data.get("field", "complex-f64")
-    if field not in ("gaussian-int", "complex-f64"):
-        raise ValueError(f"line-set field must be gaussian-int or complex-f64, got {field!r}")
-    rows = data["vectors"]
-    flat = _table_entries(rows)
-    if flat is None or not set(map(len, rows)) <= {dim}:
-        raise DimensionMismatch(f"vectors must be lists of {dim} [re, im] pairs")
-    if not set(map(type, flat)) <= {int, float}:
-        raise ValueError("line-set entries must be JSON numbers")
-    if field == "gaussian-int":
-        parts = np.array(_ints(flat, "gaussian-int line set"), dtype=object)
-    else:
-        try:
-            parts = np.fromiter(flat, float, len(flat))
-        except OverflowError as exc:
-            raise ValueError(f"complex-f64 line set has an entry beyond float64: {exc}")
-    return LineSet.from_parts(parts.reshape(len(rows), dim, 2).transpose(2, 0, 1),
+    """The LineSet of a line-set document; scalars._line_set_entries holds
+    its rules, and raises where one breaks."""
+    return _lineset_of(data, *_line_set_entries(data))
+
+
+def _lineset_of(data: dict, dim: int, exact: bool, flat: list) -> LineSet:
+    """The LineSet of a document that _line_set_entries has read as
+    (dim, exact, flat)."""
+    parts = np.array(flat, dtype=object) if exact else np.fromiter(flat, float, len(flat))
+    return LineSet.from_parts(parts.reshape(len(data["vectors"]), dim, 2).transpose(2, 0, 1),
                               data.get("provenance", {}))
-
-
-def _table_entries(rows) -> list | None:
-    """The numbers of a table, a list of rows of [re, im] pairs, in order;
-    None if rows is not one."""
-    if type(rows) not in (list, tuple) or not set(map(type, rows)) <= {list, tuple}:
-        return None
-    pairs = list(itertools.chain.from_iterable(rows))
-    if not set(map(type, pairs)) <= {list, tuple} or not set(map(len, pairs)) <= {2}:
-        return None
-    return list(itertools.chain.from_iterable(pairs))
 
 
 def dump_json(obj: dict, path) -> None:

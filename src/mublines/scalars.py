@@ -7,12 +7,15 @@ mixing an exact scalar with a float one silently degrades to float.
 
 This module imports no numpy, so it also holds what the CLI reads before
 numpy loads: the default tolerance, c1_search's default budget, the
-closed-form bounds and the permutation check.
+closed-form bounds, the permutation check and every rule of a line-set
+document (_line_set_entries), so that a malformed line-set or fiducial file
+is refused before numpy loads.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -129,6 +132,55 @@ def _columns(perm, d: int) -> list[int]:
     if images is None or sorted(images) != list(range(1, d + 1)):
         raise ValueError(f"perm must be a permutation of 1..{d}")
     return [p - 1 for p in images]
+
+
+class DimensionMismatch(ValueError):
+    pass
+
+
+def _table_entries(rows) -> list | None:
+    """The numbers of a table, a list of rows of [re, im] pairs, in order;
+    None if rows is not one."""
+    if type(rows) not in (list, tuple) or not set(map(type, rows)) <= {list, tuple}:
+        return None
+    pairs = list(itertools.chain.from_iterable(rows))
+    if not set(map(type, pairs)) <= {list, tuple} or not set(map(len, pairs)) <= {2}:
+        return None
+    return list(itertools.chain.from_iterable(pairs))
+
+
+def _line_set_entries(data) -> tuple[int, bool, list]:
+    """(dim, exact, entries) of a line-set document read from JSON, exact for
+    a gaussian-int set and entries the numbers of its table in order: Python
+    ints in an exact set, floats otherwise.  The rules, checked in this order:
+    dim is an integer by _ints (2.0 reads as 2; 2.7, "2" and true do not);
+    field is "gaussian-int" or "complex-f64" (absent reads as complex-f64);
+    provenance, if given, is a JSON object; vectors is a table of dim
+    [re, im] pairs per row (DimensionMismatch otherwise); and its entries are
+    JSON numbers: integers in a gaussian-int set, within float64 range in a
+    complex-f64 one.  A broken rule raises ValueError, a missing dim or
+    vectors KeyError."""
+    (dim,) = _ints([data["dim"]], "line-set dim")
+    field = data.get("field", "complex-f64")
+    if field not in ("gaussian-int", "complex-f64"):
+        raise ValueError(f"line-set field must be gaussian-int or complex-f64, got {field!r}")
+    if not isinstance(data.get("provenance", {}), dict):
+        raise ValueError("line-set provenance must be a JSON object")
+    rows = data["vectors"]
+    flat = _table_entries(rows)
+    if flat is None or not set(map(len, rows)) <= {dim}:
+        raise DimensionMismatch(f"vectors must be lists of {dim} [re, im] pairs")
+    types = set(map(type, flat))
+    if not types <= {int, float}:
+        raise ValueError("line-set entries must be JSON numbers")
+    if field == "gaussian-int":
+        return dim, True, _ints(flat, "gaussian-int line set")
+    if int in types:
+        try:
+            flat = list(map(float, flat))
+        except OverflowError as exc:
+            raise ValueError(f"complex-f64 line set has an entry beyond float64: {exc}")
+    return dim, False, flat
 
 
 def _gauss_if_integral(z: complex) -> Scalar:

@@ -384,16 +384,39 @@ def fresh_run(tmp_path, *argv):
     return proc.returncode, modules
 
 
+#: the table of a two-line set in C^2, as JSON text
+_E12 = "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]"
+#: line-set and fiducial files that each break one rule of the document
+MALFORMED = {
+    "nonint.json": '{"dim": 2, "field": "gaussian-int", "vectors": [[[1, 0], [0, 0]], '
+                   '[[0, 0], [1.5, 0]]]}',
+    "nan.json": '{"dim": 2, "vectors": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "inf.json": '{"dim": 2, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, -Infinity]]]}',
+    "field.json": '{"dim": 2, "field": "gaussian_int", "vectors": %s}' % _E12,
+    "row.json": '{"dim": 2, "vectors": [[[1, 0], [0, 0]], [[0, 0]]]}',
+    "string.json": '{"dim": 2, "vectors": [[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]}',
+    "dim.json": '{"dim": 2.7, "vectors": %s}' % _E12,
+    "provenance.json": '{"dim": 2, "vectors": %s, "provenance": "x"}' % _E12,
+    "fiducial.json": '{"vector": [[true, 0], [0, 0], [0, 0], [0, 0]]}',
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     (("bounds", "--d", "4"), 0),
     (("bounds", "--d", "0"), 2),
     (("mubs", "--rds", "builtin:6"), 2),
     (("verify", "missing.json"), 2),
+    *((("verify", name), 2) for name in MALFORMED if name != "fiducial.json"),
+    (("wh", "--fiducial", "file:fiducial.json"), 2),
 ])
 def test_commands_that_need_no_numpy_exit_without_loading_it(tmp_path, argv, code):
-    got, modules = fresh_run(tmp_path, *argv)
-    assert got == code
-    assert "numpy" not in modules
+    for name, text in MALFORMED.items():
+        (tmp_path / name).write_text(text)
+    proc, modules = fresh_process(tmp_path, *argv)
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not {"numpy", "fractions"} & modules
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -479,13 +502,18 @@ def test_a_d_that_agrees_with_the_rds_changes_nothing(tmp_path, command, options
 
 
 def test_verify_loads_no_construction_module(tmp_path):
-    from mublines.constructions import construction3_d4_extension
+    from mublines.constructions import construction2_family, construction3_d4_extension
 
     (tmp_path / "lines64.json").write_text(json.dumps(lineset_to_json(construction3_d4_extension())))
     code, modules = fresh_run(tmp_path, "verify", "lines64.json")
     assert code == 0
     assert "mublines.framecore" in modules
     assert not {"mublines.abelian", "mublines.constructions"} & modules
+    # only the exact clustering makes Fractions: a float verify never imports them
+    (tmp_path / "float.json").write_text(json.dumps(lineset_to_json(construction2_family(0.0))))
+    code, modules = fresh_run(tmp_path, "verify", "float.json")
+    assert code == 0
+    assert "mublines.framecore" in modules and "fractions" not in modules
 
 
 #: a block pair that is NOT equiangular at the default tol

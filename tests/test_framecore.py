@@ -504,6 +504,17 @@ def test_lineset_from_json_rejects_wrong_shapes(vectors):
         lineset_from_json({"dim": 4, "field": "complex-f64", "vectors": vectors})
 
 
+@pytest.mark.parametrize("provenance", ["abc", [["k", 1]], None, 5])
+def test_lineset_from_json_refuses_a_provenance_that_is_not_an_object(provenance):
+    # "abc" once failed only in apply_equivalence's dict(), and [["k", 1]]
+    # silently became {"k": 1} there
+    data = {"dim": 2, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    assert lineset_from_json(data).provenance == {}
+    assert lineset_from_json({**data, "provenance": {"k": 1}}).provenance == {"k": 1}
+    with pytest.raises(ValueError, match="line-set provenance must be a JSON object"):
+        lineset_from_json({**data, "provenance": provenance})
+
+
 @pytest.mark.parametrize("field", ["gaussian_int", "Gaussian-Int", "complex_f64", 7, None, True,
                                    ["gaussian-int"]])
 def test_lineset_from_json_refuses_an_unknown_field(field):

@@ -1067,3 +1067,88 @@ def test_json_encoder_takes_a_float_table_once_per_value():
     doc = lineset_to_json(mubs_from_rds(builtin_rds(31)).bases[0])
     assert "".join(_encode({"bases": [doc, doc], "verified": True})) == json.dumps(
         {"bases": [doc, doc], "verified": True}, sort_keys=True)
+
+
+# --- the line-set reader ----------------------------------------------------
+
+
+@st.composite
+def line_set_documents(draw):
+    """A document of line_set_docs, its dim often set to its first row's
+    length and the floats of a gaussian-int table often made integral (NaN
+    and infinities stay), at times with an int entry beyond float64, then at
+    times one more flaw or change: a dim, field or provenance of another
+    kind, an integral float dim, or no field or provenance."""
+    doc = draw(line_set_docs)
+    rows = doc["vectors"]
+    if rows and draw(st.booleans()):
+        doc["dim"] = len(rows[0])
+    if doc["field"] == "gaussian-int" and draw(st.booleans()):
+        kind = draw(st.sampled_from([int, float]))
+        doc["vectors"] = [
+            [type(pair)(kind(math.floor(x)) if type(x) is float and math.isfinite(x) else x
+                        for x in pair) if type(pair) in (list, tuple) else pair
+             for pair in row] for row in rows]
+    pairs = [pair for row in doc["vectors"] for pair in row if type(pair) is list and pair]
+    if pairs and draw(st.integers(0, 3)) == 0:
+        draw(st.sampled_from(pairs))[0] = 10**400
+    change = draw(st.sampled_from([None, None, None, "dim", "field", "provenance",
+                                   "no field", "no provenance"]))
+    if change == "dim":
+        doc["dim"] = draw(st.sampled_from([float(doc["dim"]), 2.7, "2", True, None]))
+    elif change == "field":
+        doc["field"] = draw(st.sampled_from(["gaussian_int", 7, None, ["complex-f64"]]))
+    elif change == "provenance":
+        doc["provenance"] = draw(st.one_of(leaves, st.just([["k", 1]])))
+    elif change is not None:
+        del doc[change.split()[1]]
+    return doc
+
+
+def well_formed(doc) -> bool:
+    """Whether a line-set document keeps every rule README gives it."""
+    dim, field = doc["dim"], doc.get("field", "complex-f64")
+    if type(dim) is float and dim.is_integer():
+        dim = int(dim)
+    if (type(dim) is not int or field not in ("gaussian-int", "complex-f64")
+            or not isinstance(doc.get("provenance", {}), dict)):
+        return False
+    for row in doc["vectors"]:
+        if len(row) != dim:
+            return False
+        for pair in row:
+            if type(pair) not in (list, tuple) or len(pair) != 2:
+                return False
+            for x in pair:
+                if type(x) not in (int, float):
+                    return False
+                if field == "gaussian-int" and not (type(x) is int or x.is_integer()):
+                    return False
+                try:
+                    float(x)  # the one way a JSON int is beyond float64
+                except OverflowError:
+                    if field == "complex-f64":
+                        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(line_set_documents())
+def test_lineset_from_json_reads_every_entry_or_refuses_the_document(doc):
+    try:
+        lines = lineset_from_json(doc)
+    except ValueError:
+        assert not well_formed(doc)
+        return
+    assert well_formed(doc)
+    entries = [x for row in doc["vectors"] for pair in row for x in pair]
+    got = lines.parts.transpose(1, 2, 0).ravel()
+    assert lines.exact == (doc.get("field") == "gaussian-int")
+    assert (lines.provenance is doc["provenance"] if "provenance" in doc
+            else lines.provenance == {})
+    if lines.exact:
+        assert [type(g) for g in got] == [int] * len(entries)
+        assert got.tolist() == entries
+    else:
+        assert np.array_equal(got.view(np.uint64),
+                              np.array(list(map(float, entries))).view(np.uint64))
