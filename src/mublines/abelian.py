@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
-from .scalars import Scalar, _ints, root_of_unity
+from .scalars import Scalar, _ints, _Record, root_of_unity
 
 
 class RdsError(ValueError):
@@ -30,13 +29,12 @@ class UnsupportedDimension(ValueError):
     """No builtin RDS is available for the requested dimension."""
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(_Record):
     """Product of cyclic groups of the given factor orders."""
 
-    orders: tuple[int, ...]
+    __slots__ = _FIELDS = ("orders",)
 
-    def __post_init__(self):
+    def _check(self):
         orders = tuple(_ints(self.orders, "group orders"))
         if not orders or any(n < 1 for n in orders):
             raise ValueError("factor orders must all be >= 1")
@@ -53,12 +51,12 @@ class FiniteAbelianGroup:
         return self.element((0,) * len(self.orders))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FiniteAbelianGroup
-    exponents: tuple[int, ...]
+class GroupElement(_Record):
+    """The element of group with the exponent tuple exponents, reduced."""
 
-    def __post_init__(self):
+    __slots__ = _FIELDS = ("group", "exponents")
+
+    def _check(self):
         _reduce(self, "exponent tuple length")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
@@ -72,14 +70,13 @@ class GroupElement:
         return GroupElement(self.group, tuple(-e for e in self.exponents))
 
 
-@dataclass(frozen=True)
-class Character:
-    """chi(g) = prod_i zeta_{n_i}^{j_i * e_i}, the j_i being this tuple."""
+class Character(_Record):
+    """chi(g) = prod_i zeta_{n_i}^{j_i * e_i}, the j_i being the exponent
+    tuple, reduced."""
 
-    group: FiniteAbelianGroup
-    exponents: tuple[int, ...]
+    __slots__ = _FIELDS = ("group", "exponents")
 
-    def __post_init__(self):
+    def _check(self):
         _reduce(self, "character exponent length")
 
     def __call__(self, g: GroupElement) -> Scalar:
@@ -152,16 +149,16 @@ def _subgroup_closure(orders: tuple[int, ...], generators) -> set[tuple[int, ...
     return seen
 
 
-@dataclass(frozen=True)
-class RelativeDifferenceSet:
-    """An (m, n, k, lambda)-RDS candidate; call rds_verify to validate."""
+class RelativeDifferenceSet(_Record):
+    """An (m, n, k, lambda)-RDS candidate of group, forbidden and elements
+    (tuples of GroupElements); call rds_verify to validate.  Its label
+    names where it came from and takes no part in ==."""
 
-    group: FiniteAbelianGroup
-    forbidden: tuple[GroupElement, ...]
-    elements: tuple[GroupElement, ...]
-    label: str = field(default="", compare=False)
+    __slots__ = _FIELDS = ("group", "forbidden", "elements", "label")
+    _DEFAULTS = ("",)
+    _COMPARE = ("group", "forbidden", "elements")
 
-    def __post_init__(self):
+    def _check(self):
         for g in self.forbidden + self.elements:
             if g.group != self.group:
                 raise ValueError("RDS data must live in the stated group")

@@ -14,7 +14,6 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .framecore import (
     _tile,
     verify_mubs,
 )
-from .scalars import _C1_BUDGET, Scalar, _columns, _gauss_if_integral, root_of_unity
+from .scalars import _C1_BUDGET, Scalar, _columns, _gauss_if_integral, _Record, root_of_unity
 
 
 class InvalidRds(ValueError):
@@ -44,13 +43,13 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class MubFamily:
-    dim: int
-    bases: tuple[LineSet, ...]
-    source_rds: RelativeDifferenceSet
+class MubFamily(_Record):
+    """dim bases (LineSets) of C^dim, built from source_rds."""
 
-    def __post_init__(self):
+    _FIELDS = ("dim", "bases", "source_rds")
+    __slots__ = (*_FIELDS, "__dict__")  # the cached properties live in __dict__
+
+    def _check(self):
         """A family in C^dim is dim bases of dim vectors in C^dim; every
         construction indexes it by that shape."""
         if len(self.bases) != self.dim:
@@ -81,20 +80,19 @@ class MubFamily:
         return parts, floats
 
 
-@dataclass(frozen=True)
-class ScalingSpec:
-    """Permutation pi (1-based images) and scaling constant v."""
+class ScalingSpec(_Record):
+    """Permutation perm, pi as 1-based images, and scaling constant v, a
+    Scalar."""
 
-    perm: tuple[int, ...]
-    v: Scalar
+    __slots__ = _FIELDS = ("perm", "v")
 
 
-@dataclass(frozen=True)
-class BlockPairSpec:
-    perm: tuple[int, ...]
-    a: float
-    b: float
-    variant: str = "default"  # "default" or "i-twist"
+class BlockPairSpec(_Record):
+    """Permutation perm, the floats a and b, and variant, "default" or
+    "i-twist"."""
+
+    __slots__ = _FIELDS = ("perm", "a", "b", "variant")
+    _DEFAULTS = ("default",)
 
 
 def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:

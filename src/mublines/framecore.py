@@ -23,7 +23,6 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .scalars import (  # noqa: F401
     DimensionMismatch,
     Scalar,
     _indices,
+    _Record,
     _line_set_entries,
     _table_entries,
     max_angle,
@@ -251,18 +251,17 @@ def _cmul(x: np.ndarray, re, im) -> tuple[np.ndarray, np.ndarray]:
         return x[0] * re - x[1] * im, x[0] * im + x[1] * re
 
 
-@dataclass(frozen=True)
-class GramReport:
-    size: int
-    norms: tuple[float, ...]
-    angle_clusters: tuple[tuple[float, int], ...]
-    equiangular: bool
-    common_angle: float | None
-    exact: bool
+class GramReport(_Record):
+    """size: int, norms: tuple of floats, angle_clusters: tuple of
+    (angle, count), equiangular: bool, common_angle: float or None,
+    exact: bool."""
+
+    __slots__ = _FIELDS = ("size", "norms", "angle_clusters", "equiangular", "common_angle",
+                           "exact")
 
     def to_json(self) -> dict:
         """The fields, with lists for tuples."""
-        return dict(vars(self), norms=list(self.norms),
+        return dict({name: getattr(self, name) for name in self._FIELDS}, norms=list(self.norms),
                     angle_clusters=[list(cluster) for cluster in self.angle_clusters])
 
 
@@ -273,9 +272,8 @@ def _report(norms: tuple[float, ...], clusters: tuple[tuple[float, int], ...],
     normalized values, given), a spread of at most _SPREAD_TOLS * tol."""
     exact = spread is None
     equi = len(clusters) == 1 and (exact or spread <= _SPREAD_TOLS * tol)
-    return GramReport(size=len(norms), norms=norms, angle_clusters=clusters,
-                      equiangular=equi, common_angle=clusters[0][0] if equi else None,
-                      exact=exact)
+    # positional: the cheap path of _Record, as c1_search reports every survivor
+    return GramReport(len(norms), norms, clusters, equi, clusters[0][0] if equi else None, exact)
 
 
 def _stack(sets) -> np.ndarray:
@@ -344,6 +342,10 @@ def _adjoint(b: np.ndarray) -> np.ndarray:
     return b.conj().swapaxes(-1, -2) if b.dtype == complex else b.swapaxes(-1, -2)
 
 
+#: the sort key of (n, d, ...) tuples by the rational n / d, d > 0
+_BY_RATIO = functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
 def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     """Cluster the normalized pairwise inner-product magnitudes.
 
@@ -361,8 +363,9 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     # each pair's |<x, y>|^2 / (|x|^2 |y|^2) in lowest terms, so that equal
     # values have equal (num, den), grouped by one sort; the same calls run
     # on int64 parts (no product here exceeds _stack's bound) and on Python
-    # ints.  Only the distinct values become Fractions, which compare by
-    # cross-multiplying, so no int64 product decides their order
+    # ints.  The distinct values are ordered by cross-multiplying as Python
+    # ints, so no int64 product decides their order, and n / d is the
+    # correctly rounded float of each, as float(Fraction(n, d)) is
     num, den = mag[upper], np.outer(norms, norms)[upper]
     common = np.gcd(num, den)  # den > 0: no zero vector
     num, den = num // common, den // common
@@ -370,10 +373,8 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     num, den = num[order], den[order]
     first = np.concatenate(([True], (num[1:] != num[:-1]) | (den[1:] != den[:-1])))
     sizes = np.diff(np.append(np.flatnonzero(first), len(num))).tolist()
-    from fractions import Fraction  # imported where used: ~2 ms with decimal
-
-    keys = map(Fraction, num[first].tolist(), den[first].tolist())
-    clusters = tuple((math.sqrt(float(key)), size) for key, size in sorted(zip(keys, sizes)))
+    values = sorted(zip(num[first].tolist(), den[first].tolist(), sizes), key=_BY_RATIO)
+    clusters = tuple((math.sqrt(n / d), size) for n, d, size in values)
     return _report(tuple(map(_exact_norm, norms.tolist())), clusters)
 
 
@@ -529,30 +530,28 @@ def _block_rows(stack: np.ndarray):
 # --- equivalence operations -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntryPermutation:
+class EntryPermutation(_Record):
     """Permute the entries of every vector; perm[i] is the source index."""
 
-    perm: tuple[int, ...]
+    __slots__ = _FIELDS = ("perm",)
 
 
-@dataclass(frozen=True)
-class VectorPhases:
+class VectorPhases(_Record):
     """Multiply vector j by the unit phase phases[j]."""
 
-    phases: tuple
+    __slots__ = _FIELDS = ("phases",)
 
 
-@dataclass(frozen=True)
-class CoordPhases:
+class CoordPhases(_Record):
     """Multiply entry i of every vector by the unit phase phases[i]."""
 
-    phases: tuple
+    __slots__ = _FIELDS = ("phases",)
 
 
-@dataclass(frozen=True)
-class Compose:
-    parts: tuple
+class Compose(_Record):
+    """Apply each transform of parts in turn."""
+
+    __slots__ = _FIELDS = ("parts",)
 
 
 Transform = EntryPermutation | VectorPhases | CoordPhases | Compose

@@ -9,7 +9,10 @@ This module imports no numpy, so it also holds what the CLI reads before
 numpy loads: the default tolerance, c1_search's default budget, the
 closed-form bounds, the permutation check and every rule of a line-set
 document (_line_set_entries), so that a malformed line-set or fiducial file
-is refused before numpy loads.
+is refused before numpy loads.  It also holds _Record, the base of every
+value class of the package (Scalar here, GramReport, the groups, the specs):
+a frozen record with no generated code, so that no module imports
+dataclasses, and with it inspect, ast and dis.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import cmath
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+import operator
 
 DEFAULT_TOL = 1e-9
 
@@ -27,11 +30,102 @@ DEFAULT_TOL = 1e-9
 _C1_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class Scalar:
-    re: float
-    im: float
-    exact: bool = False
+class _Record:
+    """A frozen value record: what the package used of a frozen dataclass,
+    with no code generated for each class.
+
+    A subclass names its fields in _FIELDS, which are also its __slots__;
+    it may give the trailing fields defaults in _DEFAULTS, compare only the
+    fields in _COMPARE (all of them by default), and check or normalize a
+    new record in a _check method, which sets a field by object.__setattr__.
+    A record is built by position or by keyword.  It equals a record of the
+    same class whose compared fields are equal (NotImplemented for another
+    class), hashes as those fields, refuses assignment and
+    deletion with AttributeError, has the repr Name(field=value, ...), and
+    reduces to its class and fields, so that copy and pickle rebuild it
+    through _check.
+    """
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+    _DEFAULTS: tuple = ()
+    _check = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields, defaults = cls._FIELDS, cls._DEFAULTS
+        cls._COMPARE = cls.__dict__.get("_COMPARE", fields)
+        # == and hash read the compared fields, and a construction sets the
+        # slots, through these, with no code made per class
+        cls._key = operator.attrgetter(*cls._COMPARE)  # a bare value for one field
+        cls._SETTERS = tuple(getattr(cls, name).__set__ for name in fields)
+        # the default tail of every positional call that gives the required fields
+        required = len(fields) - len(defaults)
+        cls._TAILS = {required + i: defaults[i:] for i in range(len(defaults))}
+
+    def __init__(self, *args, **kwargs):
+        setters = self._SETTERS
+        if kwargs or len(args) != len(setters):
+            tail = None if kwargs else self._TAILS.get(len(args))
+            args = self._bind(args, kwargs) if tail is None else args + tail
+        for setter, value in zip(setters, args):
+            setter(self, value)
+        if self._check is not None:
+            self._check()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with keywords or with too few or too
+        many values, in _FIELDS order; TypeError as a function call gives it."""
+        fields, name = self._FIELDS, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields[len(fields) - len(self._DEFAULTS):], self._DEFAULTS))
+        values.update(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in fields[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required argument(s): {', '.join(missing)}")
+        return tuple(map(values.__getitem__, fields))
+
+    def __eq__(self, other):
+        if other is self:  # as a tuple of fields equals itself, NaN fields too
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._FIELDS)
+
+
+class Scalar(_Record):
+    __slots__ = _FIELDS = ("re", "im", "exact")
+
+    def __init__(self, re: float, im: float, exact: bool = False):
+        # the hottest record sets its slots itself, cheaper than the generic
+        # call of _Record.__init__
+        set_re, set_im, set_exact = self._SETTERS
+        set_re(self, re)
+        set_im(self, im)
+        set_exact(self, exact)
 
     @staticmethod
     def gauss(a: int, b: int = 0) -> "Scalar":
@@ -153,14 +247,20 @@ def _line_set_entries(data) -> tuple[int, bool, list]:
     """(dim, exact, entries) of a line-set document read from JSON, exact for
     a gaussian-int set and entries the numbers of its table in order: Python
     ints in an exact set, floats otherwise.  The rules, checked in this order:
-    dim is an integer by _ints (2.0 reads as 2; 2.7, "2" and true do not);
-    field is "gaussian-int" or "complex-f64" (absent reads as complex-f64);
-    provenance, if given, is a JSON object; vectors is a table of dim
-    [re, im] pairs per row (DimensionMismatch otherwise); and its entries are
-    JSON numbers: integers in a gaussian-int set, within float64 range in a
-    complex-f64 one.  A broken rule raises ValueError, a missing dim or
-    vectors KeyError."""
+    the document is a JSON object with a dim and a vectors member; dim is an
+    integer by _ints (2.0 reads as 2; 2.7, "2" and true do not) and not
+    negative; field is "gaussian-int" or "complex-f64" (absent reads as
+    complex-f64); provenance, if given, is a JSON object; vectors is a table
+    of dim [re, im] pairs per row (DimensionMismatch otherwise); and its
+    entries are JSON numbers: integers in a gaussian-int set, within float64
+    range in a complex-f64 one.  A broken rule raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("line-set document must be a JSON object")
+    if not ("dim" in data and "vectors" in data):
+        raise ValueError("line-set document must have dim and vectors")
     (dim,) = _ints([data["dim"]], "line-set dim")
+    if dim < 0:
+        raise ValueError(f"line-set dim must be >= 0, got {dim}")
     field = data.get("field", "complex-f64")
     if field not in ("gaussian-int", "complex-f64"):
         raise ValueError(f"line-set field must be gaussian-int or complex-f64, got {field!r}")

@@ -4,27 +4,28 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .framecore import DEFAULT_TOL, CVector, LineSet
+from .scalars import _Record
 
 
 class NotUnitary(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Fiducial:
-    vector: CVector
-    source: str = "user"
+class Fiducial(_Record):
+    """A nonzero CVector, vector, and where it came from, source."""
+
+    __slots__ = _FIELDS = ("vector", "source")
+    _DEFAULTS = ("user",)
 
     @property
     def dim(self) -> int:
         return self.vector.dim
 
-    def __post_init__(self):
+    def _check(self):
         if self.vector.is_zero():
             raise ValueError("fiducial vector must be nonzero")
 

@@ -397,6 +397,9 @@ MALFORMED = {
     "string.json": '{"dim": 2, "vectors": [[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]}',
     "dim.json": '{"dim": 2.7, "vectors": %s}' % _E12,
     "provenance.json": '{"dim": 2, "vectors": %s, "provenance": "x"}' % _E12,
+    "negative-dim.json": '{"dim": -1, "vectors": []}',
+    "list.json": "[1, 2]",
+    "no-dim.json": '{"vectors": %s}' % _E12,
     "fiducial.json": '{"vector": [[true, 0], [0, 0], [0, 0], [0, 0]]}',
 }
 
@@ -416,7 +419,32 @@ def test_commands_that_need_no_numpy_exit_without_loading_it(tmp_path, argv, cod
     assert proc.returncode == code
     if code == 2:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert not {"numpy", "fractions"} & modules
+    # nor dataclasses and its inspect, which only numpy would load otherwise
+    assert not {"numpy", "fractions", "dataclasses", "inspect"} & modules
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dim": -1, "vectors": []}, "line-set dim must be >= 0, got -1"),
+    ({"dim": -2, "field": "gaussian-int", "vectors": [[[1, 0]]]},
+     "line-set dim must be >= 0, got -2"),
+    ([1, 2], "line-set document must be a JSON object"),
+    ("lines", "line-set document must be a JSON object"),
+    ({"vectors": []}, "line-set document must have dim and vectors"),
+    ({"dim": 2}, "line-set document must have dim and vectors"),
+])
+def test_verify_names_the_document_rule_a_file_breaks(capsys, tmp_path, doc, message):
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(path)) == (
+        2, "", f"error: malformed or invalid line set: {message}\n")
+
+
+def test_a_line_set_of_dim_0_passes_the_document_rules(capsys, tmp_path):
+    # its two vectors are zero vectors, which the Gram refuses
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"dim": 0, "vectors": [[], []]}))
+    assert run(capsys, "verify", str(path)) == (
+        2, "", "error: line sets may not contain the zero vector\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -514,6 +542,17 @@ def test_verify_loads_no_construction_module(tmp_path):
     code, modules = fresh_run(tmp_path, "verify", "float.json")
     assert code == 0
     assert "mublines.framecore" in modules and "fractions" not in modules
+
+
+@pytest.mark.parametrize("argv", [("construct", "c3ext"), ("verify", "lines64.json")])
+def test_an_exact_certificate_loads_neither_fractions_nor_decimal(tmp_path, argv):
+    from mublines.constructions import construction3_d4_extension
+
+    lines64 = lineset_to_json(construction3_d4_extension())
+    (tmp_path / "lines64.json").write_text(json.dumps(lines64))
+    proc, modules = fresh_process(tmp_path, *argv)
+    assert proc.returncode == 0
+    assert not {"fractions", "decimal", "dataclasses"} & modules
 
 
 #: a block pair that is NOT equiangular at the default tol
