@@ -40,10 +40,12 @@ class _Record:
     new record in a _check method, which sets a field by object.__setattr__.
     A record is built by position or by keyword.  It equals a record of the
     same class whose compared fields are equal (NotImplemented for another
-    class), hashes as those fields, refuses assignment and
-    deletion with AttributeError, has the repr Name(field=value, ...), and
-    reduces to its class and fields, so that copy and pickle rebuild it
-    through _check.
+    class), hashes as those fields, refuses assignment and deletion with
+    AttributeError, has the repr Name(field=value, ...), and reduces to its
+    class and fields, so that copy and pickle rebuild it through __init__.
+    A class built in hot loops (Scalar, GroupElement, Character) defines an
+    __init__ of fixed signature instead, which sets its slots through
+    _SETTERS.
     """
 
     __slots__ = ()
@@ -75,21 +77,14 @@ class _Record:
 
     def _bind(self, args: tuple, kwargs: dict) -> tuple:
         """The field values of a call with keywords or with too few or too
-        many values, in _FIELDS order; TypeError as a function call gives it."""
-        fields, name = self._FIELDS, type(self).__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields[len(fields) - len(self._DEFAULTS):], self._DEFAULTS))
-        values.update(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in fields[:len(args)]:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        missing = [key for key in fields if key not in values]
-        if missing:
-            raise TypeError(f"{name}() missing required argument(s): {', '.join(missing)}")
+        many values, in _FIELDS order; TypeError unless it gives each field
+        once, or leaves it to its default."""
+        fields = self._FIELDS
+        given = dict(zip(fields, args))
+        values = {**dict(zip(fields[::-1], self._DEFAULTS[::-1])), **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs.keys() or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}; got "
+                            f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword")
         return tuple(map(values.__getitem__, fields))
 
     def __eq__(self, other):
