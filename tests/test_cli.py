@@ -439,14 +439,6 @@ def test_verify_names_the_document_rule_a_file_breaks(capsys, tmp_path, doc, mes
         2, "", f"error: malformed or invalid line set: {message}\n")
 
 
-def test_a_line_set_of_dim_0_passes_the_document_rules(capsys, tmp_path):
-    # its two vectors are zero vectors, which the Gram refuses
-    path = tmp_path / "lines.json"
-    path.write_text(json.dumps({"dim": 0, "vectors": [[], []]}))
-    assert run(capsys, "verify", str(path)) == (
-        2, "", "error: line sets may not contain the zero vector\n")
-
-
 @pytest.mark.parametrize("argv, message", [
     (("construct", "c1", "--d", "4", "--perm", "1,2,3", "--v", "1"),
      "perm must be a permutation of 1..4"),
