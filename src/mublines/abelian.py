@@ -56,8 +56,8 @@ class GroupElement(_Record):
 
     __slots__ = _FIELDS = ("group", "exponents")
 
-    def __init__(self, group: FiniteAbelianGroup, exponents: tuple[int, ...]):
-        _reduce(self, group, exponents, "exponent tuple length")
+    def _check(self):
+        _reduce(self, "exponent tuple length")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.group != self.group:
@@ -76,8 +76,8 @@ class Character(_Record):
 
     __slots__ = _FIELDS = ("group", "exponents")
 
-    def __init__(self, group: FiniteAbelianGroup, exponents: tuple[int, ...]):
-        _reduce(self, group, exponents, "character exponent length")
+    def _check(self):
+        _reduce(self, "character exponent length")
 
     def __call__(self, g: GroupElement) -> Scalar:
         return char_eval(self, g)
@@ -89,17 +89,12 @@ class Character(_Record):
         return Fraction(*_phase(self, g))
 
 
-def _reduce(item: GroupElement | Character, group: FiniteAbelianGroup, exponents,
-            what: str) -> None:
-    """Set the fields of a new item, each exponent reduced; ValueError
-    naming what if the exponent count does not match the group.  It is the
-    whole constructor of both classes, with a fixed signature that is
-    cheaper than _Record's generic one."""
-    if len(exponents) != len(group.orders):
+def _reduce(item: GroupElement | Character, what: str) -> None:
+    """Check the exponent count (what) of item and reduce each exponent."""
+    if len(item.exponents) != len(item.group.orders):
         raise ValueError(f"{what} does not match the group")
-    set_group, set_exponents = item._SETTERS
-    set_group(item, group)
-    set_exponents(item, tuple(e % n for e, n in zip(exponents, group.orders)))
+    reduced = tuple(e % n for e, n in zip(item.exponents, item.group.orders))
+    object.__setattr__(item, "exponents", reduced)
 
 
 def _phase_weights(group: FiniteAbelianGroup) -> tuple[int, tuple[int, ...]]:

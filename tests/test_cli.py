@@ -529,20 +529,16 @@ def test_verify_loads_no_construction_module(tmp_path):
     assert code == 0
     assert "mublines.framecore" in modules
     assert not {"mublines.abelian", "mublines.constructions"} & modules
-    # only the exact clustering makes Fractions: a float verify never imports them
+    # the exact clustering sorts its rationals by integer cross-multiplication
+    assert not {"fractions", "decimal", "dataclasses"} & modules
     (tmp_path / "float.json").write_text(json.dumps(lineset_to_json(construction2_family(0.0))))
     code, modules = fresh_run(tmp_path, "verify", "float.json")
     assert code == 0
     assert "mublines.framecore" in modules and "fractions" not in modules
 
 
-@pytest.mark.parametrize("argv", [("construct", "c3ext"), ("verify", "lines64.json")])
-def test_an_exact_certificate_loads_neither_fractions_nor_decimal(tmp_path, argv):
-    from mublines.constructions import construction3_d4_extension
-
-    lines64 = lineset_to_json(construction3_d4_extension())
-    (tmp_path / "lines64.json").write_text(json.dumps(lines64))
-    proc, modules = fresh_process(tmp_path, *argv)
+def test_construct_c3ext_loads_neither_fractions_nor_decimal(tmp_path):
+    proc, modules = fresh_process(tmp_path, "construct", "c3ext")
     assert proc.returncode == 0
     assert not {"fractions", "decimal", "dataclasses"} & modules
 
