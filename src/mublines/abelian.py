@@ -269,8 +269,22 @@ def rds_to_json(rds: RelativeDifferenceSet) -> dict:
 
 
 def rds_from_json(data: dict) -> RelativeDifferenceSet:
-    """FiniteAbelianGroup reads the orders and exponents by scalars._ints:
-    1.7, true or "1" raises ValueError rather than being truncated."""
+    """The RDS of a document read from JSON.  The rules, checked in this
+    order: the document is a JSON object with orders, forbidden and elements
+    members; orders is a list, and forbidden and elements are lists of
+    exponent lists; FiniteAbelianGroup reads the orders and exponents by
+    scalars._ints, so 1.7, true or "1" is refused rather than truncated.  A
+    broken rule raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("RDS document must be a JSON object")
+    if not {"orders", "forbidden", "elements"} <= data.keys():
+        raise ValueError("RDS document must have orders, forbidden and elements")
+    lists = (list, tuple)
+    if not isinstance(data["orders"], lists) or not all(
+            isinstance(member, lists) and all(isinstance(e, lists) for e in member)
+            for member in (data["forbidden"], data["elements"])):
+        raise ValueError("RDS orders must be a list, and forbidden and elements "
+                         "lists of exponent lists")
     group = FiniteAbelianGroup(data["orders"])
     return RelativeDifferenceSet(
         group,

@@ -279,12 +279,24 @@ def _resolve_fiducial(ref: str):
         from . import weylheisenberg
 
         return weylheisenberg.fiducial_d4()
-    # {"vector": [[re, im], ...]} is a one-vector complex-f64 line set
-    vector = _load(ref.split(":", 1)[1], "fiducial", lambda data: _lineset_from_json(
-        {"dim": len(data["vector"]), "vectors": [data["vector"]]}).vectors[0])
+    vector = _load(ref.split(":", 1)[1], "fiducial",
+                   lambda data: _lineset_from_json(_fiducial_lines(data)).vectors[0])
     from . import weylheisenberg
 
     return weylheisenberg.Fiducial(vector, "user")
+
+
+def _fiducial_lines(data) -> dict:
+    """The line-set document of a fiducial document {"vector": [[re, im],
+    ...]}, a one-vector complex-f64 set whose entries _line_set_entries
+    checks; ValueError if data is not a JSON object with a vector list."""
+    if not isinstance(data, dict):
+        raise ValueError("fiducial document must be a JSON object")
+    if "vector" not in data:
+        raise ValueError("fiducial document must have vector")
+    if not isinstance(data["vector"], list):
+        raise ValueError("fiducial vector must be a list of [re, im] pairs")
+    return {"dim": len(data["vector"]), "vectors": [data["vector"]]}
 
 
 def build_parser() -> argparse.ArgumentParser:

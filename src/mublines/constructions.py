@@ -19,6 +19,7 @@ import numpy as np
 
 from .abelian import RelativeDifferenceSet, _phase_weights, builtin_rds, rds_verify
 from .framecore import (
+    _PART_BOUND,
     _SPREAD_TOLS,
     DEFAULT_TOL,
     GramReport,
@@ -27,6 +28,7 @@ from .framecore import (
     _cmul,
     _complex,
     _float_reports,
+    _gram_stack,
     _self_grams,
     _stack,
     _tile,
@@ -126,16 +128,18 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
         groups.setdefault(signature.tobytes(), []).append(index)
 
     # the L-th roots of unity; root_of_unity reduces t / L, so phase 0 stays
-    # the exact Gaussian 1.  A basis is exact iff every root it uses is
+    # the exact Gaussian 1.  A basis is exact iff every root it uses is; it
+    # takes its parts, 0 and +-1, from the int64 table, whose other columns
+    # (the float roots, truncated) no basis reads
     values = [root_of_unity(t, modulus) for t in range(modulus)]
     exact = np.array([z.exact for z in values])
-    table = np.array([[z.re for z in values], [z.im for z in values]], dtype=object)
-    floats = table.astype(float)
+    floats = np.array([[z.re for z in values], [z.im for z in values]], dtype=float)
+    ints = floats.astype(np.int64)
     bases = []
     for j, members in enumerate(groups.values(), start=1):
         ts = rows[members]
         bases.append(LineSet.from_parts(
-            (table if exact[ts].all() else floats)[:, ts],
+            (ints if exact[ts].all() else floats)[:, ts],
             {"construction": "rds-mub", "basis": j, "rds": rds.label or "custom"}))
     family = MubFamily(d, tuple(bases), rds)
     if not verify_mubs(list(family.bases)):
@@ -158,10 +162,17 @@ def _l_blocks(family: MubFamily, cols, vs: list[Scalar]) -> np.ndarray:
     """The parts (2, S, d * d, d) of S L-blocks: block s is the union of the
     bases with entry cols[s][j] of each vector of basis j multiplied by vs[s]
     (cols 0-based, as _columns gives them).  The stack is exact iff every
-    basis and every v is: one float basis or v floats all."""
+    basis and every v is: one float basis or v floats all.  An exact stack
+    is int64 while every product of a part M and a v, |M| (|re v| + |im v|),
+    stays below framecore._PART_BOUND, so that no part can wrap or leave
+    the bound a set holds in int64, and Python ints otherwise."""
     d = family.dim
     held, floats = family._union
     exact = all(v.exact for v in vs) and all(b.exact for b in family.bases)
+    if exact and held.dtype != object:
+        big = max(int(held.max()), -int(held.min()), 1)
+        if big * max((abs(v.re) + abs(v.im) for v in vs), default=0) >= _PART_BOUND:
+            held = held.astype(object)
     parts = np.repeat((held if exact else floats)[:, None], len(vs), axis=1)
     re, im = np.array([[v.re for v in vs], [v.im for v in vs]], dtype=parts.dtype)[:, :, None]
     entries = (slice(None), np.arange(len(vs))[:, None], np.arange(d * d),
@@ -332,21 +343,28 @@ def _zeroed_table(family: MubFamily, cols) -> np.ndarray:
     product with 0, which keeps a non-finite entry non-finite, in float as
     soon as one basis is."""
     d = family.dim
-    lines = LineSet.from_parts(_l_blocks(family, cols, [Scalar.gauss(0)] * len(cols))
-                               .reshape(2, -1, d))
-    (mag,), _ = _self_grams(_stack([lines]))
+    parts = _l_blocks(family, cols, [Scalar.gauss(0)] * len(cols))
+    (mag,), _ = _self_grams(_gram_stack(parts.reshape(2, 1, -1, d)))
     # exact blocks hold squared magnitudes, float blocks magnitudes
-    ok = mag == 2 if lines.exact else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
+    ok = mag == 2 if parts.dtype != float else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
     return ok.reshape((len(cols), d, d) * 2).all(axis=(2, 5))
 
 
 # --- Construction 2 (dimension 8) -------------------------------------------
 
 
+@functools.cache
+def _family4() -> MubFamily:
+    """The builtin d = 4 family, built and verified once per process.
+    construction2_family and construction3_d4_extension read it and return
+    sets of their own, so no caller can reach it."""
+    return mubs_from_rds(builtin_rds(4))
+
+
 def construction2_family(a: float) -> LineSet:
     """64 lines in C^8 from the dimension-4 MUBs and the one-parameter
     column blocks C_j(a), D_j(a); equals the (twisted) Hoggar set at a=0."""
-    bases = [basis.to_matrix() for basis in mubs_from_rds(builtin_rds(4)).bases]
+    bases = [basis.to_matrix() for basis in _family4().bases]
     # past |a| ~ 1.3e154, 1 + a * a overflows; |a| is then the rounded root
     root = math.sqrt(1 + a * a)
     root = root if math.isfinite(root) else abs(a)
@@ -465,7 +483,7 @@ def construction3_d4_extension() -> LineSet:
     [L(-i) L(2+i)], [L(1) -L(-1+2i)], which are construction3_pair at
     (a, b) = (2, 1) and (0, -1), each in the default and the i-twist variant.
     """
-    family = mubs_from_rds(builtin_rds(4))
+    family = _family4()
     perm = (1, 3, 4, 2)
     specs = [BlockPairSpec(perm, a, b, variant)
              for a, b in ((2, 1), (0, -1)) for variant in ("default", "i-twist")]

@@ -1,11 +1,18 @@
 """Complex vectors, line sets, Gram-angle analysis and equivalence moves.
 
-The verifiers read two Gram computations.  _self_grams gives the whole Gram
-of every set of a stack: exact on Gaussian-integer input (the tolerance
-ignored), double precision otherwise.  _stack builds the stack; its exact
-path runs in int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest |real or
-imaginary part|, and in Python ints beyond that bound, so it never
-overflows.  gram_analyze of an exact set, verify_mubs and
+An exact (Gaussian-integer) line set holds its parts as int64 while every
+|part| is below _PART_BOUND = 2^31, so that re^2 + im^2 stays inside int64,
+and as Python ints (dtype=object) past it; LineSet._own decides which, and
+every operation that can grow a part moves to Python ints before it could
+wrap.  The verifiers read two Gram computations.  _self_grams gives the
+whole Gram of every set of a stack: exact on Gaussian-integer input (the
+tolerance ignored), double precision otherwise.  _stack builds the stack;
+its exact path runs in int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest
+|real or imaginary part|, and in Python ints beyond that bound, so it never
+overflows.  Under that bound every product of parts and every partial sum
+of an inner product is an integer of at most 2 d M^2 <= 2^31.5 < 2^53 in
+size, so _block takes the int64 Gram from one complex128 (float64 BLAS)
+product, exactly.  gram_analyze of an exact set, verify_mubs and
 constructions.theorem46_predicate read it: verify_mubs checks the stack of
 its bases, then each basis against all later ones in one block row
 (_block_rows).  _float_reports, behind the float gram_analyze and the
@@ -64,6 +71,27 @@ def _tile(width: int) -> int:
 _SPREAD_TOLS = 10
 
 
+#: an exact set holds its parts as int64 while every |part| is below this,
+#: so that a squared magnitude re^2 + im^2 stays inside int64; past it, as
+#: Python ints (dtype=object)
+_PART_BOUND = 2**31
+
+
+def _exact_parts(parts: np.ndarray) -> np.ndarray:
+    """Integer parts, a numpy integer array or Python ints (dtype=object),
+    as an exact set holds them: int64 while every |part| < _PART_BOUND,
+    Python ints otherwise."""
+    ints = parts
+    if parts.dtype == object:
+        try:
+            ints = parts.astype(np.int64)
+        except OverflowError:  # a part past int64, so past the bound too
+            return parts
+    if ints.size and not -_PART_BOUND < int(ints.min()) <= int(ints.max()) < _PART_BOUND:
+        return parts.astype(object, copy=False)
+    return ints.astype(np.int64, copy=False)
+
+
 class ZeroVectorError(ValueError):
     pass
 
@@ -74,8 +102,12 @@ class NonUnitPhase(ValueError):
 
 class CVector:
     """A vector of C^d, held as its row: a read-only (2, d) array of the real
-    and imaginary parts, Python ints (dtype=object) when every entry is exact
-    and float64 otherwise.  dim, exact, is_zero, norm2 and to_array read it.
+    and imaginary parts, integers when every entry is exact and float64
+    otherwise.  An exact row is int64 in a view into a set's int64 parts
+    (see LineSet), so every |part| is below _PART_BOUND and norm2 squares
+    each part in int64 without overflow; it is Python ints (dtype=object) in
+    a vector built from its Scalars and in a view into a set past that
+    bound.  dim, exact, is_zero, norm2 and to_array read it.
 
     CVector(entries) builds the row from its Scalars and keeps them.
     LineSet.vectors gives rows that are views into the set's parts, and
@@ -116,7 +148,7 @@ class CVector:
     def entries(self) -> tuple[Scalar, ...]:
         if self._entries is None:
             row, pool = self._row, self._pool
-            exact = row.dtype == object
+            exact = row.dtype != float
             # a float is keyed by its bits, so 0.0 and -0.0 stay apart
             keys = list(zip(*(row if exact else row.view(np.uint64)).tolist()))
             for key, value in zip(keys, zip(*row.tolist())):
@@ -142,7 +174,7 @@ class CVector:
 
     @property
     def exact(self) -> bool:
-        return self._row.dtype == object or not self._row.size  # no entry: vacuously
+        return self._row.dtype != float or not self._row.size  # no entry: vacuously
 
     def is_zero(self) -> bool:
         return not self._row.any()
@@ -173,11 +205,17 @@ def inner(x: CVector, y: CVector) -> Scalar:
 
 class LineSet:
     """Lines in C^dim as one read-only array, parts, of shape (2, n, dim):
-    the real and imaginary parts of the n spanning vectors, Python ints
-    (dtype=object) in an exact Gaussian-integer set and float64 otherwise.
+    the real and imaginary parts of the n spanning vectors, float64 in a
+    float set and integers in an exact Gaussian-integer one.  _own decides
+    an exact set's storage in one place: int64 while every |part| is below
+    _PART_BOUND = 2^31, so that re^2 + im^2 stays inside int64, and Python
+    ints (dtype=object) past it.  An operation that can grow a part (an
+    L-block's scaling by an exact v) moves to Python ints before a product
+    could leave the bound, so no int64 wrap ever reaches a verdict.
 
     LineSet(dim, vectors, provenance) stacks the rows of CVectors (see
-    CVector), exact iff every vector is; LineSet.from_parts copies an array.
+    CVector), exact iff every vector is; LineSet.from_parts copies an array,
+    exact iff it holds integers: a numpy integer array or Python ints.
     .vectors, built on first use, holds one CVector per line whose row is a
     view into parts; no Scalar is made until a vector's .entries is read.
     """
@@ -197,10 +235,13 @@ class LineSet:
 
     def _own(self, parts, provenance: dict | None) -> None:
         parts = np.array(parts, order="C")  # the set's own copy
-        if parts.dtype != object:
+        if parts.dtype.kind in "iuO":  # integers: an exact set
+            # what the exact Gram trusts: an object array holds Python ints only
+            if parts.dtype == object and not set(map(type, parts.flat)) <= {int}:
+                raise ValueError("an exact line set holds Python ints only")
+            parts = _exact_parts(parts)
+        else:
             parts = parts.astype(float, copy=False)
-        elif not set(map(type, parts.flat)) <= {int}:  # what the exact Gram trusts
-            raise ValueError("an exact line set holds Python ints only")
         if parts.ndim != 3 or len(parts) != 2:
             raise ValueError("line-set parts must have shape (2, n, dim)")
         parts.flags.writeable = False
@@ -220,7 +261,7 @@ class LineSet:
 
     @property
     def exact(self) -> bool:
-        return self._parts.dtype == object
+        return self._parts.dtype != float
 
     @property
     def vectors(self) -> tuple[CVector, ...]:
@@ -277,32 +318,41 @@ def _report(norms: tuple[float, ...], clusters: tuple[tuple[float, int], ...],
 
 
 def _stack(sets) -> np.ndarray:
-    """Sets of one shape (n, d) as one stack for _self_grams and _block: the
-    (2, S, n, d) int parts when every set is exact, the (S, n, d) complex
-    matrices as soon as one is float.  Exact parts are int64 when 4 d^3 M^4
-    <= 2^63 - 1, M the largest |part|, and Python ints beyond that: Re<x, y>
-    and Im<x, y> are at most 2 d M^2 in size (and so is every partial sum),
-    |<x, y>|^2 <= |x|^2 |y|^2 <= 4 d^2 M^4, a squared norm is at most
-    2 d M^2, and the spare factor d covers verify_mubs's mag * d."""
-    parts = np.stack([s.parts for s in sets], axis=1)  # object if any set is exact
+    """Sets of one shape (n, d) as one stack for _self_grams and _block, by
+    _gram_stack: exact iff every set is, the whole stack floated as soon as
+    one is float."""
+    parts = np.stack([s.parts for s in sets], axis=1)  # object if any set holds Python ints
     if not all(s.exact for s in sets):  # float the whole stack, exact sets too
+        parts = parts.astype(float, copy=False)
+    return _gram_stack(parts)
+
+
+def _gram_stack(parts: np.ndarray) -> np.ndarray:
+    """The stack of parts (2, S, n, d) of one kind: the (S, n, d) complex
+    matrices of float parts, or the exact parts, int64 when 4 d^3 M^4 <=
+    2^63 - 1, M the largest |part|, and Python ints beyond that.  Re<x, y>
+    and Im<x, y> are at most 2 d M^2 <= 2^31.5 in size (and so is every
+    product and partial sum: _block's float64 product is exact),
+    |<x, y>|^2 <= |x|^2 |y|^2 <= 4 d^2 M^4, a squared norm is at most
+    2 d M^2, and the spare factor d covers verify_mubs's mag * d.  Python
+    ints stay Python ints: a set holds them only past _PART_BOUND, and so
+    past this bound."""
+    if parts.dtype == float:
         return _complex(parts)
-    try:  # one cast, which also finds M
-        ints = parts.astype(np.int64)
-    except OverflowError:  # a part past int64, so past the bound too
+    if parts.dtype == object or not parts.size:
         return parts
-    big = max(int(ints.max()), -int(ints.min())) if ints.size else 0
-    return ints if 4 * parts.shape[3]**3 * big**4 <= 2**63 - 1 else parts
+    big = max(int(parts.max()), -int(parts.min()))
+    return parts if 4 * parts.shape[3]**3 * big**4 <= 2**63 - 1 else parts.astype(object)
 
 
 def _self_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mag, norms) of every set of a stack against itself, shapes (S, n, n)
     and (S, n): stack holds the (2, S, n, d) int parts of exact sets or the
-    (S, n, d) complex matrices of float ones.  Exact blocks are exact:
-    mag[s, a, b] = |<x_a, x_b>|^2 and the norms are squared, in int64 or
-    Python ints as _stack decides.  Float blocks hold mag[s, a, b] =
-    |<x_a, x_b>| and unsquared norms.  Either way mag / outer(norms, norms)
-    is the normalized value.
+    (S, n, d) complex matrices of float ones, as _gram_stack gives them.
+    Exact blocks are exact: mag[s, a, b] = |<x_a, x_b>|^2 and the norms are
+    squared, in int64 or Python ints as _gram_stack decides.  Float blocks
+    hold mag[s, a, b] = |<x_a, x_b>| and unsquared norms.  Either way
+    mag / outer(norms, norms) is the normalized value.
 
     Raises ZeroVectorError on a zero vector and ValueError on a non-finite
     entry or a squared norm that overflows float64.
@@ -327,19 +377,33 @@ def _refuse_zero(norms: np.ndarray) -> None:
 def _block(a: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
     """mag of the sets a against the sets b, set by set over any leading
     stack axes, from a and _adjoint(b): |<x, y>|^2 from int parts
-    (2, ..., n, d), |<x, y>| from complex matrices (..., n, d)."""
+    (2, ..., n, d), |<x, y>| from complex matrices (..., n, d).
+
+    int64 parts, which _gram_stack gives only under its bound, meet b in
+    one complex128 product: each real and imaginary part of it is a sum of
+    products of parts, every one of them and every partial sum an integer
+    of at most 2 d M^2 < 2^53 in size, which float64 holds exactly in any
+    order of summation (BLAS without Strassen-type products).  So Re<x, y>
+    and Im<x, y> cast back to int64 exactly before they are squared."""
     if a.dtype == complex:
         return np.abs(a @ adjoint)
-    (ar, ai), (br, bi) = a, adjoint
-    gr = ar @ br + ai @ bi
-    gi = ai @ br - ar @ bi
+    if a.dtype == object:
+        (ar, ai), (br, bi) = a, adjoint
+        gr = ar @ br + ai @ bi
+        gi = ai @ br - ar @ bi
+    else:
+        g = _complex(a) @ adjoint
+        gr, gi = g.real.astype(np.int64), g.imag.astype(np.int64)
     return gr * gr + gi * gi
 
 
 def _adjoint(b: np.ndarray) -> np.ndarray:
     """The right operand of _block for b: the conjugate transpose of complex
-    matrices, the transposed parts of int ones (_block conjugates those)."""
-    return b.conj().swapaxes(-1, -2) if b.dtype == complex else b.swapaxes(-1, -2)
+    matrices, and of int64 parts as complex ones; the transposed parts of
+    Python ints (_block conjugates those)."""
+    if b.dtype == object:
+        return b.swapaxes(-1, -2)
+    return (b if b.dtype == complex else _complex(b)).conj().swapaxes(-1, -2)
 
 
 #: the sort key of (n, d, ...) tuples by the rational n / d, d > 0
@@ -684,7 +748,13 @@ def lineset_from_json(data: dict) -> LineSet:
 def _lineset_of(data: dict, dim: int, exact: bool, flat: list) -> LineSet:
     """The LineSet of a document that _line_set_entries has read as
     (dim, exact, flat)."""
-    parts = np.array(flat, dtype=object) if exact else np.fromiter(flat, float, len(flat))
+    if not exact:
+        parts = np.fromiter(flat, float, len(flat))
+    else:  # int64 at once; _own moves parts past _PART_BOUND to Python ints
+        try:
+            parts = np.array(flat, dtype=np.int64)
+        except OverflowError:  # a part past int64
+            parts = np.array(flat, dtype=object)
     return LineSet.from_parts(parts.reshape(len(data["vectors"]), dim, 2).transpose(2, 0, 1),
                               data.get("provenance", {}))
 

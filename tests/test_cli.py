@@ -193,6 +193,29 @@ def test_verify_reports_exact_norms_whose_squares_pass_float64(capsys, tmp_path)
     assert report["equiangular"] and report["exact"] and report["norms"] == [1e200, 1e200]
 
 
+def test_verify_reads_parts_on_either_side_of_the_int64_storage_bound(capsys, tmp_path):
+    # 2^31 - 1 is held in int64, 2^31 moves the set to Python ints
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({"dim": 2, "field": "gaussian-int",
+                                "vectors": [[[2**31 - 1, 2**31], [0, 0]],
+                                            [[0, 0], [2**31, 2**31 - 1]]]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["equiangular"] and report["exact"] and report["angle_clusters"] == [[0.0, 1]]
+    assert report["norms"][0] == report["norms"][1] == pytest.approx(2**31.5)
+
+
+def test_exact_out_file_is_the_stdlib_encoding_of_json_integers(capsys, tmp_path):
+    out = tmp_path / "lines64.json"
+    code, _, _ = run(capsys, "--out", str(out), "construct", "c3ext")
+    assert code == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    parts = [x for row in json.loads(text)["vectors"] for pair in row for x in pair]
+    assert len(parts) == 64 * 8 * 2 and {type(x) for x in parts} == {int}
+
+
 def test_exact_constructs_past_float64_report_or_exit_2(capsys):
     # c1: squared norms near 1e400, norms near 1e200, reported; c3: norms
     # near 2e308, beyond float64 themselves
@@ -437,6 +460,27 @@ def test_verify_names_the_document_rule_a_file_breaks(capsys, tmp_path, doc, mes
     path.write_text(json.dumps(doc))
     assert run(capsys, "verify", str(path)) == (
         2, "", f"error: malformed or invalid line set: {message}\n")
+
+
+@pytest.mark.parametrize("what, doc, message", [
+    ("RDS", [1, 2], "RDS document must be a JSON object"),
+    ("RDS", {"orders": [4, 4]}, "RDS document must have orders, forbidden and elements"),
+    ("RDS", {"orders": 4, "forbidden": [], "elements": []},
+     "RDS orders must be a list, and forbidden and elements lists of exponent lists"),
+    ("RDS", {"orders": [4, 4], "forbidden": [2, 0], "elements": [[0, 0]]},
+     "RDS orders must be a list, and forbidden and elements lists of exponent lists"),
+    ("fiducial", [1, 2], "fiducial document must be a JSON object"),
+    ("fiducial", {"vectors": [[1, 0]]}, "fiducial document must have vector"),
+    ("fiducial", {"vector": 5}, "fiducial vector must be a list of [re, im] pairs"),
+])
+def test_rds_and_fiducial_files_name_the_rule_they_break(tmp_path, what, doc, message):
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    argv = ("mubs", "--rds", "file:doc.json") if what == "RDS" else (
+        "wh", "--fiducial", "file:doc.json")
+    proc, modules = fresh_process(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: malformed or invalid {what}: {message}\n"
+    assert "numpy" not in modules
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -449,13 +449,13 @@ def test_theorem46_on_a_float_family_matches_the_exact_one(fam4):
 def test_a_theorem46_sweep_takes_one_gram_per_family(fam4, monkeypatch):
     import mublines.constructions as constructions
 
-    calls, stack = [], constructions._stack
+    calls, self_grams = [], constructions._self_grams
 
-    def counting(sets):
-        calls.append([len(s) for s in sets])
-        return stack(sets)
+    def counting(stack):  # the lines of each set of the stack, as _self_grams reads it
+        calls.append([stack.shape[-2]] * stack.shape[-3])
+        return self_grams(stack)
 
-    monkeypatch.setattr(constructions, "_stack", counting)
+    monkeypatch.setattr(constructions, "_self_grams", counting)
     floated = tuple(LineSet.from_parts(b.parts.astype(float)) for b in fam4.bases)
     perms = list(itertools.permutations((1, 2, 3, 4)))
     for bases in (fam4.bases, floated, floated[:2] + fam4.bases[2:]):
@@ -617,13 +617,13 @@ def test_a_family_of_the_wrong_shape_is_refused(fam4, fam3, entry, shape, error,
 def test_a_failed_theorem46_table_is_built_once(fam4, monkeypatch):
     import mublines.constructions as constructions
 
-    calls, stack = [], constructions._stack
+    calls, self_grams = [], constructions._self_grams
 
-    def counting(sets):
-        calls.append([len(s) for s in sets])
-        return stack(sets)
+    def counting(stack):  # the lines of each set of the stack, as _self_grams reads it
+        calls.append([stack.shape[-2]] * stack.shape[-3])
+        return self_grams(stack)
 
-    monkeypatch.setattr(constructions, "_stack", counting)
+    monkeypatch.setattr(constructions, "_self_grams", counting)
     # vector 0 of basis 1 becomes e_3, so the table's copy that zeroes
     # column 3 holds a zero line and its Gram raises
     parts = fam4.bases[0].parts.copy()

@@ -444,7 +444,12 @@ def test_lineset_exactness_belongs_to_the_set():
     assert not mixed.exact and mixed.parts.dtype == np.float64
     assert all(not e.exact for v in mixed.vectors for e in v.entries)
     exact = LineSet(2, (CVector.make([1, 0]), CVector.make([0, 1])))
-    assert exact.exact and exact.parts.dtype == object
+    assert exact.exact and exact.parts.dtype == np.int64
+    # int64 while every |part| < 2^31, Python ints from the first part past it
+    for top, dtype in ((2**31 - 1, np.int64), (2**31, object), (-2**31, object)):
+        lines = LineSet(2, (CVector.gauss([(1, 0), (0, top)]), CVector.gauss([(0, 0), (1, 0)])))
+        assert lines.exact and lines.parts.dtype == dtype
+        assert LineSet.from_parts(np.array(lines.parts.tolist())).parts.dtype == dtype
 
 
 def test_lineset_view_shares_one_scalar_per_value():

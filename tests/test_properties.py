@@ -773,9 +773,9 @@ def per_block_verify_mubs(bases, tol):
     d = bases[0].dim
     if all(basis.exact for basis in bases):
         parts = [basis.parts for basis in bases]
-        big = max(max(p.max(), -p.min()) for p in parts)
-        if 4 * d**3 * big**4 <= 2**63 - 1:
-            parts = [p.astype(np.int64) for p in parts]
+        big = max(max(int(p.max()), -int(p.min())) for p in parts)  # no int64 wrap
+        wide = np.int64 if 4 * d**3 * big**4 <= 2**63 - 1 else object  # past the gate: Python ints
+        parts = [p.astype(wide) for p in parts]
     else:
         parts = [basis.to_matrix() for basis in bases]
     exact = parts[0].dtype != complex
@@ -820,7 +820,7 @@ def mub_candidates(draw):
     if bent:
         (b, v, c), part = draw(spot), draw(st.integers(0, 1))
         step = draw(st.sampled_from([1, -1]))
-        if bases[b].dtype == object:
+        if bases[b].dtype != float:  # exact: int64 or Python ints
             bases[b][part, v, c] += step
         else:
             bases[b][part, v, c] += step * scale * draw(st.sampled_from([1.0, 1e-4]))
@@ -856,6 +856,131 @@ def test_verify_mubs_equals_its_per_block_form(candidate, tol):
         assert got is want
     if not bent and defect is None:
         assert got is True
+
+
+# --- int64 storage on either side of its bound -------------------------------
+
+#: an exact set holds its parts as int64 below this, as Python ints from it on
+PART_BOUND = 2**31
+
+
+def held_as(parts):
+    """The storage rule of an exact set's parts (nested lists of ints)."""
+    flat = np.array(parts, dtype=object).ravel()
+    return np.dtype(np.int64 if all(abs(x) < PART_BOUND for x in flat) else object)
+
+
+def python_entries(lines):
+    """Each vector's exact Scalars from the set's parts as Python ints."""
+    return [tuple(Scalar(re, im, True) for re, im in zip(*row))
+            for row in np.array(lines.parts.tolist(), dtype=object).transpose(1, 0, 2).tolist()]
+
+
+def python_verify_mubs(bases):
+    """verify_mubs of exact bases in Python ints, one inner() at a time."""
+    d = bases[0].dim
+    vectors = [[CVector(entries) for entries in python_entries(basis)] for basis in bases]
+    for j, basis in enumerate(vectors):
+        for k, other in enumerate(vectors[j:], start=j):
+            for a, x in enumerate(basis):
+                for b, y in enumerate(other):
+                    mag = inner(x, y).abs2()
+                    if j == k and a != b and mag != 0:
+                        return False
+                    if j != k and mag * d != x.norm2() * y.norm2():
+                        return False
+    return True
+
+
+def ceilings(d):
+    """Largest |part| values on either side of the storage bound, of
+    _stack's int64 gate at d, and far past both."""
+    top = int64_limit(d)
+    return [top, top + 1, PART_BOUND - 1, PART_BOUND, 2**70]
+
+
+@st.composite
+def straddling_sets(draw):
+    """A set of 2..5 nonzero vectors in Z[i]^d, d in 1..4, whose largest
+    |part| is one of ceilings(d), with parts +-c, +-(c - 1) and any below."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    c = draw(st.sampled_from(ceilings(d)))
+    part = st.one_of(st.sampled_from((c, -c, c - 1, 1 - c)), st.integers(-c, c),
+                     st.integers(-3, 3))
+    rows = draw(st.lists(st.lists(st.tuples(part, part), min_size=d, max_size=d),
+                         min_size=n, max_size=n))
+    rows[0][0] = (draw(st.sampled_from((c, -c))), rows[0][0][1])
+    assume(all(any(a or b for a, b in row) for row in rows))
+    return LineSet(d, tuple(CVector.gauss(row) for row in rows))
+
+
+def scaled_family(d, scale):
+    """The builtin exact family of C^d, d in {2, 4}, times scale * (1 + i):
+    every |part| is scale or 0."""
+    family = FAMILIES[d]
+    bases = tuple(LineSet.from_parts(np.array([(re - im) * scale, (re + im) * scale],
+                                              dtype=object))
+                  for re, im in (np.array(b.parts.tolist(), dtype=object) for b in family.bases))
+    return MubFamily(d, bases, family.source_rds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(straddling_sets(), st.data())
+def test_sets_either_side_of_the_storage_bound_read_as_python_ints(lines, data):
+    parts = lines.parts.tolist()
+    assert lines.exact and lines.parts.dtype == held_as(parts)
+    entries = python_entries(lines)
+    for vector, want in zip(lines.vectors, entries):
+        assert vector.entries == want
+        assert {type(x) for z in vector.entries for x in (z.re, z.im)} == {int}
+        assert vector.norm2() == sum(z.abs2() for z in want)
+        assert type(vector.norm2()) is int
+    report = gram_analyze(lines)
+    assert report.angle_clusters == fraction_clusters(lines)
+    assert report.norms == tuple(_exact_norm(sum(z.abs2() for z in row)) for row in entries)
+    units = st.sampled_from(GAUSSIAN_UNITS)
+    n, d = len(lines), lines.dim
+    vphases = data.draw(st.lists(units, min_size=n, max_size=n))
+    cphases = data.draw(st.lists(units, min_size=d, max_size=d))
+    moved = apply_equivalence(lines, Compose((VectorPhases(tuple(vphases)),
+                                              CoordPhases(tuple(cphases)))))
+    want = [[z * vphases[j] * cphases[i] for i, z in enumerate(row)]
+            for j, row in enumerate(entries)]
+    assert moved.parts.dtype == lines.parts.dtype
+    assert python_entries(moved) == [tuple(row) for row in want]
+    assert gram_analyze(moved) == report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4]), st.data())
+def test_verify_mubs_either_side_of_the_storage_bound_is_python_exact(d, data):
+    scale = data.draw(st.sampled_from([1] + ceilings(d)))
+    bases = list(scaled_family(d, scale).bases)
+    assert {b.parts.dtype for b in bases} == {held_as([scale])}
+    if data.draw(st.booleans()):  # one part moved by one
+        b, part, v, c = (data.draw(st.integers(0, k)) for k in (d - 1, 1, d - 1, d - 1))
+        moved = np.array(bases[b].parts.tolist(), dtype=object)
+        moved[part, v, c] += data.draw(st.sampled_from([1, -1]))
+        bases[b] = LineSet.from_parts(moved)
+    want = python_verify_mubs(bases)
+    assert verify_mubs(bases) is want
+    assert per_block_verify_mubs(bases, DEFAULT_TOL) is want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 4]), st.sampled_from([1, 3, 2**15, 2**31 - 1, 2**40]), st.data())
+def test_l_block_with_an_exact_v_across_the_storage_bound_is_python_exact(d, scale, data):
+    family = scaled_family(d, scale)
+    k = PART_BOUND // scale  # |re v| + |im v| = k keeps every part below the bound
+    wrap = 2**63 // scale + 1  # a product in int64 would wrap
+    a = data.draw(st.sampled_from([k - 1, k, k + 1, -k, 1 - k, -1 - k, wrap, -wrap]))
+    b = data.draw(st.sampled_from([0, 1, -1]))
+    v = Scalar.gauss(a - b if a > 0 else a + b, b)  # |re| + |im| is |a|
+    perm = tuple(data.draw(st.permutations(range(1, d + 1))))
+    lines = l_block(family, ScalingSpec(perm, v))
+    assert lines.exact and lines.parts.dtype == held_as(lines.parts.tolist())
+    assert table_bits(lines) == scaled_union(family, [p - 1 for p in perm], v, True)
+    assert lines.vectors == tuple(CVector(entries) for entries in python_entries(lines))
 
 
 # --- Theorem 4.6 from the column-pair table ---------------------------------
@@ -1175,7 +1300,7 @@ def test_lineset_from_json_reads_every_entry_or_refuses_the_document(doc):
     assert (lines.provenance is doc["provenance"] if "provenance" in doc
             else lines.provenance == {})
     if lines.exact:
-        assert [type(g) for g in got] == [int] * len(entries)
+        assert [type(g) for g in got.tolist()] == [int] * len(entries)  # int64 or Python ints
         assert got.tolist() == entries
     else:
         assert np.array_equal(got.view(np.uint64),
