@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .scalars import Scalar, _ints, _Record, root_of_unity
+from .scalars import Scalar, _ints, _is_odd_prime, _Record, root_of_unity
 
 
 class RdsError(ValueError):
@@ -219,12 +219,6 @@ def rds_verify(rds: RelativeDifferenceSet) -> tuple[int, int, int, int]:
 
 #: largest odd prime for which builtin_rds will synthesize the {(x, x^2)} family
 BUILTIN_PRIME_LIMIT = 97
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    return all(p % q for q in range(3, int(math.isqrt(p)) + 1, 2))
 
 
 #: factor orders, forbidden-subgroup generators and elements of the builtin

@@ -82,8 +82,10 @@ def cmd_mubs(args) -> int:
     from . import abelian, constructions, framecore
 
     family = constructions.mubs_from_rds(args.rds)
-    # mubs_from_rds has passed verify_mubs at DEFAULT_TOL, and every float
-    # check is value <= tol, so only a tighter tol can still fail
+    # mubs_from_rds has passed verify_mubs at DEFAULT_TOL.  An exact verdict
+    # (a Gaussian family such as d = 2 or 4, and every odd prime's phases)
+    # ignores the tolerance, and every float check is value <= tol, so only
+    # a tighter tol on a float family can still fail
     ok = args.tol >= DEFAULT_TOL or framecore.verify_mubs(list(family.bases), args.tol)
     payload = {
         "dim": family.dim,

@@ -29,12 +29,21 @@ from .framecore import (
     _complex,
     _float_reports,
     _gram_stack,
+    _roots,
     _self_grams,
     _stack,
     _tile,
     verify_mubs,
 )
-from .scalars import _C1_BUDGET, Scalar, _columns, _gauss_if_integral, _Record, root_of_unity
+from .scalars import (
+    _C1_BUDGET,
+    Scalar,
+    _columns,
+    _gauss_if_integral,
+    _is_odd_prime,
+    _Record,
+    root_of_unity,
+)
 
 
 class InvalidRds(ValueError):
@@ -99,7 +108,10 @@ class BlockPairSpec(_Record):
 
 def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
     """Godsil-Roy: rows (chi(r_1), ..., chi(r_d)) over all characters, grouped
-    into d bases by the character's restriction to the forbidden subgroup."""
+    into d bases by the character's restriction to the forbidden subgroup.
+    When the lcm L of the group's factor orders is an odd prime, every
+    basis keeps its phases (LineSet._of_phases), and the family's check,
+    here and in any later verify_mubs, is exact."""
     try:
         m, n, k, lam = rds_verify(rds)
     except ValueError as exc:
@@ -127,20 +139,23 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
     for index, signature in enumerate(signatures):
         groups.setdefault(signature.tobytes(), []).append(index)
 
-    # the L-th roots of unity; root_of_unity reduces t / L, so phase 0 stays
-    # the exact Gaussian 1.  A basis is exact iff every root it uses is; it
-    # takes its parts, 0 and +-1, from the int64 table, whose other columns
-    # (the float roots, truncated) no basis reads
-    values = [root_of_unity(t, modulus) for t in range(modulus)]
-    exact = np.array([z.exact for z in values])
-    floats = np.array([[z.re for z in values], [z.im for z in values]], dtype=float)
-    ints = floats.astype(np.int64)
+    # for an odd prime L every basis carries its phases, which verify_mubs
+    # certifies in integers.  Otherwise the bases read the L-th roots of
+    # unity; root_of_unity reduces t / L, so phase 0 stays the exact
+    # Gaussian 1.  A basis is exact iff every root it uses is; it takes its
+    # parts, 0 and +-1, from the int64 table, whose other columns (the float
+    # roots, truncated) no basis reads
+    phased = _is_odd_prime(modulus)
+    if not phased:
+        exact = np.array([root_of_unity(t, modulus).exact for t in range(modulus)])
+        floats = _roots(modulus)
+        ints = floats.astype(np.int64)
     bases = []
     for j, members in enumerate(groups.values(), start=1):
         ts = rows[members]
-        bases.append(LineSet.from_parts(
-            (ints if exact[ts].all() else floats)[:, ts],
-            {"construction": "rds-mub", "basis": j, "rds": rds.label or "custom"}))
+        provenance = {"construction": "rds-mub", "basis": j, "rds": rds.label or "custom"}
+        bases.append(LineSet._of_phases(ts, modulus, provenance) if phased else
+                     LineSet.from_parts((ints if exact[ts].all() else floats)[:, ts], provenance))
     family = MubFamily(d, tuple(bases), rds)
     if not verify_mubs(list(family.bases)):
         raise InvalidRds("constructed bases failed the MUB check")

@@ -15,12 +15,17 @@ size, so _block takes the int64 Gram from one complex128 (float64 BLAS)
 product, exactly.  gram_analyze of an exact set, verify_mubs and
 constructions.theorem46_predicate read it: verify_mubs checks the stack of
 its bases, then each basis against all later ones in one block row
-(_block_rows).  _float_reports, behind the float gram_analyze and the
-certifier of constructions.c1_search's survivors, walks a float Gram in row
-tiles of at most _CHUNK entries and never holds it whole.  _report alone
-says "equiangular".  Zero vectors and non-finite entries raise, never read
-as "yes".  lineset_from_json builds the array of a line-set document whose
-every rule the numpy-free scalars._line_set_entries has checked.
+(_block_rows).  Bases that all carry integer phases of one odd prime p
+(LineSet._of_phases, as mubs_from_rds builds every odd-prime family) are
+certified instead from their d^2 character sums, in integers and with the
+tolerance ignored (_phase_certificate); only where one of its
+preconditions fails does the float Gram decide.  _float_reports, behind
+the float gram_analyze and the certifier of constructions.c1_search's
+survivors, walks a float Gram in row tiles of at most _CHUNK entries and
+never holds it whole.  _report alone says "equiangular".  Zero vectors and
+non-finite entries raise, never read as "yes".  lineset_from_json builds
+the array of a line-set document whose every rule the numpy-free
+scalars._line_set_entries has checked.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ from .scalars import (  # noqa: F401
     DimensionMismatch,
     Scalar,
     _indices,
+    _is_odd_prime,
     _Record,
     _line_set_entries,
     _table_entries,
     max_angle,
     mub_bound,
+    root_of_unity,
     special_bound_f,
 )
 
@@ -214,23 +221,60 @@ class LineSet:
     could leave the bound, so no int64 wrap ever reaches a verdict.
 
     LineSet(dim, vectors, provenance) stacks the rows of CVectors (see
-    CVector), exact iff every vector is; LineSet.from_parts copies an array,
-    exact iff it holds integers: a numpy integer array or Python ints.
-    .vectors, built on first use, holds one CVector per line whose row is a
-    view into parts; no Scalar is made until a vector's .entries is read.
+    CVector), exact iff every vector is, and in int64 when every row is an
+    int64 view; LineSet.from_parts copies an array, exact iff it holds
+    integers: a numpy integer array or Python ints.  .vectors, built on
+    first use, holds one CVector per line whose row is a view into parts;
+    no Scalar is made until a vector's .entries is read.
+
+    A set built by _of_phases, whose every entry is a p-th root of unity
+    for an odd prime p, is a float set that also keeps its integer phases
+    (n, dim) and p, from which verify_mubs certifies a family exactly.  Its
+    parts are derived from the phases, its exact is False and its JSON is
+    complex-f64, as for any float set; from_parts, LineSet(dim, vectors)
+    and every operation give sets without phases.
     """
 
     def __init__(self, dim: int, vectors, provenance: dict | None = None):
         if any(v.dim != dim for v in vectors):
             raise DimensionMismatch("all vectors must share the set dimension")
-        exact = all(v.exact for v in vectors)  # a float set floats its exact rows
-        parts = np.array([v._row for v in vectors], dtype=object if exact else float)
+        rows = [v._row for v in vectors]
+        if not all(v.exact for v in vectors):  # a float set floats its exact rows
+            dtype = float
+        elif all(row.dtype == np.int64 for row in rows):  # views into int64 sets
+            dtype = np.int64
+        else:
+            dtype = object
+        parts = np.array(rows, dtype=dtype)
         self._own(parts.reshape(len(vectors), 2, dim).transpose(1, 0, 2), provenance)
+
+    #: (phases, p) of a set built by _of_phases, None for every other set
+    _phases = None
 
     @classmethod
     def from_parts(cls, parts, provenance: dict | None = None) -> "LineSet":
         lines = cls.__new__(cls)
         lines._own(parts, provenance)
+        return lines
+
+    @classmethod
+    def _of_phases(cls, phases, order: int, provenance: dict | None = None) -> "LineSet":
+        """The float set whose entry (j, l) is root_of_unity(phases[j, l], order),
+        order an odd prime p, which keeps its phases (n, dim), reduced mod p
+        and held in the smallest unsigned type that holds p - 1 (a byte for
+        every builtin, an eighth of the parts), and p.  Its parts are read
+        from the float table _roots(p), so the phases and the parts cannot
+        disagree.  verify_mubs certifies bases that all carry phases of one
+        p in integers (_phase_certificate); from_parts, LineSet(dim,
+        vectors) and every operation give a set without phases."""
+        if not _is_odd_prime(order):
+            raise ValueError(f"a phase order must be an odd prime, got {order}")
+        phases = (np.asarray(phases, dtype=np.int64) % order).astype(np.min_scalar_type(order - 1))
+        if phases.ndim != 2:
+            raise ValueError("phases must have shape (n, dim)")
+        phases.flags.writeable = False
+        lines = cls.from_parts(_roots(order)[:, phases], provenance)
+        lines._phases = phases, order
         return lines
 
     def _own(self, parts, provenance: dict | None) -> None:
@@ -275,6 +319,16 @@ class LineSet:
 
     def to_matrix(self) -> np.ndarray:
         return _complex(self._parts)
+
+
+@functools.lru_cache(maxsize=32)
+def _roots(order: int) -> np.ndarray:
+    """The read-only float parts (2, order) of root_of_unity(t, order), t =
+    0..order - 1."""
+    values = [root_of_unity(t, order) for t in range(order)]
+    table = np.array([[z.re for z in values], [z.im for z in values]], dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def _complex(parts: np.ndarray) -> np.ndarray:
@@ -538,8 +592,13 @@ def _upper(sets: int, n: int) -> np.ndarray:
 
 def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
     """True iff each basis is orthogonal and all cross-basis normalized
-    magnitudes equal 1/sqrt(d); exact, with the tolerance ignored, when every
-    basis is exact.
+    magnitudes equal 1/sqrt(d).  The verdict is exact, with the tolerance
+    ignored, when every basis is exact (Gaussian integers, the d = 2 and 4
+    families) or when every basis carries phases of one odd prime p (every
+    odd-prime family of mubs_from_rds) and they form a group code whose
+    bases are the cosets of a subgroup: _phase_certificate then decides from
+    the d^2 character sums, in O(d^3) integer work.  Otherwise the float
+    path, within tol, decides.
 
     One Gram of the stacked bases checks every basis, raising on a zero
     vector or a non-finite entry, before any verdict; then each basis meets
@@ -550,6 +609,9 @@ def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("no bases supplied")
     d = bases[0].dim
     _check_bases(bases, d)
+    certified = _phase_certificate(bases)
+    if certified is not None:
+        return certified
 
     stack = _stack(bases)
     exact = stack.dtype != complex
@@ -577,6 +639,94 @@ def _check_bases(bases, d: int) -> None:
             raise DimensionMismatch(f"a basis in C^{basis.dim} in a family in C^{d}")
         if len(basis) != d:
             raise ValueError(f"a basis of C^{d} must have exactly {d} vectors")
+
+
+def _phase_certificate(bases) -> bool | None:
+    """verify_mubs of bases that all carry phases of one odd prime p
+    (LineSet._of_phases), in integers; None when a precondition fails, and
+    then the float path decides.  Row c of the phases is the vector x_c =
+    (z^c_1, ..., z^c_d), z = e^(2 pi i / p), so <x_c, x_e> = S(c - e) with
+    S(u) = sum_l z^u_l, and every squared norm is d.
+
+    - The N rows, as vectors of F_p^d, are reduced to coordinates over a
+      basis of their span, one pivot (any nonzero entry left) at a time.
+      They must be distinct and as many as that span, p^rank: then they
+      are the span, a group code R.
+    - Let K be the basis holding the zero row.  The first row of every
+      basis plus each element of K, and each element of K plus each, must
+      lie in that basis: so K is closed under addition, a subgroup, and
+      every basis is a coset of K, not merely a tile of the rows.  Then
+      the differences within the bases are K \\ {0} and those across them
+      R \\ K.
+    - So the bases are orthogonal and mutually unbiased iff |S(u)|^2 is 0
+      on K \\ {0} and d on R \\ K.  With n_r = #{l : u_l = r} and A the
+      cyclic autocorrelation of n, |S(u)|^2 = sum_k A_k z^k, and the only
+      integer relation among 1, z, ..., z^(p - 1) is that they sum to 0.
+      So |S(u)|^2 = t iff the coefficients A_k - t [k = 0] are all equal.
+    - S(s u), s in F_p^*, is the Galois conjugate of S(u) by z -> z^s,
+      which fixes 0 and d, and s u lies in K iff u does.  So one row per
+      F_p^*-orbit decides: the row whose first nonzero coordinate is 1.
+
+    The tolerance plays no part.  No step uses np.unique or np.isin, which
+    load numpy.ma."""
+    phased = [b._phases for b in bases]
+    if any(x is None for x in phased) or len({p for _, p in phased}) != 1:
+        return None
+    p = phased[0][1]
+    rows = np.concatenate([t for t, _ in phased], dtype=np.int64)
+    n, d = rows.shape
+    if not rows.size:
+        return None
+    # coords[k]: each row's coefficient of pivot k, taken before the row is
+    # reduced by it (values below p^2 in int64)
+    left, coords, span = rows, [], 1
+    while True:
+        i, col = divmod(int(left.argmax()), d)
+        lead = int(left[i, col])
+        if not lead:  # nothing left: the rows lie in the span of the pivots
+            break
+        coef = left[:, col]
+        coords.append(coef)
+        span *= p
+        if span > n:
+            return None
+        left = (left - coef[:, None] * (left[i] * pow(lead, -1, p) % p)) % p
+    if span != n:
+        return None
+    r = len(coords)
+    ids, weights, firsts, reps, offsets, shifts = _phase_plan(p, r, d)
+    coords = np.array(coords, dtype=np.int64).reshape(r, n)
+    code = weights @ coords  # a row's coordinates as one integer sum_k c_k p^k < N
+    where = np.full(n, -1)  # the row of each code
+    where[code] = ids
+    if (where < 0).any():  # a code missed: a row repeated
+        return None
+    k0 = where[0] // d * d  # K's first row
+    xs = np.concatenate((firsts, ids[k0:k0 + d]))
+    sums = weights @ ((coords[:, xs, None] + coords[:, None, k0:k0 + d]) % p).reshape(r, -1)
+    if not (where[sums].reshape(-1, d) // d == (xs // d)[:, None]).all():
+        return None
+    at = where[reps]
+    counts = np.bincount((rows[at] + offsets).ravel(), minlength=len(at) * p).reshape(len(at), p)
+    auto = (counts[:, None, :] * counts[:, shifts]).sum(axis=2)
+    auto[:, 0] -= d * (at // d != k0 // d)  # |S|^2 = d off K, 0 on K
+    return bool((auto == auto[:, :1]).all())
+
+
+@functools.lru_cache(maxsize=32)
+def _phase_plan(p: int, r: int, d: int) -> tuple:
+    """The index arrays of _phase_certificate for N = p^r rows in C^d: the
+    row ids, the weights p^k of the coordinates, each basis's first row,
+    the codes of the rows whose sums it reads (one per F_p^*-orbit), their
+    offsets into one bincount, and the shift table of a cyclic
+    autocorrelation mod p."""
+    reps = np.array([p**k + p**(k + 1) * j for k in range(r) for j in range(p**(r - k - 1))],
+                    dtype=np.int64)
+    plan = (np.arange(p**r), p ** np.arange(r, dtype=np.int64), np.arange(0, p**r, d), reps,
+            p * np.arange(len(reps))[:, None], (np.arange(p)[:, None] + np.arange(p)) % p)
+    for table in plan:  # shared by every later call
+        table.flags.writeable = False
+    return plan
 
 
 def _block_rows(stack: np.ndarray):

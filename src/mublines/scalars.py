@@ -181,15 +181,25 @@ def _integral(x) -> bool:
         isinstance(x, float) and x.is_integer())
 
 
-def _ints(values, what: str) -> list[int]:
+def _ints(values, what: str, types: set | None = None) -> list[int]:
     """values as ints if every one is integral by _integral; ValueError
-    naming what otherwise, never a truncation."""
-    values = list(values)
-    if set(map(type, values)) <= {int}:  # a bool's type is bool, not int
+    naming what otherwise, never a truncation.  types, if given, is the set
+    of the types of values, a list, which the caller has read already.  The
+    types are read once: Python ints pass as they are, a list of ints and
+    floats checks its floats alone, and only other types (numpy integers,
+    bools, strings) take _integral's abc check one by one."""
+    if types is None:
+        values = list(values)
+        types = set(map(type, values))
+    if types <= {int}:  # a bool's type is bool, not int
         return values
-    if not all(map(_integral, values)):
+    if types <= {int, float}:  # inf and NaN are not integers, 1e300 is one
+        ok = all(x.is_integer() for x in values if type(x) is float)
+    else:
+        ok = all(map(_integral, values))
+    if not ok:
         raise ValueError(f"non-integer entry in {what}")
-    return [int(x) for x in values]
+    return list(map(int, values))
 
 
 def _indices(values) -> list[int] | None:
@@ -197,10 +207,11 @@ def _indices(values) -> list[int] | None:
     and no float, which numpy refuses as an index even when integral; None
     otherwise (a bool, a string, 1.0, 1.5)."""
     values = list(values)
-    if set(map(type, values)) <= {int}:  # as in _ints: a bool's type is bool
+    types = set(map(type, values))
+    if types <= {int}:  # as in _ints: a bool's type is bool
         return values
     try:
-        ints = _ints(values, "indices")
+        ints = _ints(values, "indices", types)
     except ValueError:
         return None
     return None if any(isinstance(x, float) for x in values) else ints
@@ -261,7 +272,7 @@ def _line_set_entries(data) -> tuple[int, bool, list]:
     if not types <= {int, float}:
         raise ValueError("line-set entries must be JSON numbers")
     if field == "gaussian-int":
-        return dim, True, _ints(flat, "gaussian-int line set")
+        return dim, True, _ints(flat, "gaussian-int line set", types)
     if int in types:
         try:
             flat = list(map(float, flat))
@@ -276,6 +287,12 @@ def _gauss_if_integral(z: complex) -> Scalar:
     if _integral(z.real) and _integral(z.imag):
         return Scalar.gauss(int(z.real), int(z.imag))
     return Scalar.from_complex(z)
+
+
+def _is_odd_prime(p: int) -> bool:
+    if p < 3 or p % 2 == 0:
+        return False
+    return all(p % q for q in range(3, int(math.isqrt(p)) + 1, 2))
 
 
 def root_of_unity(numerator: int, denominator: int) -> Scalar:

@@ -281,10 +281,18 @@ def test_mubs_verifies_once_at_the_default_tolerance(capsys, monkeypatch):
 
 
 def test_mubs_tighter_tolerance_still_checks(capsys):
+    # builtin:3 is certified exactly, from its phases, so the tolerance plays
+    # no part, as for the Gaussian builtin:4; a float copy still fails it
+    from mublines import constructions, framecore
+
     code, out, err = run(capsys, "--tol", "1e-300", "mubs", "--rds", "builtin:3")
-    assert code == 1
-    assert json.loads(out)["verified"] is False
-    assert "verify_mubs = False" in err
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+    assert "verify_mubs = True" in err
+    bases = constructions.mubs_from_rds(abelian.builtin_rds(3)).bases
+    floats = [framecore.LineSet.from_parts(b.parts) for b in bases]
+    assert framecore.verify_mubs(floats)
+    assert not framecore.verify_mubs(floats, 1e-300)
 
 
 @pytest.mark.parametrize("field, bad", [pytest.param("complex-f64", 10**400, id="f64-10^400"),
@@ -579,6 +587,15 @@ def test_verify_loads_no_construction_module(tmp_path):
     code, modules = fresh_run(tmp_path, "verify", "float.json")
     assert code == 0
     assert "mublines.framecore" in modules and "fractions" not in modules
+
+
+@pytest.mark.parametrize("tol", [(), ("--tol", "1e-300")])
+def test_mubs_of_an_odd_prime_is_exact_and_loads_no_numpy_ma(tmp_path, tol):
+    # the exact certificate takes no np.unique or np.isin, which load
+    # numpy.ma (~8 ms), and ignores the tolerance
+    proc, modules = fresh_process(tmp_path, *tol, "mubs", "--rds", "builtin:7")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["verified"] is True
+    assert "mublines.framecore" in modules and "numpy.ma" not in modules
 
 
 def test_construct_c3ext_loads_neither_fractions_nor_decimal(tmp_path):

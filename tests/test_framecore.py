@@ -384,6 +384,23 @@ def test_verify_mubs_memory_stays_bounded_at_d47():
     assert peak < 16 * 2**20  # the whole-union Gram alone, 47^4 complex entries, is 78 MB
 
 
+def test_the_float_verify_mubs_memory_stays_bounded_at_d47():
+    # the builtin bases carry phases and are certified without a Gram; float
+    # copies of them take the float path, block row by block row
+    from mublines.abelian import builtin_rds
+    from mublines.constructions import mubs_from_rds
+
+    bases = [LineSet.from_parts(b.parts) for b in mubs_from_rds(builtin_rds(47)).bases]
+    tracemalloc.start()
+    try:
+        ok = verify_mubs(bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_gram_analyze_rejects_non_finite_entries(bad):
     lines = basis_lineset([[1, 0], [bad, 1], [0, 1]])
@@ -486,9 +503,29 @@ def test_ints_passes_plain_ints_through_and_still_checks_the_rest():
     values = [3, -2**70, 0]
     assert _ints(values, "x") == values
     assert _ints([3, 2.0, np.int64(4)], "x") == [3, 2, 4]
-    for bad in ([1, True], [False], [1, 2.5], [1, "1"]):
+    # a list of ints and floats checks its floats alone; 1e300 reads exactly
+    mixed = [3, 2.0, -0.0, 1e300, -7]
+    assert _ints(mixed, "x") == [3, 2, 0, int(1e300), -7]
+    assert _ints(mixed, "x", {int, float}) == _ints(mixed, "x")
+    assert _ints([np.int64(5), 1e300, 2], "x") == [5, int(1e300), 2]
+    for bad in ([1, True], [False], [1, 2.5], [1, "1"], [1, 2.0, math.inf], [3, -math.inf],
+                [1, 2.0, math.nan], [2.0, 0.5, 3], [np.int64(1), 2.0, True], [1.0, 1e300, 0.5]):
         with pytest.raises(ValueError, match="non-integer entry in x"):
             _ints(bad, "x")
+
+
+def test_a_set_rebuilt_from_int64_rows_stacks_them_as_int64():
+    lines = fixtures.lines64_d8()
+    assert lines.parts.dtype == np.int64
+    again = LineSet(lines.dim, lines.vectors)
+    assert again.parts.dtype == np.int64 and np.array_equal(again.parts, lines.parts)
+    # a row of Python ints past the storage bound keeps the set in Python ints
+    big = LineSet.from_parts(np.array([[[2**40, 0]], [[0, 1]]], dtype=object))
+    small = LineSet.from_parts(np.array([[[1, 0]], [[0, 1]]]))
+    assert (big.parts.dtype, small.parts.dtype) == (object, np.int64)
+    mixed = LineSet(2, big.vectors + small.vectors)
+    assert mixed.parts.dtype == object and mixed.parts[0, 0, 0] == 2**40
+    assert type(mixed.parts[0, 1, 0]) is int
 
 
 def test_lineset_from_json_keeps_huge_gaussian_integers_exact():

@@ -1,0 +1,219 @@
+"""The exact certificate of phase-carrying MUB families: LineSet._of_phases,
+mubs_from_rds's odd-prime bases and framecore._phase_certificate, against
+the float verify_mubs of float copies of the same bases."""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mublines import framecore
+from mublines.abelian import builtin_rds
+from mublines.constructions import mubs_from_rds
+from mublines.framecore import (
+    LineSet,
+    VectorPhases,
+    _phase_certificate,
+    _roots,
+    apply_equivalence,
+    lineset_to_json,
+    verify_mubs,
+)
+from mublines.scalars import GAUSSIAN_UNITS
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def float_copies(bases):
+    """The same bases as float sets without phases: the float path's input."""
+    return [LineSet.from_parts(b.parts) for b in bases]
+
+
+def phase_bases(phases, p):
+    """One phase-carrying basis per (d, d) block of phases."""
+    return [LineSet._of_phases(block, p) for block in phases]
+
+
+def family_phases(p):
+    """The (p, p, p) phases of the builtin family at the odd prime p."""
+    return np.array([b._phases[0] for b in mubs_from_rds(builtin_rds(p)).bases])
+
+
+def coset_phases(p, g, line, order):
+    """The phases of the bases that are the cosets of one line K of the
+    group code {j1 x + j2 g(x) : j1, j2 in F_p} (x = 0..p-1), in its
+    coordinates (j1, j2): K is spanned by line, and the bases are listed in
+    order, a permutation of 0..p-1.  g(x) = x^2 and line (1, 0) give the
+    builtin family, up to the order of its rows."""
+    x, g = np.arange(p), np.array(g)
+    step = np.array([0, 1]) if line[1] == 0 else np.array([1, 0])  # off K
+    coords = np.array([[(t * step + s * np.array(line)) % p for s in range(p)] for t in order])
+    return (coords[..., :1] * x + coords[..., 1:] * g) % p
+
+
+def every_row_certificate(phases, k, p):
+    """The character-sum test of _phase_certificate on every nonzero row of
+    the bases phases, of which basis k is the subgroup K, in Python ints:
+    |S(u)|^2 = sum_j A_j z^j must be 0 on K and d off it, that is, A_j minus
+    that target at j = 0 must not depend on j."""
+    d = phases.shape[1]
+    for b, basis in enumerate(phases.tolist()):
+        for u in basis:
+            if not any(u):
+                continue
+            n = [u.count(r) for r in range(p)]
+            auto = [sum(n[r] * n[(r + j) % p] for r in range(p)) for j in range(p)]
+            auto[0] -= 0 if b == k else d
+            if len(set(auto)) != 1:
+                return False
+    return True
+
+
+def test_a_phase_set_keeps_its_phases_and_nothing_built_from_it_does():
+    p = 7
+    phases = family_phases(p)[2]
+    lines = LineSet._of_phases(phases + p, p, {"k": 1})  # reduced mod p
+    assert lines._phases[1] == p and np.array_equal(lines._phases[0], phases)
+    assert not lines._phases[0].flags.writeable
+    assert np.array_equal(lines.parts, _roots(p)[:, phases])
+    assert not lines.exact and lines.provenance == {"k": 1}
+    copy = LineSet.from_parts(lines.parts, {"k": 1})
+    assert json.dumps(lineset_to_json(lines)) == json.dumps(lineset_to_json(copy))
+    assert lineset_to_json(lines)["field"] == "complex-f64"
+    for derived in (copy, LineSet(p, lines.vectors),
+                    apply_equivalence(lines, VectorPhases((GAUSSIAN_UNITS[0],) * p))):
+        assert derived._phases is None and not derived.exact
+        assert np.array_equal(derived.parts, lines.parts)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 9, 15])
+def test_a_phase_order_must_be_an_odd_prime(order):
+    with pytest.raises(ValueError, match="odd prime"):
+        LineSet._of_phases(np.zeros((2, 2), dtype=int), order)
+
+
+def test_mubs_from_rds_carries_phases_exactly_for_odd_primes():
+    for d in (2, 4):
+        assert all(b._phases is None for b in mubs_from_rds(builtin_rds(d)).bases)
+    for d in (3, 5, 7):
+        bases = mubs_from_rds(builtin_rds(d)).bases
+        assert all(b._phases[1] == d for b in bases)
+
+
+@pytest.mark.parametrize("d", [*ODD_PRIMES, 47, 97])
+def test_the_exact_verdict_of_every_builtin_is_the_float_one(d):
+    bases = list(mubs_from_rds(builtin_rds(d)).bases)
+    assert _phase_certificate(bases) is True
+    assert verify_mubs(float_copies(bases)) is True
+
+
+def test_verify_mubs_of_phase_bases_takes_no_float_gram(monkeypatch):
+    bases = list(mubs_from_rds(builtin_rds(31)).bases)
+
+    def refuse(*args):
+        raise AssertionError("the float Gram ran")
+
+    monkeypatch.setattr(framecore, "_stack", refuse)
+    assert verify_mubs(bases, 1e-300) is True  # the tolerance plays no part
+    with pytest.raises(AssertionError, match="float Gram"):
+        verify_mubs(float_copies(bases))
+
+
+@st.composite
+def altered_families(draw):
+    """(kind, phases, p) of the builtin family with one phase perturbed,
+    two rows swapped across bases, one row written over another, its rows
+    regrouped by a K that tiles them without being a subgroup, or random
+    phases."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    kind = draw(st.sampled_from(("perturbed", "shuffled", "repeated", "tiled", "random")))
+    phases = family_phases(p)
+    if kind == "perturbed":
+        b, j, col = (draw(st.integers(0, p - 1)) for _ in range(3))
+        phases[b, j, col] = (phases[b, j, col] + draw(st.integers(1, p - 1))) % p
+    elif kind == "shuffled":
+        b, c = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+        j, k = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        phases[[b, c], [j, k]] = phases[[c, b], [k, j]]
+    elif kind == "repeated":  # one row written over another: p^2 rows, p^2 - 1 distinct
+        (b, j), (c, k) = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                                       min_size=2, max_size=2, unique=True))
+        phases[b, j] = phases[c, k]
+    elif kind == "tiled":
+        # K = {(s, f(s))} with f(0) = 0 and f not additive, and its
+        # translates by (0, t): they tile the code, and K is no subgroup
+        f = [0] + draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1))
+        if all(f[s] == f[1] * s % p for s in range(p)):  # additive, so linear
+            f[1] = (f[1] + 1) % p  # then f(2) = 2 f(1) - 2, not 2 f(1)
+        x = np.arange(p)
+        phases = np.array([[(s * x + ((f[s] + t) % p) * x * x) % p for s in range(p)]
+                           for t in range(p)])
+    else:
+        phases = np.array(draw(st.lists(st.integers(0, p - 1), min_size=p**3,
+                                        max_size=p**3))).reshape(p, p, p)
+    return kind, phases, p
+
+
+def test_a_tiling_k_below_is_no_subgroup():
+    # the tiled case's K for f = (0, 1, 1) at p = 3: (1, 1) + (1, 1) = (2, 2) is
+    # not (2, f(2)) = (2, 1)
+    x = np.arange(3)
+    f = [0, 1, 1]
+    phases = np.array([[(s * x + ((f[s] + t) % 3) * x * x) % 3 for s in range(3)]
+                       for t in range(3)])
+    bases = phase_bases(phases, 3)
+    assert _phase_certificate(bases) is None
+    assert verify_mubs(bases) is verify_mubs(float_copies(bases)) is False
+
+
+@settings(max_examples=200, deadline=None)
+@given(altered_families())
+def test_no_altered_family_gets_an_exact_yes(case):
+    kind, phases, p = case
+    bases = phase_bases(phases, p)
+    assert _phase_certificate(bases) is not True
+    assert verify_mubs(bases) == verify_mubs(float_copies(bases))
+    if kind in ("shuffled", "repeated"):  # no cosets, or no group code
+        assert _phase_certificate(bases) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 5, 7, 11, 13)).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.lists(st.integers(0, p - 1), min_size=p, max_size=p),
+    st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(lambda v: any(v)),
+    st.permutations(range(p)))))
+@example((5, [0, 1, 4, 4, 1], (1, 0), [0, 1, 2, 3, 4]))  # the builtin family: yes
+@example((7, [0, 1, 4, 2, 2, 4, 1], (3, 0), [6, 5, 4, 3, 2, 1, 0]))  # yes
+@example((5, [0, 1, 4, 4, 1], (0, 1), [0, 1, 2, 3, 4]))  # K not orthogonal
+@example((5, [0, 2, 4, 1, 3], (1, 0), [0, 1, 2, 3, 4]))  # g linear: rank 1
+def test_one_row_per_galois_orbit_decides_as_every_row_does(case):
+    p, g, line, order = case
+    phases = coset_phases(p, g, line, order)
+    bases = phase_bases(phases, p)
+    exact = _phase_certificate(bases)
+    linear = all((g[x] - g[1] * x) % p == 0 for x in range(p))
+    if not linear:
+        assert exact is every_row_certificate(phases, order.index(0), p)
+    assert (exact is None) == linear  # a code of rank 2, and K a subgroup
+    assert verify_mubs(bases) == verify_mubs(float_copies(bases))
+    if exact is not None:
+        assert exact == verify_mubs(float_copies(bases))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_coset_family_of_a_small_code_is_decided_as_every_row_decides(p):
+    # every g: F_p -> F_p, K the line (1, 0): a family whose only failing
+    # F_p^*-orbit is any one of them is among these
+    verdicts = set()
+    for g in itertools.product(range(p), repeat=p):
+        if all((g[x] - g[1] * x) % p == 0 for x in range(p)):
+            continue
+        phases = coset_phases(p, g, (1, 0), range(p))
+        exact = _phase_certificate(phase_bases(phases, p))
+        assert exact is every_row_certificate(phases, 0, p)
+        verdicts.add(exact)
+    assert verdicts == {True, False}
