@@ -68,18 +68,14 @@ class MubFamily(_Record):
         _check_bases(self.bases, self.dim)
 
     @functools.cached_property
-    def _theorem46_table(self) -> np.ndarray:
+    def _theorem46_table(self) -> np.ndarray | None:
         """_zeroed_table whose copy p zeroes column p of every basis, so that
-        it holds every zeroed basis once.  A build that raises keeps no table
-        but sets _theorem46_failed, so that every later access raises at once
-        instead of building it again."""
-        if getattr(self, "_theorem46_failed", False):
-            raise ValueError("this family's Theorem 4.6 table failed to build")
+        it holds every zeroed basis once; None, built once too, where that
+        Gram raises (a zero line or a non-finite entry)."""
         try:
             return _zeroed_table(self, [[p] * self.dim for p in range(self.dim)])
         except ValueError:
-            object.__setattr__(self, "_theorem46_failed", True)
-            raise
+            return None
 
     @functools.cached_property
     def _union(self) -> tuple[np.ndarray, np.ndarray]:
@@ -335,14 +331,13 @@ def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
     Block (j, k) of L(pi, 0) depends on pi only through the columns pi(j),
     pi(k) it zeroes, so one Gram of the 4 x 4 zeroed bases (64 lines)
     tabulates every block once per family, and pi reads its six blocks j < k
-    there.  If that Gram raises (a zero line or a non-finite entry), the table
-    is not built again, and L(pi, 0)'s own Gram decides, or raises."""
+    there.  Where the family has no table (its Gram raised), L(pi, 0)'s own
+    Gram decides, or raises."""
     if family.dim != 4:
         raise ValueError("the criterion applies only in dimension 4")
     cols = _columns(perm, 4)
-    try:  # the table's copy p zeroes column p
-        ok, copy = family._theorem46_table, cols
-    except ValueError:
+    ok, copy = family._theorem46_table, cols  # the table's copy p zeroes column p
+    if ok is None:
         ok, copy = _zeroed_table(family, [cols]), [0] * 4
     return all(ok[copy[j], j, copy[k], k] for j, k in _PAIRS)
 

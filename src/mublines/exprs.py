@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import cmath
+import operator
 
 
 class ExpressionError(ValueError):
@@ -22,6 +23,11 @@ def parse_constant(text: str) -> complex:
     return _eval(tree.body, text)
 
 
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv}
+
+
 def _eval(node: ast.AST, text: str) -> complex:
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):  # not a bool
         try:
@@ -30,25 +36,19 @@ def _eval(node: ast.AST, text: str) -> complex:
             raise ExpressionError(f"a number beyond float64 in constant {text!r}") from None
     if isinstance(node, ast.Name) and node.id == "i":
         return 1j
+    # the operands first: an error in one is reported before an unsupported operator
     if isinstance(node, ast.UnaryOp):
         value = _eval(node.operand, text)
-        if isinstance(node.op, ast.USub):
-            return -value
-        if isinstance(node.op, ast.UAdd):
-            return value
+        if type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](value)
     if isinstance(node, ast.BinOp):
         left = _eval(node.left, text)
         right = _eval(node.right, text)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            if right == 0:
-                raise ExpressionError(f"division by zero in {text!r}")
-            return left / right
+        if type(node.op) in _BINARY:
+            try:
+                return _BINARY[type(node.op)](left, right)
+            except ZeroDivisionError:
+                raise ExpressionError(f"division by zero in {text!r}") from None
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)

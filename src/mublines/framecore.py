@@ -411,16 +411,23 @@ def _self_grams(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ZeroVectorError on a zero vector and ValueError on a non-finite
     entry or a squared norm that overflows float64.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        mag = _block(stack, _adjoint(stack))
-    if stack.dtype != complex:
-        norms = (stack * stack).sum(axis=(0, 3))
-    elif not np.isfinite(mag).all():  # a bad entry spoils its whole row
-        raise ValueError("line set has a non-finite entry")
+    if stack.dtype == complex:
+        mag, norms = _float_rows(stack, _adjoint(stack), 0)
     else:
-        norms = np.sqrt(np.diagonal(mag, axis1=1, axis2=2))
+        mag, norms = _block(stack, _adjoint(stack)), (stack * stack).sum(axis=(0, 3))
     _refuse_zero(norms)
     return mag, norms
+
+
+def _float_rows(rows: np.ndarray, adjoint: np.ndarray, first: int):
+    """(_block, unsquared norms) of the complex rows (S, r, d), lines first,
+    first + 1, ... of float sets, against the _adjoint of their sets; a
+    non-finite entry raises ValueError, and an empty stack passes."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here
+        mag = _block(rows, adjoint)
+        if mag.size and not np.isfinite(mag.max()):  # NaN or inf if any entry is
+            raise ValueError("line set has a non-finite entry")
+        return mag, np.sqrt(np.diagonal(mag, first, axis1=1, axis2=2))
 
 
 def _refuse_zero(norms: np.ndarray) -> None:
@@ -522,9 +529,9 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     the shipped _CHUNK each entry was checked to keep the bits the whole
     Gram gives it (test_a_gram_of_many_tiles_gives_the_full_grams_report),
     and only there: BLAS may round a shorter tile differently, and at
-    _CHUNK = 2^12 one norm of the d = 13 union moved by one ulp.  A tile
-    raises on a non-finite entry, takes its rows' norms from its diagonal
-    and divides by the norms known by then (its rows' and later rows').
+    _CHUNK = 2^12 one norm of the d = 13 union moved by one ulp.  A tile is
+    _float_rows of its rows, as _self_grams' float Gram is of all rows, and
+    is divided by the norms known by then (its rows' and later rows').
     Its pairs j < k fill its own run of one (S, m(m - 1)/2) array: those of
     its square diagonal block (a cached mask), then the block to its right
     as it stands.  Only their order within the run differs from row-major,
@@ -549,11 +556,8 @@ def _float_reports(parts: np.ndarray, tol: float) -> list[GramReport]:
     rows = _tile(sets * m)
     for r0 in reversed(range(0, m, rows)):
         r1 = min(r0 + rows, m)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked here
-            tile = _block(mats[:, r0:r1], adjoint)
-            if not np.isfinite(tile.max()):  # NaN or inf if any entry is
-                raise ValueError("line set has a non-finite entry")
-            norms[:, r0:r1] = np.sqrt(np.diagonal(tile, r0, axis1=1, axis2=2))
+        tile, norms[:, r0:r1] = _float_rows(mats[:, r0:r1], adjoint, r0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
             tile[:, :, r0:] /= norms[:, r0:r1, None] * norms[:, None, r0:]
         start, stop = (r * (2 * m - r - 1) // 2 for r in (r0, r1))  # pairs above row r
         mid = stop - (r1 - r0) * (m - r1)
@@ -598,7 +602,7 @@ def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
     odd-prime family of mubs_from_rds) and they form a group code whose
     bases are the cosets of a subgroup: _phase_certificate then decides from
     the d^2 character sums, in O(d^3) integer work.  Otherwise the float
-    path, within tol, decides.
+    path decides, and its "yes" at one tol holds at every larger one.
 
     One Gram of the stacked bases checks every basis, raising on a zero
     vector or a non-finite entry, before any verdict; then each basis meets
@@ -909,7 +913,7 @@ def _lineset_of(data: dict, dim: int, exact: bool, flat: list) -> LineSet:
                               data.get("provenance", {}))
 
 
-def dump_json(obj: dict, path) -> None:
+def dump_json(obj, path) -> None:
     """Write obj as JSON (_encode) and a newline to path, in place: an
     existing file is not truncated on open, which on ext4 makes its close
     flush the new data, but cut at the end of what was written.  Only a
@@ -923,17 +927,19 @@ def dump_json(obj: dict, path) -> None:
 
 def _encode(obj):
     """json.dumps(obj, sort_keys=True), byte for byte, in pieces, so a large
-    document is never held whole; each float table of _float_table is
-    encoded once per distinct value.  Only dicts with str keys and lists of
-    dicts are walked; anything else goes to json.dumps whole, whose C encoder
-    is the fastest there (ints above all)."""
-    if type(obj) is dict and all(type(key) is str for key in obj):
+    document is never held whole: a LineSet as its lineset_to_json, made
+    only once reached, and each float table of _float_table once per
+    distinct value.  Only LineSets, dicts with str keys and lists of either
+    are walked; the rest goes to json.dumps whole (its C encoder is fastest)."""
+    if type(obj) is LineSet:
+        yield from _encode(lineset_to_json(obj))
+    elif type(obj) is dict and all(type(key) is str for key in obj):
         yield "{"
         for n, key in enumerate(sorted(obj)):
             yield f"{', ' if n else ''}{json.dumps(key)}: "
             yield from _encode(obj[key])
         yield "}"
-    elif type(obj) is list and obj and all(type(item) is dict for item in obj):
+    elif type(obj) is list and obj and all(type(item) in (dict, LineSet) for item in obj):
         for n, item in enumerate(obj):
             yield ", " if n else "["
             yield from _encode(item)

@@ -52,21 +52,16 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields, defaults = cls._FIELDS, cls._DEFAULTS
-        cls._COMPARE = cls.__dict__.get("_COMPARE", fields)
+        cls._COMPARE = cls.__dict__.get("_COMPARE", cls._FIELDS)
         # == and hash read the compared fields, and a construction sets the
         # slots, through these, with no code made per class
         cls._key = operator.attrgetter(*cls._COMPARE)  # a bare value for one field
-        cls._SETTERS = tuple(getattr(cls, name).__set__ for name in fields)
-        # the default tail of every positional call that gives the required fields
-        required = len(fields) - len(defaults)
-        cls._TAILS = {required + i: defaults[i:] for i in range(len(defaults))}
+        cls._SETTERS = tuple(getattr(cls, name).__set__ for name in cls._FIELDS)
 
     def __init__(self, *args, **kwargs):
         setters = self._SETTERS
         if kwargs or len(args) != len(setters):
-            tail = None if kwargs else self._TAILS.get(len(args))
-            args = self._bind(args, kwargs) if tail is None else args + tail
+            args = self._bind(args, kwargs)
         i = 0  # an index, not zip: 10-20 % cheaper a record in CPython 3.11
         for setter in setters:
             setter(self, args[i])

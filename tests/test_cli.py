@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mublines import abelian
+from mublines import abelian, constructions
 from mublines.cli import main
+from mublines.exprs import ExpressionError, parse_constant
 from mublines.framecore import lineset_to_json
 
 
@@ -598,6 +600,57 @@ def test_mubs_of_an_odd_prime_is_exact_and_loads_no_numpy_ma(tmp_path, tol):
     assert "mublines.framecore" in modules and "numpy.ma" not in modules
 
 
+def test_mubs_out_holds_one_basis_of_lists_at_a_time(capsys, tmp_path):
+    # all 47 bases as lists of floats at once peaked at ~15 MiB; one at a
+    # time, ~7 MiB (tracemalloc, numpy's arrays included)
+    out = tmp_path / "m47.json"
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "--out", str(out), "mubs", "--rds", "builtin:47")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "47 MUBs in C^47: verify_mubs = True\n")
+    assert peak < 10 * 2**20
+    family = constructions.mubs_from_rds(abelian.builtin_rds(47))
+    payload = {"dim": 47, "rds": abelian.rds_to_json(family.source_rds),
+               "bases": [lineset_to_json(b) for b in family.bases], "verified": True}
+    assert out.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+#: the thread variables of os.environ when numpy is first imported by
+#: main(argv), printed as JSON after main's own output
+_THREADS_AT_NUMPY = """
+import json, os, sys
+import mublines.cli
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({var: os.environ.get(var) for var in mublines.cli._THREAD_VARS})
+sys.meta_path.insert(0, Spy())
+code = mublines.cli.main(sys.argv[1:])
+print(json.dumps(seen))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("given", [{}, {"OMP_NUM_THREADS": "3"}])
+def test_a_process_runs_one_blas_thread_unless_told_otherwise(tmp_path, given):
+    # the default threads made a small float Gram tens of times slower
+    from mublines.cli import _THREAD_VARS
+
+    assert {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"} <= set(_THREAD_VARS)
+    env = {name: value for name, value in os.environ.items() if name not in _THREAD_VARS}
+    env.update(given, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AT_NUMPY, "construct", "c3ext"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    (seen,) = json.loads(proc.stdout.splitlines()[-1])
+    want = given or dict.fromkeys(_THREAD_VARS, "1")
+    assert seen == {name: want.get(name) for name in _THREAD_VARS}
+
+
 def test_construct_c3ext_loads_neither_fractions_nor_decimal(tmp_path):
     proc, modules = fresh_process(tmp_path, "construct", "c3ext")
     assert proc.returncode == 0
@@ -641,6 +694,38 @@ def test_construct_c1_constant_is_a_float64_number(capsys, v, message):
     code, out, err = run(capsys, "construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", v)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, value", [
+    ("sqrt(2+sqrt(5))", 2.0581710272714924 + 0j),  # the README's --v
+    ("(sqrt(6)-sqrt(2))/2", 0.5176380902050414 + 0j),
+    ("2+i", 2 + 1j), ("1+2", 3 + 0j), ("1-i", 1 - 1j), ("3*i", 3j), ("1/4", 0.25 + 0j),
+    ("i/2", 0.5j), ("2*(1+i)/(1-i)", 2j), ("+i", 1j), ("-(1+i)", -1 - 1j),
+    ("-0", complex(-0.0, -0.0)),
+])
+def test_parse_constant_values(text, value):
+    # repr tells -0.0 from 0.0, so the value is pinned to its bits
+    assert repr(parse_constant(text)) == repr(value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "division by zero in '1/0'"),
+    ("i/(1-1)", "division by zero in 'i/(1-1)'"),
+    ("2**3", "unsupported syntax in constant '2**3'"),
+    ("~1", "unsupported syntax in constant '~1'"),
+    ("x", "unsupported syntax in constant 'x'"),
+    ("True", "unsupported syntax in constant 'True'"),
+    ("sqrt(1, 2)", "unsupported syntax in constant 'sqrt(1, 2)'"),
+    ("1+", "cannot parse constant '1+'"),
+    # the operands are read before the operator: their error comes first
+    ("2**(1/0)", "division by zero in '2**(1/0)'"),
+    ("~(1/0)", "division by zero in '~(1/0)'"),
+    ("1%(2*x)", "unsupported syntax in constant '1%(2*x)'"),
+])
+def test_parse_constant_errors(text, message):
+    with pytest.raises(ExpressionError) as exc:
+        parse_constant(text)
+    assert str(exc.value) == message
 
 
 def test_verify_refuses_an_unknown_field(capsys, tmp_path):
