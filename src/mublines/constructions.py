@@ -129,11 +129,15 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
     signatures = chars @ np.array([g.exponents for g in rds.forbidden]).T % modulus
     rows = chars @ np.array([g.exponents for g in rds.elements]).T % modulus
 
-    # first-seen order of the signatures orders the groups by their
-    # lexicographically smallest member
-    groups: dict[bytes, list[int]] = {}
-    for index, signature in enumerate(signatures):
-        groups.setdefault(signature.tobytes(), []).append(index)
+    # the characters of one signature are a run of one stable sort, keyed by
+    # the signature's integer columns (no combined code to overflow), each
+    # run in index order; sorting the runs by their first index keeps the
+    # first-seen order, by lexicographically smallest member.  np.unique
+    # would load numpy.ma
+    order = np.lexsort(signatures.T[::-1])
+    ranked = signatures[order]
+    cuts = [0, *(np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1).tolist(), len(order)]
+    groups = sorted((order[a:b] for a, b in zip(cuts, cuts[1:])), key=lambda run: int(run[0]))
 
     # for an odd prime L every basis carries its phases, which verify_mubs
     # certifies in integers.  Otherwise the bases read the L-th roots of
@@ -147,7 +151,7 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
         floats = _roots(modulus)
         ints = floats.astype(np.int64)
     bases = []
-    for j, members in enumerate(groups.values(), start=1):
+    for j, members in enumerate(groups, start=1):
         ts = rows[members]
         provenance = {"construction": "rds-mub", "basis": j, "rds": rds.label or "custom"}
         bases.append(LineSet._of_phases(ts, modulus, provenance) if phased else

@@ -15,15 +15,18 @@ size, so _block takes the int64 Gram from one complex128 (float64 BLAS)
 product, exactly.  gram_analyze of an exact set, verify_mubs and
 constructions.theorem46_predicate read it: verify_mubs checks the stack of
 its bases, then each basis against all later ones in one block row
-(_block_rows).  Bases that all carry integer phases of one odd prime p
-(LineSet._of_phases, as mubs_from_rds builds every odd-prime family) are
-certified instead from their d^2 character sums, in integers and with the
-tolerance ignored (_phase_certificate); only where one of its
-preconditions fails does the float Gram decide.  _float_reports, behind
-the float gram_analyze and the certifier of constructions.c1_search's
-survivors, walks a float Gram in row tiles of at most _CHUNK entries and
-never holds it whole.  _report alone says "equiangular".  Zero vectors and
-non-finite entries raise, never read as "yes".  lineset_from_json builds
+(_block_rows).  A set may carry integer phases of an odd prime p
+(LineSet._of_phases, as mubs_from_rds builds every odd-prime family).
+Where its rows form a group code (_group_code), every Gram entry is a
+character sum, read in integers from one row per Galois orbit
+(_orbit_squares) with the tolerance ignored: by _phase_certificate for
+verify_mubs, and by _phase_report for gram_analyze when every squared sum
+is rational.  Only where a precondition fails does the float Gram decide.
+_float_reports, behind the float gram_analyze and the certifier of
+constructions.c1_search's survivors, walks a float Gram in row tiles of at
+most _CHUNK entries and never holds it whole.  _report alone says
+"equiangular".  Zero vectors and non-finite entries raise, never read as
+"yes".  lineset_from_json builds
 the array of a line-set document whose every rule the numpy-free
 scalars._line_set_entries has checked.
 """
@@ -121,21 +124,23 @@ class CVector:
     CVector.make of a 1-D complex or float ndarray a row of its own; such a
     vector makes its Scalars only when .entries is read, from one pool per
     set (per vector for make), so equal entries share one Scalar.  Equality,
-    hashing and repr are those of the entries.
+    hashing and repr are those of the entries.  A vector of a set with
+    phases carries them as _phases = ((phases, p), j), the set's own tuple
+    and its row; any other vector holds None.
     """
 
-    __slots__ = ("_row", "_entries", "_pool")
+    __slots__ = ("_row", "_entries", "_pool", "_phases")
 
     def __init__(self, entries: tuple[Scalar, ...]):
         row = np.array([[e.re for e in entries], [e.im for e in entries]],
                        dtype=object if all(e.exact for e in entries) else float)
         row.flags.writeable = False
-        self._row, self._entries, self._pool = row, entries, None
+        self._row, self._entries, self._pool, self._phases = row, entries, None, None
 
     @classmethod
-    def _of_row(cls, row: np.ndarray, pool: dict) -> "CVector":
+    def _of_row(cls, row: np.ndarray, pool: dict, phases: tuple | None = None) -> "CVector":
         vector = cls.__new__(cls)
-        vector._row, vector._entries, vector._pool = row, None, pool
+        vector._row, vector._entries, vector._pool, vector._phases = row, None, pool, phases
         return vector
 
     @staticmethod
@@ -229,15 +234,23 @@ class LineSet:
 
     A set built by _of_phases, whose every entry is a p-th root of unity
     for an odd prime p, is a float set that also keeps its integer phases
-    (n, dim) and p, from which verify_mubs certifies a family exactly.  Its
-    parts are derived from the phases, its exact is False and its JSON is
-    complex-f64, as for any float set; from_parts, LineSet(dim, vectors)
-    and every operation give sets without phases.
+    (n, dim) and p, from which verify_mubs certifies a family and
+    gram_analyze reports a group code exactly.  Its parts are derived from
+    the phases, its exact is False and its JSON is complex-f64, as for any
+    float set.  Its vectors carry their phases, and LineSet(dim, vectors)
+    keeps them when every vector carries phases of one p, as the union of a
+    family's bases does; from_parts and every operation give sets without
+    phases.
     """
 
     def __init__(self, dim: int, vectors, provenance: dict | None = None):
         if any(v.dim != dim for v in vectors):
             raise DimensionMismatch("all vectors must share the set dimension")
+        marks = [v._phases for v in vectors]
+        if marks and all(marks) and len({p for (_, p), _ in marks}) == 1:  # phases of one p
+            phases = np.array([set_rows[j] for (set_rows, _), j in marks])
+            self._keep_phases(phases, marks[0][0][1], provenance)
+            return
         rows = [v._row for v in vectors]
         if not all(v.exact for v in vectors):  # a float set floats its exact rows
             dtype = float
@@ -248,7 +261,8 @@ class LineSet:
         parts = np.array(rows, dtype=dtype)
         self._own(parts.reshape(len(vectors), 2, dim).transpose(1, 0, 2), provenance)
 
-    #: (phases, p) of a set built by _of_phases, None for every other set
+    #: (phases, p) of a set built by _of_phases, or by LineSet(dim, vectors)
+    #: of vectors with phases of one p; None for every other set
     _phases = None
 
     @classmethod
@@ -264,21 +278,27 @@ class LineSet:
         and held in the smallest unsigned type that holds p - 1 (a byte for
         every builtin, an eighth of the parts), and p.  Its parts are read
         from the float table _roots(p), so the phases and the parts cannot
-        disagree.  verify_mubs certifies bases that all carry phases of one
-        p in integers (_phase_certificate); from_parts, LineSet(dim,
-        vectors) and every operation give a set without phases."""
+        disagree."""
         if not _is_odd_prime(order):
             raise ValueError(f"a phase order must be an odd prime, got {order}")
         phases = (np.asarray(phases, dtype=np.int64) % order).astype(np.min_scalar_type(order - 1))
         if phases.ndim != 2:
             raise ValueError("phases must have shape (n, dim)")
-        phases.flags.writeable = False
-        lines = cls.from_parts(_roots(order)[:, phases], provenance)
-        lines._phases = phases, order
+        lines = cls.__new__(cls)
+        lines._keep_phases(phases, order, provenance)
         return lines
 
-    def _own(self, parts, provenance: dict | None) -> None:
-        parts = np.array(parts, order="C")  # the set's own copy
+    def _keep_phases(self, phases: np.ndarray, order: int, provenance: dict | None) -> None:
+        """Own the parts of the reduced phases (n, dim), gathered from
+        _roots(order) by take (several times faster here than fancy
+        indexing) into a fresh array, and keep (phases, order)."""
+        phases.flags.writeable = False
+        self._own(_roots(order).take(phases, axis=1), provenance, copy=False)
+        self._phases = phases, order
+
+    def _own(self, parts, provenance: dict | None, copy: bool = True) -> None:
+        if copy:  # the set's own copy; without it, parts is a fresh C-order array
+            parts = np.array(parts, order="C")
         if parts.dtype.kind in "iuO":  # integers: an exact set
             # what the exact Gram trusts: an object array holds Python ints only
             if parts.dtype == object and not set(map(type, parts.flat)) <= {int}:
@@ -313,8 +333,14 @@ class LineSet:
         one Scalar of the set's pool."""
         if self._vectors is None:
             pool: dict = {}
-            self._vectors = tuple(CVector._of_row(row, pool)
-                                  for row in self._parts.transpose(1, 0, 2))
+            rows = self._parts.transpose(1, 0, 2)
+            if self._phases is None:
+                self._vectors = tuple(CVector._of_row(row, pool) for row in rows)
+            else:  # the set's tuple and a row index, not a view per vector:
+                # the census keeps thousands of these vectors
+                held = self._phases
+                self._vectors = tuple(CVector._of_row(row, pool, (held, j))
+                                      for j, row in enumerate(rows))
         return self._vectors
 
     def to_matrix(self) -> np.ndarray:
@@ -475,23 +501,34 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     """Cluster the normalized pairwise inner-product magnitudes.
 
     Exact (Gaussian-integer) inputs are clustered on rational squared
-    magnitudes with the tolerance ignored; a float set is the one-set case
-    of _float_reports.
+    magnitudes with the tolerance ignored.  So is a set with phases whose
+    rows form a group code and whose every |S(u)|^2 is rational
+    (_phase_report), from its character sums and with no Gram.  Any other
+    float set is the one-set case of _float_reports.
     """
     m = len(lines)
     if m < 2:
         raise ValueError("need at least two vectors")
+    if lines._phases is not None:
+        report = _phase_report(*lines._phases)
+        if report is not None:
+            return report
     if not lines.exact:
         return _float_reports(lines.parts[:, None], tol)[0]
     (mag,), (norms,) = _self_grams(_stack([lines]))
     upper = ~np.tri(m, dtype=bool)  # the pairs j < k
-    # each pair's |<x, y>|^2 / (|x|^2 |y|^2) in lowest terms, so that equal
-    # values have equal (num, den), grouped by one sort; the same calls run
-    # on int64 parts (no product here exceeds _stack's bound) and on Python
-    # ints.  The distinct values are ordered by cross-multiplying as Python
-    # ints, so no int64 product decides their order, and n / d is the
-    # correctly rounded float of each, as float(Fraction(n, d)) is
-    num, den = mag[upper], np.outer(norms, norms)[upper]
+    clusters = _exact_clusters(mag[upper], np.outer(norms, norms)[upper])
+    return _report(tuple(map(_exact_norm, norms.tolist())), clusters)
+
+
+def _exact_clusters(num: np.ndarray, den: np.ndarray, weight: int = 1) -> tuple:
+    """The clusters (sqrt(n / d), size) of the exact values num / den > 0,
+    each standing for weight pairs.  Each value is put in lowest terms, so
+    that equal values have equal (num, den), grouped by one sort; the same
+    calls run on int64 and on Python ints.  The distinct values are ordered
+    by cross-multiplying as Python ints, so no int64 product decides their
+    order, and n / d is the correctly rounded float of each, as
+    float(Fraction(n, d)) is."""
     common = np.gcd(num, den)  # den > 0: no zero vector
     num, den = num // common, den // common
     order = np.lexsort((num, den))
@@ -499,8 +536,25 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     first = np.concatenate(([True], (num[1:] != num[:-1]) | (den[1:] != den[:-1])))
     sizes = np.diff(np.append(np.flatnonzero(first), len(num))).tolist()
     values = sorted(zip(num[first].tolist(), den[first].tolist(), sizes), key=_BY_RATIO)
-    clusters = tuple((math.sqrt(n / d), size) for n, d, size in values)
-    return _report(tuple(map(_exact_norm, norms.tolist())), clusters)
+    return tuple((math.sqrt(n / d), weight * size) for n, d, size in values)
+
+
+def _phase_report(phases: np.ndarray, p: int) -> GramReport | None:
+    """gram_analyze of a set with phases (N, d) of p, exact, when its rows
+    form a group code R and every |S(u)|^2 is rational; None otherwise.
+    <x_c, x_e> = S(c - e), so a nonzero u stands for the N pairs (c, c - u),
+    and its F_p^*-orbit, whose p - 1 rows share |S(u)|^2 and hold -u with
+    u, for N (p - 1) / 2 unordered pairs at |S(u)|^2 / d^2."""
+    code = _group_code(phases, p)
+    if code is None:
+        return None
+    found = _orbit_squares(phases, p, code[1], code[2])
+    if found is None:
+        return None
+    n, d = phases.shape
+    squares = found[1]
+    clusters = _exact_clusters(squares, np.full(len(squares), d * d), n * (p - 1) // 2)
+    return _report((_exact_norm(d),) * n, clusters)
 
 
 def _exact_norm(n2: int) -> float:
@@ -652,10 +706,7 @@ def _phase_certificate(bases) -> bool | None:
     (z^c_1, ..., z^c_d), z = e^(2 pi i / p), so <x_c, x_e> = S(c - e) with
     S(u) = sum_l z^u_l, and every squared norm is d.
 
-    - The N rows, as vectors of F_p^d, are reduced to coordinates over a
-      basis of their span, one pivot (any nonzero entry left) at a time.
-      They must be distinct and as many as that span, p^rank: then they
-      are the span, a group code R.
+    - The N rows must be a group code R (_group_code).
     - Let K be the basis holding the zero row.  The first row of every
       basis plus each element of K, and each element of K plus each, must
       lie in that basis: so K is closed under addition, a subgroup, and
@@ -663,27 +714,47 @@ def _phase_certificate(bases) -> bool | None:
       the differences within the bases are K \\ {0} and those across them
       R \\ K.
     - So the bases are orthogonal and mutually unbiased iff |S(u)|^2 is 0
-      on K \\ {0} and d on R \\ K.  With n_r = #{l : u_l = r} and A the
-      cyclic autocorrelation of n, |S(u)|^2 = sum_k A_k z^k, and the only
-      integer relation among 1, z, ..., z^(p - 1) is that they sum to 0.
-      So |S(u)|^2 = t iff the coefficients A_k - t [k = 0] are all equal.
-    - S(s u), s in F_p^*, is the Galois conjugate of S(u) by z -> z^s,
-      which fixes 0 and d, and s u lies in K iff u does.  So one row per
-      F_p^*-orbit decides: the row whose first nonzero coordinate is 1.
+      on K \\ {0} and d on R \\ K.  s u lies in K iff u does, so one row
+      per F_p^*-orbit decides (_orbit_squares), and an irrational value is
+      a "no".
 
-    The tolerance plays no part.  No step uses np.unique or np.isin, which
-    load numpy.ma."""
+    The tolerance plays no part."""
     phased = [b._phases for b in bases]
     if any(x is None for x in phased) or len({p for _, p in phased}) != 1:
         return None
     p = phased[0][1]
-    rows = np.concatenate([t for t, _ in phased], dtype=np.int64)
+    rows = np.concatenate([t for t, _ in phased])
+    code = _group_code(rows, p)
+    if code is None:
+        return None
+    coords, where, r = code
+    n, d = rows.shape
+    weights = _phase_plan(p, r)[1]
+    k0 = where[0] // d * d  # K's first row
+    xs = np.concatenate((np.arange(0, n, d), np.arange(k0, k0 + d)))  # every basis's first row, K
+    sums = weights @ ((coords[:, xs, None] + coords[:, None, k0:k0 + d]) % p).reshape(r, -1)
+    if not (where[sums].reshape(-1, d) // d == (xs // d)[:, None]).all():
+        return None
+    found = _orbit_squares(rows, p, where, r)
+    if found is None:
+        return False
+    at, squares = found
+    return bool((squares == d * (at // d != k0 // d)).all())  # |S|^2 = d off K, 0 on K
+
+
+def _group_code(rows: np.ndarray, p: int) -> tuple | None:
+    """(coords, where, rank) of the rows (N, d) of phases mod p when, as
+    vectors of F_p^d, they are a group code: distinct, and as many as their
+    span, p^rank.  None otherwise, and for no rows.  The rows are reduced
+    one pivot (any nonzero entry left) at a time: coords[k] holds each
+    row's coefficient of pivot k, taken before the row is reduced by it,
+    and where[sum_k c_k p^k] is the row of coordinates c.  No step here or
+    in _orbit_squares uses np.unique or np.isin, which load numpy.ma."""
     n, d = rows.shape
     if not rows.size:
         return None
-    # coords[k]: each row's coefficient of pivot k, taken before the row is
-    # reduced by it (values below p^2 in int64)
-    left, coords, span = rows, [], 1
+    # every product and difference below is under p^2 in size
+    left, coords, span = rows.astype(np.int32 if p * p < 2**31 else np.int64), [], 1
     while True:
         i, col = divmod(int(left.argmax()), d)
         lead = int(left[i, col])
@@ -698,35 +769,42 @@ def _phase_certificate(bases) -> bool | None:
     if span != n:
         return None
     r = len(coords)
-    ids, weights, firsts, reps, offsets, shifts = _phase_plan(p, r, d)
+    ids, weights = _phase_plan(p, r)[:2]
     coords = np.array(coords, dtype=np.int64).reshape(r, n)
-    code = weights @ coords  # a row's coordinates as one integer sum_k c_k p^k < N
-    where = np.full(n, -1)  # the row of each code
-    where[code] = ids
+    where = np.full(n, -1)
+    where[weights @ coords] = ids  # a row's coordinates as one integer < N
     if (where < 0).any():  # a code missed: a row repeated
         return None
-    k0 = where[0] // d * d  # K's first row
-    xs = np.concatenate((firsts, ids[k0:k0 + d]))
-    sums = weights @ ((coords[:, xs, None] + coords[:, None, k0:k0 + d]) % p).reshape(r, -1)
-    if not (where[sums].reshape(-1, d) // d == (xs // d)[:, None]).all():
-        return None
+    return coords, where, r
+
+
+def _orbit_squares(rows: np.ndarray, p: int, where: np.ndarray, r: int) -> tuple | None:
+    """(at, squares) of a group code of rank r: at[i] is the row u of one
+    F_p^*-orbit of R \\ {0} (its first nonzero coordinate 1), squares[i]
+    its |S(u)|^2; None when one is irrational.  With n_j = #{l : u_l = j}
+    and A the cyclic autocorrelation of n, |S(u)|^2 = sum_k A_k z^k, and
+    the only integer relation among 1, z, ..., z^(p - 1) is that they sum
+    to 0: so |S(u)|^2 is rational iff A_1 = ... = A_(p - 1), and then it is
+    A_0 - A_1.  S(s u) is the Galois conjugate of S(u) by z -> z^s, which
+    fixes a rational value, so the whole orbit shares it."""
+    reps, offsets, shifts = _phase_plan(p, r)[2:]
     at = where[reps]
     counts = np.bincount((rows[at] + offsets).ravel(), minlength=len(at) * p).reshape(len(at), p)
     auto = (counts[:, None, :] * counts[:, shifts]).sum(axis=2)
-    auto[:, 0] -= d * (at // d != k0 // d)  # |S|^2 = d off K, 0 on K
-    return bool((auto == auto[:, :1]).all())
+    if not (auto[:, 1:] == auto[:, 1:2]).all():
+        return None
+    return at, auto[:, 0] - auto[:, 1]
 
 
 @functools.lru_cache(maxsize=32)
-def _phase_plan(p: int, r: int, d: int) -> tuple:
-    """The index arrays of _phase_certificate for N = p^r rows in C^d: the
-    row ids, the weights p^k of the coordinates, each basis's first row,
-    the codes of the rows whose sums it reads (one per F_p^*-orbit), their
-    offsets into one bincount, and the shift table of a cyclic
-    autocorrelation mod p."""
+def _phase_plan(p: int, r: int) -> tuple:
+    """The index arrays of _group_code and _orbit_squares for N = p^r rows:
+    the row ids, the weights p^k of the coordinates, the codes of the rows
+    whose sums they read (one per F_p^*-orbit), their offsets into one
+    bincount, and the shift table of a cyclic autocorrelation mod p."""
     reps = np.array([p**k + p**(k + 1) * j for k in range(r) for j in range(p**(r - k - 1))],
                     dtype=np.int64)
-    plan = (np.arange(p**r), p ** np.arange(r, dtype=np.int64), np.arange(0, p**r, d), reps,
+    plan = (np.arange(p**r), p ** np.arange(r, dtype=np.int64), reps,
             p * np.arange(len(reps))[:, None], (np.arange(p)[:, None] + np.arange(p)) % p)
     for table in plan:  # shared by every later call
         table.flags.writeable = False

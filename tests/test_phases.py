@@ -1,9 +1,16 @@
 """The exact certificate of phase-carrying MUB families: LineSet._of_phases,
 mubs_from_rds's odd-prime bases and framecore._phase_certificate, against
-the float verify_mubs of float copies of the same bases."""
+the float verify_mubs of float copies of the same bases; and the exact
+gram_analyze of phase sets whose rows form a group code, against the float
+report of the same parts."""
 
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +21,13 @@ from mublines import framecore
 from mublines.abelian import builtin_rds
 from mublines.constructions import mubs_from_rds
 from mublines.framecore import (
+    CVector,
     LineSet,
     VectorPhases,
     _phase_certificate,
     _roots,
     apply_equivalence,
+    gram_analyze,
     lineset_to_json,
     verify_mubs,
 )
@@ -83,8 +92,10 @@ def test_a_phase_set_keeps_its_phases_and_nothing_built_from_it_does():
     copy = LineSet.from_parts(lines.parts, {"k": 1})
     assert json.dumps(lineset_to_json(lines)) == json.dumps(lineset_to_json(copy))
     assert lineset_to_json(lines)["field"] == "complex-f64"
-    for derived in (copy, LineSet(p, lines.vectors),
-                    apply_equivalence(lines, VectorPhases((GAUSSIAN_UNITS[0],) * p))):
+    rebuilt = LineSet(p, lines.vectors)  # its vectors carry their phases
+    assert rebuilt._phases[1] == p and np.array_equal(rebuilt._phases[0], lines._phases[0])
+    assert not rebuilt.exact and np.array_equal(rebuilt.parts, lines.parts)
+    for derived in (copy, apply_equivalence(lines, VectorPhases((GAUSSIAN_UNITS[0],) * p))):
         assert derived._phases is None and not derived.exact
         assert np.array_equal(derived.parts, lines.parts)
 
@@ -217,3 +228,127 @@ def test_every_coset_family_of_a_small_code_is_decided_as_every_row_decides(p):
         assert exact is every_row_certificate(phases, 0, p)
         verdicts.add(exact)
     assert verdicts == {True, False}
+
+
+# --- gram_analyze of a phase set from its character sums ---------------------
+
+
+def phase_union(d):
+    """The union of the builtin bases of C^d as the bench's census builds
+    it: LineSet(d, vectors), which keeps their phases."""
+    return LineSet(d, tuple(v for b in mubs_from_rds(builtin_rds(d)).bases for v in b.vectors))
+
+
+def float_report(lines):
+    """gram_analyze of a float copy of lines, which carries no phases."""
+    return gram_analyze(LineSet.from_parts(lines.parts))
+
+
+@pytest.mark.parametrize("d", [*ODD_PRIMES, 97])
+def test_the_gram_of_a_builtin_union_is_exact_and_takes_no_float_gram(d, monkeypatch):
+    lines = phase_union(d)
+    assert lines._phases[1] == d
+
+    def refuse(*args):
+        raise AssertionError("the float Gram ran")
+
+    monkeypatch.setattr(framecore, "_float_reports", refuse)
+    report = gram_analyze(lines)
+    monkeypatch.undo()
+    within = d * math.comb(d, 2)  # pairs inside one basis
+    assert report.exact and not report.equiangular
+    (zero, inside), (value, across) = report.angle_clusters
+    assert zero == 0.0 and abs(value - 1 / math.sqrt(d)) <= 1e-15
+    assert (inside, across) == (within, math.comb(d * d, 2) - within)
+    assert report.norms == (math.sqrt(d),) * d * d
+    if d <= 31:  # the float report of the same parts, as the float path gave it
+        floats = float_report(lines)
+        assert not floats.exact
+        assert [n for _, n in floats.angle_clusters] == [inside, across]
+        for (a, _), (b, _) in zip(report.angle_clusters, floats.angle_clusters):
+            assert abs(a - b) <= 1e-15
+
+
+@st.composite
+def group_codes(draw):
+    """(words, p): the distinct words of the span of 1-3 random generator
+    rows of length 1-6 over F_p, p in {3, 5, 7}, possibly dependent, in a
+    random order."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    rank, length = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    gens = np.array(draw(st.lists(st.lists(st.integers(0, p - 1), min_size=length,
+                                           max_size=length),
+                                  min_size=rank, max_size=rank)))
+    words = {tuple((np.array(c) @ gens % p).tolist()): None
+             for c in itertools.product(range(p), repeat=rank)}
+    return draw(st.permutations(list(words))), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_codes())
+@example(([[t * x % 7 for x in (0, 1, 3)] for t in range(7)], 7))  # Fano: exact yes
+@example(([[0, t] for t in range(5)], 5))  # |S|^2 irrational: the float path
+def test_the_exact_gram_of_a_group_code_agrees_with_the_float_one(case):
+    words, p = case
+    if len(words) < 2:
+        return  # the zero code: one line
+    lines = LineSet._of_phases(words, p)
+    report, floats = gram_analyze(lines), float_report(lines)
+    if not report.exact:  # an irrational |S(u)|^2: the float report, as it is
+        assert repr(report) == repr(floats)
+        return
+    assert report.equiangular == floats.equiangular
+    assert [n for _, n in report.angle_clusters] == [n for _, n in floats.angle_clusters]
+    for (a, _), (b, _) in zip(report.angle_clusters, floats.angle_clusters):
+        assert abs(a - b) <= 1e-12
+
+
+def test_the_fano_code_is_exactly_equiangular_and_a_code_of_irrational_sums_is_not():
+    fano = LineSet._of_phases([[t * x % 7 for x in (0, 1, 3)] for t in range(7)], 7)
+    report = gram_analyze(fano)
+    assert report.exact and report.equiangular
+    assert report.angle_clusters == ((math.sqrt(2 / 9), 21),)
+    pair = LineSet._of_phases([[0, t] for t in range(5)], 5)  # |S|^2 = 2 + 2 cos(2 pi t / 5)
+    report = gram_analyze(pair)
+    assert not report.exact and repr(report) == repr(float_report(pair))
+
+
+def never_exact(p):
+    """Sets that hold the builtin union of C^p but one change, none of them
+    a group code with phases of one p, by name."""
+    union = phase_union(p)
+    vectors = union.vectors
+    changed = family_phases(p).reshape(p * p, p)
+    changed[4, 2] = (changed[4, 2] + 1) % p
+    other = LineSet._of_phases(np.zeros((1, p), dtype=int), 5 if p == 3 else 3).vectors
+    return {
+        "one phase changed": LineSet._of_phases(changed, p),
+        "a row dropped": LineSet(p, vectors[1:]),
+        "a row duplicated": LineSet(p, vectors + vectors[5:6]),
+        "two primes": LineSet(p, vectors[1:] + other),
+        "a made vector": LineSet(p, vectors[1:] + (CVector.make(vectors[0].to_array()),)),
+        "a vector of Scalars": LineSet(p, vectors[1:] + (CVector(vectors[0].entries),)),
+    }
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_a_set_that_is_no_group_code_of_one_prime_gets_the_float_report(p):
+    for name, lines in never_exact(p).items():
+        report = gram_analyze(lines)
+        assert not report.exact, name
+        assert repr(report) == repr(float_report(lines)), name
+        # the first three keep their phases and fail the group-code test
+        kept = name in ("one phase changed", "a row dropped", "a row duplicated")
+        assert (lines._phases is not None) == kept, name
+
+
+def test_the_gram_of_a_phase_union_loads_no_numpy_ma():
+    # as in the certificate, no np.unique or np.isin
+    code = ("import sys; from mublines import abelian as a, constructions as c, framecore as f;"
+            " fam = c.mubs_from_rds(a.builtin_rds(13));"
+            " r = f.gram_analyze(f.LineSet(13, tuple(v for b in fam.bases for v in b.vectors)));"
+            " sys.exit(not r.exact or 'numpy.ma' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
