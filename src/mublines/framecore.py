@@ -1,34 +1,25 @@
 """Complex vectors, line sets, Gram-angle analysis and equivalence moves.
 
-An exact (Gaussian-integer) line set holds its parts as int64 while every
-|part| is below _PART_BOUND = 2^31, so that re^2 + im^2 stays inside int64,
-and as Python ints (dtype=object) past it; LineSet._own decides which, and
-every operation that can grow a part moves to Python ints before it could
-wrap.  The verifiers read two Gram computations.  _self_grams gives the
-whole Gram of every set of a stack: exact on Gaussian-integer input (the
-tolerance ignored), double precision otherwise.  _stack builds the stack;
-its exact path runs in int64 when 4 d^3 M^4 <= 2^63 - 1, M the largest
-|real or imaginary part|, and in Python ints beyond that bound, so it never
-overflows.  Under that bound every product of parts and every partial sum
-of an inner product is an integer of at most 2 d M^2 <= 2^31.5 < 2^53 in
-size, so _block takes the int64 Gram from one complex128 (float64 BLAS)
-product, exactly.  gram_analyze of an exact set, verify_mubs and
-constructions.theorem46_predicate read it: verify_mubs checks the stack of
-its bases, then each basis against all later ones in one block row
-(_block_rows).  A set may carry integer phases of an odd prime p
-(LineSet._of_phases, as mubs_from_rds builds every odd-prime family).
-Where its rows form a group code (_group_code), every Gram entry is a
-character sum, read in integers from one row per Galois orbit
-(_orbit_squares) with the tolerance ignored: by _phase_certificate for
-verify_mubs, and by _phase_report for gram_analyze when every squared sum
-is rational.  Only where a precondition fails does the float Gram decide.
-_float_reports, behind the float gram_analyze and the certifier of
-constructions.c1_search's survivors, walks a float Gram in row tiles of at
-most _CHUNK entries and never holds it whole.  _report alone says
-"equiangular".  Zero vectors and non-finite entries raise, never read as
-"yes".  lineset_from_json builds
-the array of a line-set document whose every rule the numpy-free
-scalars._line_set_entries has checked.
+An exact (Gaussian-integer) line set holds its parts as int64 below
+_PART_BOUND and as Python ints past it (LineSet).  The verifiers read two
+Gram computations.  _self_grams gives the whole Gram of every set of a
+stack: exact on Gaussian-integer input (the tolerance ignored), in int64
+from one exact float64 BLAS product under the bound of _gram_stack and in
+Python ints past it, and double precision otherwise.  gram_analyze of an
+exact set, verify_mubs and constructions.theorem46_predicate read it.  A set
+may carry integer phases of an odd prime p (LineSet._of_phases, as
+mubs_from_rds builds every odd-prime family).  Where its rows form a group
+code (_group_code), every Gram entry is a character sum, read in integers
+from one row per Galois orbit (_orbit_squares) with the tolerance ignored:
+by _phase_certificate for verify_mubs, and by _phase_report for gram_analyze
+when every squared sum is rational.  Only where a precondition fails does
+the float Gram decide.  _float_reports, behind the float gram_analyze and
+the certifier of constructions.c1_search's survivors, walks a float Gram in
+row tiles of at most _CHUNK entries and never holds it whole.  _report alone
+says "equiangular".  Zero vectors and non-finite entries raise, never read
+as "yes".  lineset_from_json builds the array of a line-set document whose
+every rule the numpy-free scalars._line_set_entries has checked, and
+dump_json writes a document in pieces of at most a block of rows.
 """
 
 from __future__ import annotations
@@ -81,16 +72,13 @@ def _tile(width: int) -> int:
 _SPREAD_TOLS = 10
 
 
-#: an exact set holds its parts as int64 while every |part| is below this,
-#: so that a squared magnitude re^2 + im^2 stays inside int64; past it, as
-#: Python ints (dtype=object)
+#: an exact set holds its parts as int64 while every |part| is below this (LineSet)
 _PART_BOUND = 2**31
 
 
 def _exact_parts(parts: np.ndarray) -> np.ndarray:
-    """Integer parts, a numpy integer array or Python ints (dtype=object),
-    as an exact set holds them: int64 while every |part| < _PART_BOUND,
-    Python ints otherwise."""
+    """Integer parts (numpy integers or Python ints) as an exact set holds
+    them: int64 while every |part| < _PART_BOUND, Python ints otherwise."""
     ints = parts
     if parts.dtype == object:
         try:
@@ -349,8 +337,7 @@ class LineSet:
 
 @functools.lru_cache(maxsize=32)
 def _roots(order: int) -> np.ndarray:
-    """The read-only float parts (2, order) of root_of_unity(t, order), t =
-    0..order - 1."""
+    """The read-only float parts (2, order) of root_of_unity(t, order), t < order."""
     values = [root_of_unity(t, order) for t in range(order)]
     table = np.array([[z.re for z in values], [z.im for z in values]], dtype=float)
     table.flags.writeable = False
@@ -509,10 +496,9 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     m = len(lines)
     if m < 2:
         raise ValueError("need at least two vectors")
-    if lines._phases is not None:
-        report = _phase_report(*lines._phases)
-        if report is not None:
-            return report
+    report = None if lines._phases is None else _phase_report(*lines._phases)
+    if report is not None:
+        return report
     if not lines.exact:
         return _float_reports(lines.parts[:, None], tol)[0]
     (mag,), (norms,) = _self_grams(_stack([lines]))
@@ -546,14 +532,11 @@ def _phase_report(phases: np.ndarray, p: int) -> GramReport | None:
     and its F_p^*-orbit, whose p - 1 rows share |S(u)|^2 and hold -u with
     u, for N (p - 1) / 2 unordered pairs at |S(u)|^2 / d^2."""
     code = _group_code(phases, p)
-    if code is None:
-        return None
-    found = _orbit_squares(phases, p, code[1], code[2])
+    found = None if code is None else _orbit_squares(phases, p, *code[1:])
     if found is None:
         return None
     n, d = phases.shape
-    squares = found[1]
-    clusters = _exact_clusters(squares, np.full(len(squares), d * d), n * (p - 1) // 2)
+    clusters = _exact_clusters(found[1], np.full(len(found[1]), d * d), n * (p - 1) // 2)
     return _report((_exact_norm(d),) * n, clusters)
 
 
@@ -786,11 +769,15 @@ def _orbit_squares(rows: np.ndarray, p: int, where: np.ndarray, r: int) -> tuple
     the only integer relation among 1, z, ..., z^(p - 1) is that they sum
     to 0: so |S(u)|^2 is rational iff A_1 = ... = A_(p - 1), and then it is
     A_0 - A_1.  S(s u) is the Galois conjugate of S(u) by z -> z^s, which
-    fixes a rational value, so the whole orbit shares it."""
-    reps, offsets, shifts = _phase_plan(p, r)[2:]
-    at = where[reps]
+    fixes a rational value, so the whole orbit shares it.  A is read from a
+    strided window view of n: a few count rows per orbit, no p x p table."""
+    at = where[_phase_plan(p, r)[2]]
+    offsets = np.arange(0, len(at) * p, p)[:, None]
     counts = np.bincount((rows[at] + offsets).ravel(), minlength=len(at) * p).reshape(len(at), p)
-    auto = (counts[:, None, :] * counts[:, shifts]).sum(axis=2)
+    twice = np.concatenate((counts, counts[:, :-1]), axis=1)
+    s0, s1 = twice.strides  # window[i, k, j] = twice[i, k + j] = n_(j + k) of row i
+    window = np.lib.stride_tricks.as_strided(twice, (len(at), p, p), (s0, s1, s1), writeable=False)
+    auto = np.einsum("ij,ikj->ik", counts, window)
     if not (auto[:, 1:] == auto[:, 1:2]).all():
         return None
     return at, auto[:, 0] - auto[:, 1]
@@ -800,12 +787,10 @@ def _orbit_squares(rows: np.ndarray, p: int, where: np.ndarray, r: int) -> tuple
 def _phase_plan(p: int, r: int) -> tuple:
     """The index arrays of _group_code and _orbit_squares for N = p^r rows:
     the row ids, the weights p^k of the coordinates, the codes of the rows
-    whose sums they read (one per F_p^*-orbit), their offsets into one
-    bincount, and the shift table of a cyclic autocorrelation mod p."""
+    whose sums they read, one per F_p^*-orbit."""
     reps = np.array([p**k + p**(k + 1) * j for k in range(r) for j in range(p**(r - k - 1))],
                     dtype=np.int64)
-    plan = (np.arange(p**r), p ** np.arange(r, dtype=np.int64), reps,
-            p * np.arange(len(reps))[:, None], (np.arange(p)[:, None] + np.arange(p)) % p)
+    plan = np.arange(p**r), p ** np.arange(r, dtype=np.int64), reps
     for table in plan:  # shared by every later call
         table.flags.writeable = False
     return plan
@@ -992,10 +977,10 @@ def _lineset_of(data: dict, dim: int, exact: bool, flat: list) -> LineSet:
 
 
 def dump_json(obj, path) -> None:
-    """Write obj as JSON (_encode) and a newline to path, in place: an
-    existing file is not truncated on open, which on ext4 makes its close
-    flush the new data, but cut at the end of what was written.  Only a
-    regular file is cut, as ftruncate fails on a device such as /dev/null."""
+    """Write obj as JSON and a newline to path in pieces of at most a block
+    (_encode), in place: an existing file is not truncated on open, which on
+    ext4 makes its close flush the new data, but cut at the end of what was
+    written; only a regular file, as ftruncate fails on e.g. /dev/null."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.writelines(_encode(obj))
         fh.write("\n")
@@ -1003,12 +988,17 @@ def dump_json(obj, path) -> None:
             fh.truncate()
 
 
+#: the fewest items in a block of a list that _encode cuts (~170 KB at d = 31):
+#: every block of a table with two pairs per row holds _TABLE_MIN floats or more
+_BLOCK = 128
+
+
 def _encode(obj):
     """json.dumps(obj, sort_keys=True), byte for byte, in pieces, so a large
     document is never held whole: a LineSet as its lineset_to_json, made
-    only once reached, and each float table of _float_table once per
-    distinct value.  Only LineSets, dicts with str keys and lists of either
-    are walked; the rest goes to json.dumps whole (its C encoder is fastest)."""
+    only once reached, and a list of n >= 2 _BLOCK items as the _leaf texts
+    of n // _BLOCK near-equal blocks without brackets, joined by ", " as
+    json.dumps joins items.  Only LineSets, str-keyed dicts and lists are walked."""
     if type(obj) is LineSet:
         yield from _encode(lineset_to_json(obj))
     elif type(obj) is dict and all(type(key) is str for key in obj):
@@ -1022,9 +1012,19 @@ def _encode(obj):
             yield ", " if n else "["
             yield from _encode(item)
         yield "]"
+    elif type(obj) is list and len(obj) >= 2 * _BLOCK:
+        n, k = len(obj), len(obj) // _BLOCK
+        for j in range(k):
+            yield ", " if j else "["
+            yield _leaf(obj[j * n // k:(j + 1) * n // k])[1:-1]
+        yield "]"
     else:
-        text = _float_table(obj) if type(obj) is list else None
-        yield json.dumps(obj, sort_keys=True) if text is None else text
+        yield _leaf(obj)
+
+
+def _leaf(obj) -> str:
+    text = _float_table(obj) if type(obj) is list else None
+    return json.dumps(obj, sort_keys=True) if text is None else text
 
 
 #: the fewest floats a table needs to leave json.dumps.  Measured on tables
@@ -1035,10 +1035,10 @@ _TABLE_MIN = 512
 
 
 def _float_table(rows: list) -> str | None:
-    """The JSON text of rows if it is a table of _table_entries with nonempty
-    rows and at least _TABLE_MIN entries, all floats; None otherwise.
-    json.dumps sees each distinct float once, keyed by its bits as in
-    CVector.entries, so 0.0 and -0.0 stay apart."""
+    """The JSON text of rows, at most a block of them (_encode), if it is a
+    table of _table_entries with nonempty rows and at least _TABLE_MIN
+    entries, all floats; None otherwise.  json.dumps sees each distinct
+    float once, keyed by its bits as in CVector.entries (0.0 and -0.0 apart)."""
     try:  # an int table goes back before any pass over it
         if type(rows[0][0][0]) is not float:
             return None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fixtures
+from mublines import framecore
 from mublines.framecore import (
     Compose,
     CoordPhases,
@@ -335,6 +336,38 @@ def test_dump_json_over_a_longer_file_writes_what_a_fresh_file_gets(tmp_path):
     dump_json(data, old)
     assert old.read_bytes() == fresh.read_bytes()
     assert fresh.read_text() == json.dumps(data, sort_keys=True) + "\n"
+
+
+def test_dump_json_of_the_d31_union_holds_a_block_at_a_time(tmp_path):
+    from mublines.abelian import builtin_rds
+    from mublines.constructions import mubs_from_rds
+
+    family = mubs_from_rds(builtin_rds(31))
+    doc = lineset_to_json(LineSet(31, tuple(v for b in family.bases for v in b.vectors)))
+    path = tmp_path / "u31.json"
+    tracemalloc.start()
+    try:
+        dump_json(doc, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+    assert peak < 2 * 2**20  # the 961-row table as one string: ~4.3 MiB
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 383, 384, 961])
+def test_a_long_list_is_written_in_near_equal_blocks(n, monkeypatch):
+    sizes = []
+    leaf = framecore._leaf
+    monkeypatch.setattr(framecore, "_leaf", lambda obj: sizes.append(len(obj)) or leaf(obj))
+    rows = [[[0.5 * j, -0.0], [float(j), 1e-300]] for j in range(n)]
+    assert "".join(framecore._encode(rows)) == json.dumps(rows)
+    block = framecore._BLOCK
+    assert sum(sizes) == n
+    assert sizes == [n] if n < 2 * block else (block <= min(sizes) <= max(sizes) < 2 * block
+                                               and max(sizes) - min(sizes) <= 1)
+    # as _BLOCK promises: a block of rows of two pairs holds _TABLE_MIN floats or more
+    assert 4 * block >= framecore._TABLE_MIN
 
 
 def test_lineset_json_roundtrip_float():

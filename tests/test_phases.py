@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,30 @@ def test_a_set_that_is_no_group_code_of_one_prime_gets_the_float_report(p):
         # the first three keep their phases and fail the group-code test
         kept = name in ("one phase changed", "a row dropped", "a row duplicated")
         assert (lines._phases is not None) == kept, name
+
+
+#: the characters of F_3^4, one line of C^81 each and pairwise orthogonal
+CHARACTERS_3_4 = [[np.dot(a, x) % 3 for x in itertools.product(range(3), repeat=4)]
+                  for a in itertools.product(range(3), repeat=4)]
+
+
+@pytest.mark.parametrize("words, p, clusters, norm", [
+    ([[t] for t in range(1009)], 1009, ((1.0, 1009 * 1008 // 2),), 1.0),  # one line of C^1
+    (CHARACTERS_3_4, 3, ((0.0, 81 * 80 // 2),), 9.0),
+], ids=["length 1 over F_1009", "length 81 over F_3"])
+def test_the_exact_gram_of_a_code_stays_small_at_any_length_and_prime(words, p, clusters, norm):
+    # the counts of one row per orbit, never a p x p table (~23 MiB at
+    # p = 1009) nor the d x d differences of each row (~4 MiB at d = 81)
+    lines = LineSet._of_phases(words, p)
+    tracemalloc.start()
+    try:
+        report = gram_analyze(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exact and report.angle_clusters == clusters
+    assert report.norms == (norm,) * len(words)
+    assert peak < 2**20
 
 
 def test_the_gram_of_a_phase_union_loads_no_numpy_ma():

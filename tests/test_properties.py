@@ -15,12 +15,14 @@ import struct
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mublines import framecore
 from mublines.abelian import builtin_rds
 from mublines.constructions import (
     BlockPairSpec,
@@ -1203,6 +1205,19 @@ def encoded(encode, obj):
 def test_json_encoder_writes_what_json_dumps_writes(doc):
     assert (encoded(lambda obj: "".join(_encode(obj)), doc)
             == encoded(lambda obj: json.dumps(obj, sort_keys=True), doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, st.integers(1, 5), st.sampled_from([1, 6, 40, framecore._TABLE_MIN]))
+def test_json_encoder_writes_what_json_dumps_writes_block_by_block(doc, block, table_min):
+    # a _BLOCK of 1-5 cuts lists into blocks of 1-9 items, which put flaws,
+    # -0.0, NaN payloads, tuples and dicts in later blocks, and give blocks
+    # of ints or floats only; below the shipped _TABLE_MIN, blocks of a few
+    # rows take the float-table path
+    with mock.patch.object(framecore, "_BLOCK", block), \
+            mock.patch.object(framecore, "_TABLE_MIN", table_min):
+        assert (encoded(lambda obj: "".join(_encode(obj)), doc)
+                == encoded(lambda obj: json.dumps(obj, sort_keys=True), doc))
 
 
 def test_json_encoder_takes_a_float_table_once_per_value():
