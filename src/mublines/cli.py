@@ -47,13 +47,13 @@ def _refuse_constant(name: str):
 
 def _load(path: str, what: str, parse):
     """parse() of the strict JSON document at path; CliError if it cannot be
-    read or parsed."""
+    read or parsed (a JSONDecodeError, or a RecursionError if nested too deep)."""
     try:
         with open(path) as fh:
             return parse(json.load(fh, parse_constant=_refuse_constant))
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError too
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CliError(f"malformed or invalid {what}: {exc}")
 
 
@@ -61,7 +61,10 @@ def _emit(data, out_path: str | None) -> None:  # a dict or a LineSet
     from . import framecore
 
     if out_path:
-        framecore.dump_json(data, out_path)
+        try:
+            framecore.dump_json(data, out_path)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.writelines(framecore._encode(data))
         sys.stdout.write("\n")

@@ -107,14 +107,18 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
     into d bases by the character's restriction to the forbidden subgroup.
     When the lcm L of the group's factor orders is an odd prime, every
     basis keeps its phases (LineSet._of_phases), and the family's check,
-    here and in any later verify_mubs, is exact."""
+    here and in any later verify_mubs, is exact.  A group of order other
+    than d^2, for d elements, is refused before rds_verify enumerates N."""
+    d = len(rds.elements)
+    if rds.group.order != d * d:
+        raise InvalidRds(f"need a group of order d^2 = {d * d} for d = {d} elements, "
+                         f"got order {rds.group.order}")
     try:
         m, n, k, lam = rds_verify(rds)
     except ValueError as exc:
         raise InvalidRds(str(exc)) from exc
     if not (m == n == k and lam == 1):
         raise InvalidRds(f"need a (d,d,d,1)-RDS, got {(m, n, k, lam)}")
-    d = m
 
     # character j, j running over the exponent tuples in the lexicographic
     # order of characters(), is chi_j(g) = e^(2*pi*i*t/L) with
@@ -398,13 +402,9 @@ def construction2_family(a: float) -> LineSet:
     return LineSet.from_parts(np.stack([mat.real, mat.imag]), {"construction": "c2", "a": a})
 
 
-_PAULI_REPS = (
-    np.eye(2, dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex) @ np.array([[0, 1], [1, 0]],
-                                                          dtype=complex),
-)
+#: I, Z, X and ZX, the dimension-2 Weyl-Heisenberg coset representatives
+_PAULI_REPS = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
+                       dtype=complex)
 
 _HOGGAR_SEED = np.array(
     [
@@ -424,7 +424,7 @@ _HOGGAR_SEED = np.array(
 def hoggar_tensor_orbit() -> LineSet:
     """Hoggar's 64 lines as the orbit of the given seed under the 3-fold
     tensor power of the dimension-2 Weyl-Heisenberg coset representatives."""
-    reps = np.array(_PAULI_REPS)  # the 64 kron(a, kron(b, c)) in one product
+    reps = _PAULI_REPS  # the 64 kron(a, kron(b, c)) in one product
     mat = np.einsum("xij,ykl,zmn->xyzikmjln", reps, reps, reps).reshape(64, 8, 8) @ _HOGGAR_SEED
     return LineSet.from_parts(np.stack([mat.real, mat.imag]), {"construction": "hoggar-orbit"})
 

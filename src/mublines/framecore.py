@@ -838,24 +838,23 @@ class Compose(_Record):
 Transform = EntryPermutation | VectorPhases | CoordPhases | Compose
 
 
-def _check_unit(phase: Scalar, tol: float) -> Scalar:
+def _check_unit(phase: Scalar) -> Scalar:
     phase = Scalar.coerce(phase)
     if phase.exact:
         if phase.abs2() != 1:
             raise NonUnitPhase(f"{phase} is not a Gaussian unit")
-    elif abs(math.sqrt(phase.abs2()) - 1.0) > tol:
+    elif abs(math.sqrt(phase.abs2()) - 1.0) > DEFAULT_TOL:
         raise NonUnitPhase(f"{phase} does not have magnitude 1")
     return phase
 
 
-def apply_equivalence(lines: LineSet, transform: Transform,
-                      tol: float = DEFAULT_TOL) -> LineSet:
+def apply_equivalence(lines: LineSet, transform: Transform) -> LineSet:
     """Apply one of the three line-set equivalence operations (or a
-    composition of them)."""
+    composition of them); a float phase must be a unit within DEFAULT_TOL."""
     if isinstance(transform, Compose):
         out = lines
         for part in transform.parts:
-            out = apply_equivalence(out, part, tol)
+            out = apply_equivalence(out, part)
         return out
 
     parts = lines.parts
@@ -868,7 +867,7 @@ def apply_equivalence(lines: LineSet, transform: Transform,
         vector = isinstance(transform, VectorPhases)
         if len(transform.phases) != (len(lines) if vector else lines.dim):
             raise ValueError(f"need one phase per {'vector' if vector else 'coordinate'}")
-        phases = [_check_unit(p, tol) for p in transform.phases]
+        phases = [_check_unit(p) for p in transform.phases]
         if not all(p.exact for p in phases):  # exact iff the set and every phase are
             parts = parts.astype(float, copy=False)
         re, im = np.array([[p.re for p in phases], [p.im for p in phases]], dtype=parts.dtype)
@@ -996,9 +995,9 @@ _BLOCK = 128
 def _encode(obj):
     """json.dumps(obj, sort_keys=True), byte for byte, in pieces, so a large
     document is never held whole: a LineSet as its lineset_to_json, made
-    only once reached, and a list of n >= 2 _BLOCK items as the _leaf texts
-    of n // _BLOCK near-equal blocks without brackets, joined by ", " as
-    json.dumps joins items.  Only LineSets, str-keyed dicts and lists are walked."""
+    only once reached, and any other list of n items as the _leaf texts of
+    max(1, n // _BLOCK) near-equal blocks without brackets, joined by ", "
+    as json.dumps joins items.  Only LineSets, str-keyed dicts and lists are walked."""
     if type(obj) is LineSet:
         yield from _encode(lineset_to_json(obj))
     elif type(obj) is dict and all(type(key) is str for key in obj):
@@ -1012,19 +1011,19 @@ def _encode(obj):
             yield ", " if n else "["
             yield from _encode(item)
         yield "]"
-    elif type(obj) is list and len(obj) >= 2 * _BLOCK:
-        n, k = len(obj), len(obj) // _BLOCK
+    elif type(obj) is list:
+        n, k = len(obj), max(1, len(obj) // _BLOCK)
         for j in range(k):
             yield ", " if j else "["
             yield _leaf(obj[j * n // k:(j + 1) * n // k])[1:-1]
         yield "]"
     else:
-        yield _leaf(obj)
+        yield json.dumps(obj, sort_keys=True)
 
 
-def _leaf(obj) -> str:
-    text = _float_table(obj) if type(obj) is list else None
-    return json.dumps(obj, sort_keys=True) if text is None else text
+def _leaf(rows: list) -> str:
+    text = _float_table(rows)
+    return json.dumps(rows, sort_keys=True) if text is None else text
 
 
 #: the fewest floats a table needs to leave json.dumps.  Measured on tables

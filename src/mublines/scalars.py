@@ -202,14 +202,12 @@ def _indices(values) -> list[int] | None:
     and no float, which numpy refuses as an index even when integral; None
     otherwise (a bool, a string, 1.0, 1.5)."""
     values = list(values)
-    types = set(map(type, values))
-    if types <= {int}:  # as in _ints: a bool's type is bool
-        return values
+    if any(isinstance(x, float) for x in values):
+        return None
     try:
-        ints = _ints(values, "indices", types)
+        return _ints(values, "indices")
     except ValueError:
         return None
-    return None if any(isinstance(x, float) for x in values) else ints
 
 
 def _columns(perm, d: int) -> list[int]:
@@ -315,18 +313,11 @@ def mub_bound(d: int) -> int:
     return d + 1
 
 
-def special_bound_f(d):
+def special_bound_f(d: float) -> float:
     """Bound f(d) = d(2d+1)(2*sqrt(d)+d)^2 / (d^2+4d+2*sqrt(d)) on the number
-    of lines in C^(2d) pairwise at angle 1/(1+sqrt(d)): a float for a number
-    d, an array for an array (or a list) of them, which alone loads numpy."""
-    if isinstance(d, numbers.Real):
-        d, sqrt, any_ = float(d), math.sqrt, bool
-    else:
-        import numpy as np
-
-        d, sqrt, any_ = np.asarray(d, dtype=float), np.sqrt, np.any
-    if any_(d < 1):
+    of lines in C^(2d) pairwise at angle 1/(1+sqrt(d)), for one number d."""
+    d = float(d)
+    if d < 1:
         raise ValueError("d must be >= 1")
-    s = sqrt(d)
-    out = d * (2 * d + 1) * (2 * s + d) ** 2 / (d * d + 4 * d + 2 * s)
-    return out if getattr(out, "ndim", 0) else float(out)
+    s = math.sqrt(d)
+    return d * (2 * d + 1) * (2 * s + d) ** 2 / (d * d + 4 * d + 2 * s)

@@ -37,10 +37,7 @@ def wh_generators(d: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("dimension must be >= 2")
     omega = cmath.exp(2j * cmath.pi / d)
     u = np.diag([omega ** j for j in range(d)]).astype(complex)
-    v = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        v[j, (j + 1) % d] = 1.0
-    return u, v
+    return u, np.roll(np.eye(d, dtype=complex), 1, axis=1)
 
 
 def zauner_unitary(d: int) -> np.ndarray:
@@ -60,9 +57,7 @@ def zauner_unitary(d: int) -> np.ndarray:
 def wh_orbit(fiducial: Fiducial) -> LineSet:
     """The d^2 vectors U^j V^k x over the coset representatives of the
     center, in (j, k)-lexicographic order."""
-    d = fiducial.dim
-    x = fiducial.vector.to_array()
-    orbit = np.array([rep @ x for rep in _coset_representatives(d)])
+    orbit = _coset_representatives(fiducial.dim) @ fiducial.vector.to_array()
     return LineSet.from_parts(np.stack([orbit.real, orbit.imag]),
                               {"construction": "wh-orbit", "fiducial": fiducial.source})
 
@@ -78,14 +73,11 @@ def fiducial_d4() -> Fiducial:
     return Fiducial(CVector.make(c1 * first + c2 * second), source="builtin-d4")
 
 
-def _coset_representatives(d: int) -> list[np.ndarray]:
+def _coset_representatives(d: int) -> np.ndarray:
+    """The d^2 products U^j V^k as one (d^2, d, d) array, in (j, k)-lexicographic order."""
     u, v = wh_generators(d)
-    reps = []
-    for j in range(d):
-        uj = np.linalg.matrix_power(u, j)
-        for k in range(d):
-            reps.append(uj @ np.linalg.matrix_power(v, k))
-    return reps
+    us, vs = ([np.linalg.matrix_power(m, j) for j in range(d)] for m in (u, v))
+    return np.array([uj @ vk for uj in us for vk in vs])
 
 
 def normalizer_check(d: int, tol: float = DEFAULT_TOL) -> bool:

@@ -215,7 +215,7 @@ def test_09_group_orbit_of_fiducial():
 def test_10_line_count_bound():
     ok = special_bound_f(4) == 64.0
     d = np.arange(1, 10_001, dtype=float)
-    f = special_bound_f(d)
+    f = np.array([special_bound_f(x) for x in d])
     ok = ok and bool(np.all(2 * d * d < f))
     ok = ok and bool(np.all(f <= 4 * d * d + 1e-7))
     ok = ok and list(d[np.abs(f - 4 * d * d) < 1e-7]) == [4.0]

@@ -804,3 +804,48 @@ def test_every_option_a_row_does_not_read_exits_2_without_numpy(tmp_path):
         assert result == [2, "", f"error: {row} does not read --{name}\n"], argv
     assert not numpy_loaded
     assert not (tmp_path / "o.json").exists()
+
+
+def run_fresh_many(tmp_path, argvs, timeout=None):
+    """(exit code, stdout, stderr) of main(argv) for each argv of argvs, in
+    one new process; an exception a command lets out fails the run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MANY, json.dumps(argvs)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True, timeout=timeout)
+    return json.loads(proc.stdout)[0]
+
+
+@pytest.mark.parametrize("argv", [("mubs", "--rds", "builtin:3"), ("construct", "c3ext"),
+                                  ("construct", "c2"), ("wh",)])
+def test_an_out_path_that_cannot_be_written_exits_2(capsys, tmp_path, argv):
+    # an OSError traceback would exit 1, which reads as a failed verification
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run(capsys, "--out", str(out), *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_a_file_nested_too_deep_exits_2(tmp_path):
+    # json raises RecursionError here, which is not a ValueError
+    (tmp_path / "deep.json").write_text("[" * 5000 + "]" * 5000)
+    argvs = [["verify", "deep.json"], ["mubs", "--rds", "file:deep.json"],
+             ["construct", "c1", "--rds", "file:deep.json", "--perm", "1,2", "--v", "1"],
+             ["wh", "--fiducial", "file:deep.json"]]
+    for argv, (code, stdout, err) in zip(argvs, run_fresh_many(tmp_path, argvs)):
+        what = {"verify": "line set", "wh": "fiducial"}.get(argv[0], "RDS")
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith(f"error: malformed or invalid {what}: ") and err.count("\n") == 1
+
+
+def test_an_rds_whose_group_is_not_of_order_d_squared_exits_2_at_once(tmp_path):
+    # rds_verify would enumerate the forbidden subgroup, here all 10^12
+    # elements, growing without bound
+    (tmp_path / "huge.json").write_text(
+        '{"orders": [1000000000000], "forbidden": [[1]], "elements": [[0], [1]]}')
+    argvs = [["mubs", "--rds", "file:huge.json"],
+             ["construct", "c1", "--rds", "file:huge.json", "--perm", "1,2", "--v", "1"],
+             ["construct", "c3", "--rds", "file:huge.json", "--perm", "1,2"],
+             ["search", "c1", "--rds", "file:huge.json"]]
+    message = "error: need a group of order d^2 = 4 for d = 2 elements, got order 1000000000000\n"
+    assert run_fresh_many(tmp_path, argvs, timeout=5) == [[2, "", message]] * len(argvs)

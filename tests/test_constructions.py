@@ -90,6 +90,18 @@ def test_mubs_from_rds_rejects_invalid():
         mubs_from_rds(bad)
 
 
+def test_mubs_from_rds_refuses_a_group_not_of_order_d_squared_before_rds_verify(monkeypatch):
+    from mublines import constructions
+    from mublines.abelian import FiniteAbelianGroup, RelativeDifferenceSet
+
+    monkeypatch.setattr(constructions, "rds_verify", lambda rds: 1 / 0)
+    g = FiniteAbelianGroup((2, 4))
+    rds = RelativeDifferenceSet(g, (g.element((0, 2)),), (g.element((0, 0)), g.element((1, 1))))
+    with pytest.raises(InvalidRds, match=r"^need a group of order d\^2 = 4 for d = 2 elements, "
+                                         r"got order 8$"):
+        mubs_from_rds(rds)
+
+
 def test_l_block_matches_example_table(fam4):
     # symbolic marker constant: any Gaussian integer not among the entries
     marker = Scalar.gauss(7, 3)

@@ -137,7 +137,7 @@ def test_special_bound_f_values():
 
 def test_special_bound_f_range_scan():
     d = np.arange(1, 10_001, dtype=float)
-    f = special_bound_f(d)
+    f = np.array([special_bound_f(x) for x in d])
     assert np.all(2 * d * d < f)
     assert np.all(f <= 4 * d * d + 1e-7)
     at_max = d[np.abs(f - 4 * d * d) < 1e-7]
