@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
-2 usage or input error.
+2 usage or input error, or a failed write to stdout (a closed pipe, a full
+device, a closed descriptor).  A `mublines` process runs `console_entry`,
+which ends the process by os._exit once stdout and stderr are flushed,
+skipping the interpreter's teardown; `main` returns its code, in-process.
 
 `main` checks the options of every command in one place, `_check_options`,
 before the command runs; each command then imports the library modules it
@@ -15,6 +18,7 @@ loads (for a builtin RDS), and `verify` loads framecore alone.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -380,5 +384,62 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+class _StdoutError(Exception):
+    """A write to stdout failed; its message is the OSError's strerror."""
+
+
+class _Stdout:
+    """sys.stdout in a `mublines` process: an OSError of a write or flush
+    becomes _StdoutError, so console_entry tells it from any other OSError
+    (and argparse's help, which swallows an OSError, does not).  With fd 1
+    closed at start, stream is None and every write fails with EBADF."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def _call(self, name, *args):
+        try:
+            if self._stream is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            return getattr(self._stream, name)(*args)
+        except OSError as exc:
+            raise _StdoutError(exc.strerror or exc) from None
+
+    def write(self, text):
+        return self._call("write", text)
+
+    def writelines(self, lines):
+        return self._call("writelines", lines)
+
+    def flush(self):
+        if self._stream is not None:
+            self._call("flush")
+
+
+def console_entry():
+    """The `mublines` process: main(), then flush stdout and stderr and end
+    the process with os._exit, as the interpreter's teardown of numpy and
+    every other module changes nothing the process wrote.  A failed write to
+    stdout exits 2 with one error line and is not retried; argparse's
+    SystemExit takes the same exit; any other exception unwinds as usual."""
+    sys.stdout = _Stdout(sys.stdout)
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+        sys.stdout.flush()
+    except _StdoutError as exc:
+        code = EXIT_USAGE
+        if sys.stderr is not None:  # print(file=None) would write to stdout
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

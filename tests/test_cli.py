@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -849,3 +850,134 @@ def test_an_rds_whose_group_is_not_of_order_d_squared_exits_2_at_once(tmp_path):
              ["search", "c1", "--rds", "file:huge.json"]]
     message = "error: need a group of order d^2 = 4 for d = 2 elements, got order 1000000000000\n"
     assert run_fresh_many(tmp_path, argvs, timeout=5) == [[2, "", message]] * len(argvs)
+
+
+#: the `mublines` process: console_entry, as the console script runs it
+_ENTRY = [sys.executable, "-m", "mublines.cli"]
+
+
+def run_process(cwd, command, **kwargs):
+    """The finished process of command in cwd with this checkout's src on
+    PYTHONPATH and stdout block-buffered, as by default (PYTHONUNBUFFERED
+    would write each piece at once, so no flush could be missed); stdout and
+    stderr are captured as text unless kwargs say otherwise."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
+    return subprocess.run(command, cwd=cwd, env=dict(env, PYTHONPATH=str(src)),
+                          timeout=60, **kwargs)
+
+
+#: commands run both by the process entry and by main(), in this order, in
+#: one directory a side: f.json is written and then verified
+_ENTRY_ARGVS = [
+    ["mubs", "--rds", "builtin:5"],
+    ["construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", "sqrt(2+sqrt(5))"],
+    ["--out", "f.json", "construct", "c3ext"],
+    ["verify", "f.json"],
+    ["search", "c1", "--d", "4"],
+    ["wh"],
+    ["construct", "c2", "--a", "0.5"],
+    ["bounds", "--d", "17"],
+    ["mubs", "--rds", "builtin:8"],
+    ["verify", "missing.json"],
+    ["construct", "c1", "--d", "4", "--perm", "1,2,3", "--v", "1"],
+    ["--help"],
+    ["nope"],
+]
+
+
+def test_the_process_entry_gives_what_main_gives(tmp_path):
+    in_process, entry = tmp_path / "main", tmp_path / "entry"
+    in_process.mkdir()
+    entry.mkdir()
+    expected = run_fresh_many(in_process, _ENTRY_ARGVS)
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 2]
+    for argv, want in zip(_ENTRY_ARGVS, expected):
+        proc = run_process(entry, [*_ENTRY, *argv])
+        assert [proc.returncode, proc.stdout, proc.stderr] == want, argv
+    assert (entry / "f.json").read_bytes() == (in_process / "f.json").read_bytes()
+
+
+def test_a_piped_stdout_is_the_out_file_byte_for_byte(capsys, tmp_path):
+    # the process ends by os._exit: a flush missed before it would cut stdout
+    assert run(capsys, "--out", str(tmp_path / "m31.json"), "mubs", "--rds", "builtin:31")[0] == 0
+    proc = run_process(tmp_path, [*_ENTRY, "mubs", "--rds", "builtin:31"], text=False)
+    assert proc.returncode == 0
+    assert proc.stdout == (tmp_path / "m31.json").read_bytes()
+
+
+_AT_EXIT = """
+import atexit, sys
+import mublines.cli
+atexit.register(print, "atexit ran")
+mublines.cli.console_entry()
+"""
+
+
+def test_the_process_entry_skips_the_interpreter_teardown(capsys, tmp_path):
+    expected = run(capsys, "bounds", "--d", "17")
+    proc = run_process(tmp_path, [sys.executable, "-c", _AT_EXIT, "bounds", "--d", "17"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+_RAISING = """
+import mublines.cli
+def cmd_bounds(args):
+    raise RuntimeError("not an input error")
+mublines.cli.cmd_bounds = cmd_bounds
+mublines.cli.console_entry()
+"""
+
+
+def test_any_other_exception_still_unwinds_with_its_traceback(tmp_path):
+    proc = run_process(tmp_path, [sys.executable, "-c", _RAISING, "bounds", "--d", "4"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback ")
+    assert proc.stderr.endswith("\nRuntimeError: not an input error\n")
+
+
+#: a shell command line that runs the rest of its arguments with fd 1 closed
+_FD1_CLOSED = ["sh", "-c", '"$0" "$@" >&-']
+
+
+@pytest.mark.parametrize("argv", [("bounds", "--d", "4"), ("mubs", "--rds", "builtin:31")])
+@pytest.mark.parametrize("target, error", [("closed pipe", errno.EPIPE),
+                                           ("/dev/full", errno.ENOSPC),
+                                           ("closed fd 1", errno.EBADF)])
+def test_a_failed_write_to_stdout_exits_2_with_one_error_line(tmp_path, argv, target, error):
+    # an OSError traceback would exit 1, read as a failed verification, and
+    # a closed fd 1 would lose the output with exit 0; the 1.2 MB of mubs
+    # fail during the command, bounds at the final flush
+    command = [*_ENTRY, *argv]
+    if target == "closed pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_process(tmp_path, command, stdout=write)
+        finally:
+            os.close(write)
+    elif target == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = run_process(tmp_path, command, stdout=full)
+    else:
+        proc = run_process(tmp_path, [*_FD1_CLOSED, *command], stdout=None)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: cannot write stdout: {os.strerror(error)}\n")
+
+
+def test_a_failed_write_to_stdout_with_stderr_closed_too_exits_2(tmp_path):
+    # print(file=None) writes to stdout: the error line must not go there
+    proc = run_process(tmp_path, ["sh", "-c", '"$0" "$@" >&- 2>&-', *_ENTRY, "bounds", "--d", "4"],
+                       stdout=None, stderr=None)
+    assert proc.returncode == 2
+
+
+def test_out_with_fd_1_closed_writes_nothing_to_stdout_and_exits_0(capsys, tmp_path):
+    assert run(capsys, "--out", str(tmp_path / "main.json"), "mubs", "--rds", "builtin:3")[0] == 0
+    proc = run_process(tmp_path, [*_FD1_CLOSED, *_ENTRY, "--out", "f.json", "mubs", "--rds",
+                                  "builtin:3"], stdout=None)
+    assert (proc.returncode, proc.stderr) == (0, "3 MUBs in C^3: verify_mubs = True\n")
+    assert (tmp_path / "f.json").read_bytes() == (tmp_path / "main.json").read_bytes()
