@@ -18,7 +18,7 @@ _PUBLIC = {
     "framecore": ("CVector", "GramReport", "LineSet", "apply_equivalence", "gram_analyze",
                   "inner", "lines_equal", "verify_mubs"),
     "scalars": ("Scalar", "max_angle", "mub_bound", "special_bound_f"),
-    "weylheisenberg": ("Fiducial", "eigenspace_eig1", "fiducial_d4", "normalizer_check",
+    "weylheisenberg": ("Fiducial", "fiducial_d4", "normalizer_check",
                        "wh_generators", "wh_orbit", "zauner_unitary"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

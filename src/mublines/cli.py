@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / equiangular, 1 well-formed but failed verification,
 2 usage or input error, or a failed write to stdout (a closed pipe, a full
-device, a closed descriptor).  A `mublines` process runs `console_entry`,
+device, a closed descriptor); a failed write to stderr changes neither the
+exit code nor stdout.  A `mublines` process runs `console_entry`,
 which ends the process by os._exit once stdout and stderr are flushed,
 skipping the interpreter's teardown; `main` returns its code, in-process.
 
@@ -388,14 +389,18 @@ class _StdoutError(Exception):
     """A write to stdout failed; its message is the OSError's strerror."""
 
 
-class _Stdout:
-    """sys.stdout in a `mublines` process: an OSError of a write or flush
-    becomes _StdoutError, so console_entry tells it from any other OSError
-    (and argparse's help, which swallows an OSError, does not).  With fd 1
-    closed at start, stream is None and every write fails with EBADF."""
+class _Stream:
+    """sys.stdout or sys.stderr in a `mublines` process.  With its fd closed
+    at start, stream is None and every write fails with EBADF.  On stdout
+    an OSError of a write or flush becomes _StdoutError, so console_entry
+    tells it from any other OSError (and argparse's help, which swallows an
+    OSError, does not).  On stderr (drop) it is dropped, so a diagnostic
+    that cannot be written changes neither stdout nor the exit code: fd 2
+    closed (print(file=None) would write to stdout), left read-only by a
+    launcher script, or a full device."""
 
-    def __init__(self, stream):
-        self._stream = stream
+    def __init__(self, stream, drop: bool = False):
+        self._stream, self._drop = stream, drop
 
     def __getattr__(self, name):
         return getattr(self._stream, name)
@@ -406,7 +411,8 @@ class _Stdout:
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             return getattr(self._stream, name)(*args)
         except OSError as exc:
-            raise _StdoutError(exc.strerror or exc) from None
+            if not self._drop:
+                raise _StdoutError(exc.strerror or exc) from None
 
     def write(self, text):
         return self._call("write", text)
@@ -425,7 +431,7 @@ def console_entry():
     every other module changes nothing the process wrote.  A failed write to
     stdout exits 2 with one error line and is not retried; argparse's
     SystemExit takes the same exit; any other exception unwinds as usual."""
-    sys.stdout = _Stdout(sys.stdout)
+    sys.stdout, sys.stderr = _Stream(sys.stdout), _Stream(sys.stderr, drop=True)
     try:
         try:
             code = main()
@@ -434,10 +440,8 @@ def console_entry():
         sys.stdout.flush()
     except _StdoutError as exc:
         code = EXIT_USAGE
-        if sys.stderr is not None:  # print(file=None) would write to stdout
-            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-    if sys.stderr is not None:
-        sys.stderr.flush()
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+    sys.stderr.flush()
     os._exit(code)
 
 

@@ -107,28 +107,28 @@ class CVector:
     a vector built from its Scalars and in a view into a set past that
     bound.  dim, exact, is_zero, norm2 and to_array read it.
 
-    CVector(entries) builds the row from its Scalars and keeps them.
-    LineSet.vectors gives rows that are views into the set's parts, and
-    CVector.make of a 1-D complex or float ndarray a row of its own; such a
-    vector makes its Scalars only when .entries is read, from one pool per
-    set (per vector for make), so equal entries share one Scalar.  Equality,
+    CVector(entries) builds the row from its Scalars, LineSet.vectors gives
+    rows that are views into the set's parts, and CVector.make of a 1-D
+    complex or float ndarray a row of its own.  .entries reads the row: a
+    fresh Scalar per column on every read, float in a float row, so a vector
+    that mixes exact and float Scalars reads back float ones.  Equality,
     hashing and repr are those of the entries.  A vector of a set with
     phases carries them as _phases = ((phases, p), j), the set's own tuple
     and its row; any other vector holds None.
     """
 
-    __slots__ = ("_row", "_entries", "_pool", "_phases")
+    __slots__ = ("_row", "_phases")
 
     def __init__(self, entries: tuple[Scalar, ...]):
         row = np.array([[e.re for e in entries], [e.im for e in entries]],
                        dtype=object if all(e.exact for e in entries) else float)
         row.flags.writeable = False
-        self._row, self._entries, self._pool, self._phases = row, entries, None, None
+        self._row, self._phases = row, None
 
     @classmethod
-    def _of_row(cls, row: np.ndarray, pool: dict, phases: tuple | None = None) -> "CVector":
+    def _of_row(cls, row: np.ndarray, phases: tuple | None = None) -> "CVector":
         vector = cls.__new__(cls)
-        vector._row, vector._entries, vector._pool, vector._phases = row, None, pool, phases
+        vector._row, vector._phases = row, phases
         return vector
 
     @staticmethod
@@ -136,7 +136,7 @@ class CVector:
         if type(values) is np.ndarray and values.ndim == 1 and values.dtype in (complex, float):
             row = np.array((values.real, values.imag))  # a float's imaginary parts are 0.0
             row.flags.writeable = False
-            return CVector._of_row(row, {})
+            return CVector._of_row(row)
         return CVector(tuple(Scalar.coerce(v) for v in values))
 
     @staticmethod
@@ -146,16 +146,8 @@ class CVector:
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
-        if self._entries is None:
-            row, pool = self._row, self._pool
-            exact = row.dtype != float
-            # a float is keyed by its bits, so 0.0 and -0.0 stay apart
-            keys = list(zip(*(row if exact else row.view(np.uint64)).tolist()))
-            for key, value in zip(keys, zip(*row.tolist())):
-                if key not in pool:
-                    pool[key] = Scalar(*value, exact)
-            self._entries = tuple(map(pool.__getitem__, keys))
-        return self._entries
+        exact = self._row.dtype != float
+        return tuple(Scalar(re, im, exact) for re, im in zip(*self._row.tolist()))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -317,17 +309,15 @@ class LineSet:
 
     @property
     def vectors(self) -> tuple[CVector, ...]:
-        """The lines as CVectors backed by rows of parts; equal entries share
-        one Scalar of the set's pool."""
+        """The lines as CVectors backed by rows of parts."""
         if self._vectors is None:
-            pool: dict = {}
             rows = self._parts.transpose(1, 0, 2)
             if self._phases is None:
-                self._vectors = tuple(CVector._of_row(row, pool) for row in rows)
+                self._vectors = tuple(map(CVector._of_row, rows))
             else:  # the set's tuple and a row index, not a view per vector:
                 # the census keeps thousands of these vectors
                 held = self._phases
-                self._vectors = tuple(CVector._of_row(row, pool, (held, j))
+                self._vectors = tuple(CVector._of_row(row, (held, j))
                                       for j, row in enumerate(rows))
         return self._vectors
 
@@ -1037,7 +1027,7 @@ def _float_table(rows: list) -> str | None:
     """The JSON text of rows, at most a block of them (_encode), if it is a
     table of _table_entries with nonempty rows and at least _TABLE_MIN
     entries, all floats; None otherwise.  json.dumps sees each distinct
-    float once, keyed by its bits as in CVector.entries (0.0 and -0.0 apart)."""
+    float once, keyed by its bits (0.0 and -0.0 apart)."""
     try:  # an int table goes back before any pass over it
         if type(rows[0][0][0]) is not float:
             return None

@@ -149,14 +149,8 @@ class Scalar(_Record):
         """Squared magnitude; an int on the exact path."""
         return self.re * self.re + self.im * self.im
 
-    def __abs__(self) -> float:
-        return abs(complex(self.re, self.im))
-
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def __str__(self) -> str:
         return str(self.to_complex())

@@ -11,10 +11,6 @@ from .framecore import DEFAULT_TOL, CVector, LineSet
 from .scalars import _Record
 
 
-class NotUnitary(ValueError):
-    pass
-
-
 class Fiducial(_Record):
     """A nonzero CVector, vector, and where it came from, source."""
 
@@ -102,19 +98,3 @@ def _phase_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     if abs(abs(phase) - 1.0) > tol:
         return False
     return bool(np.max(np.abs(a - phase * b)) <= tol)
-
-
-def eigenspace_eig1(matrix: np.ndarray, tol: float = 1e-8) -> list[CVector]:
-    """Orthonormal basis of the eigenvalue-1 eigenspace of a unitary matrix."""
-    matrix = np.asarray(matrix, dtype=complex)
-    d = matrix.shape[0]
-    if matrix.shape != (d, d):
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(matrix @ matrix.conj().T - np.eye(d))) > max(tol, 1e-8):
-        raise NotUnitary("matrix is not unitary within tolerance")
-    eigvals, eigvecs = np.linalg.eig(matrix)
-    cols = [i for i in range(d) if abs(eigvals[i] - 1.0) <= tol]
-    if not cols:
-        return []
-    basis, _ = np.linalg.qr(eigvecs[:, cols])
-    return [CVector.make(basis[:, i]) for i in range(basis.shape[1])]

@@ -975,6 +975,28 @@ def test_a_failed_write_to_stdout_with_stderr_closed_too_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [("verify", "missing.json"), ("mubs", "--rds", "builtin:3"),
+                                  ("bounds", "--d", "4")])
+@pytest.mark.parametrize("target", ["closed fd 2", "read-only fd 2", "/dev/full"])
+def test_a_failing_stderr_keeps_stdout_and_the_exit_code(tmp_path, argv, target):
+    # a diagnostic that cannot be written is dropped.  With fd 2 closed at
+    # start print(file=None) would write it to stdout, and on a read-only fd
+    # 2 (as a launcher script can leave it) or a full device its OSError
+    # would exit 1, read as a failed verification
+    command = [*_ENTRY, *argv]
+    want = run_process(tmp_path, command)
+    if target == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = run_process(tmp_path, command, stderr=full)
+    else:
+        redirect = "2>&-" if target == "closed fd 2" else "2</dev/null"
+        proc = run_process(tmp_path, ["sh", "-c", f'"$0" "$@" {redirect}', *command],
+                           stderr=None)
+    assert (proc.returncode, proc.stdout) == (want.returncode, want.stdout)
+
+
 def test_out_with_fd_1_closed_writes_nothing_to_stdout_and_exits_0(capsys, tmp_path):
     assert run(capsys, "--out", str(tmp_path / "main.json"), "mubs", "--rds", "builtin:3")[0] == 0
     proc = run_process(tmp_path, [*_FD1_CLOSED, *_ENTRY, "--out", "f.json", "mubs", "--rds",

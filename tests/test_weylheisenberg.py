@@ -8,8 +8,6 @@ import fixtures
 from mublines.framecore import CVector, gram_analyze, lines_equal
 from mublines.weylheisenberg import (
     Fiducial,
-    NotUnitary,
-    eigenspace_eig1,
     fiducial_d4,
     normalizer_check,
     wh_generators,
@@ -121,26 +119,7 @@ def test_wh_orbit_of_standard_basis_vector_degenerates():
     assert not gram_analyze(orbit).equiangular
 
 
-def test_eigenspace_identity():
-    assert len(eigenspace_eig1(np.eye(3))) == 3
-
-
-def test_eigenspace_diag():
-    basis = eigenspace_eig1(np.diag([1.0, -1.0]))
-    assert len(basis) == 1
-    v = basis[0].to_array()
-    assert abs(abs(v[0]) - 1) < 1e-12 and abs(v[1]) < 1e-12
-
-
 def test_eigenspace_contains_fiducial():
-    z = zauner_unitary(4)
-    basis = eigenspace_eig1(z, 1e-8)
+    # the published fiducial is an eigenvalue-1 eigenvector of the Zauner unitary
     x = fiducial_d4().vector.to_array()
-    b = np.array([v.to_array() for v in basis]).T
-    projected = b @ (b.conj().T @ x)
-    assert np.max(np.abs(projected - x)) < 1e-8
-
-
-def test_eigenspace_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
-        eigenspace_eig1(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert np.max(np.abs(zauner_unitary(4) @ x - x)) < 1e-8
