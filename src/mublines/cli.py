@@ -267,10 +267,16 @@ def cmd_search(args) -> int:
 
 def cmd_bounds(args) -> int:
     d = args.d
+    try:  # float(d), and (2 sqrt(d) + d)^2 within it, overflow from d ~ 1.3e154
+        bound = special_bound_f(d)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):  # from d ~ 1e77; every other float is finite below that
+        raise CliError("--d is too large: its bounds exceed float64")
     payload = {
         "d": d,
         "max_lines": d * d,
-        "special_bound_f": special_bound_f(d),
+        "special_bound_f": bound,
         "block_pair_angle": 1.0 / (1.0 + math.sqrt(d)),
     }
     if d >= 2:

@@ -29,9 +29,9 @@ from .framecore import (
     _complex,
     _float_reports,
     _gram_stack,
+    _refuse_zero,
     _roots,
     _self_grams,
-    _stack,
     _tile,
     verify_mubs,
 )
@@ -80,7 +80,8 @@ class MubFamily(_Record):
     @functools.cached_property
     def _union(self) -> tuple[np.ndarray, np.ndarray]:
         """The parts (2, d * d, d) of the union of the bases, as the bases
-        hold them and in float64, read-only; _l_blocks copies from them."""
+        hold them and in float64, read-only: _l_blocks copies from them, and
+        c1_search and construction2_family read the float64 ones."""
         parts = np.concatenate([b.parts for b in self.bases], axis=1)
         floats = parts.astype(float, copy=False)
         parts.flags.writeable = floats.flags.writeable = False
@@ -235,7 +236,9 @@ def c1_search(
     are generated first, then certified in tiles of _tile(d^4) survivors
     (a survivor's Gram has d^4 entries) by _l_blocks and _float_reports,
     which alone decide the hits and their reports: the masks can skip work,
-    never say "yes".
+    never say "yes".  The certifier's input checks come first, in its order,
+    on the squared norms the masks read: a non-finite entry, or a norm that
+    overflows, raises ValueError, and then a zero vector ZeroVectorError.
     """
     if phase_roots < 1:
         raise ValueError("phase_roots must be at least 1")
@@ -249,12 +252,13 @@ def c1_search(
         )
     values = [cmath.exp(2j * cmath.pi * p / phase_roots) * mag
               for mag in mags for p in range(phase_roots) if mag != 0.0 or p == 0]
-    # the certifier's input checks, so that a zero vector or a non-finite
-    # entry raises whatever the masks rule out
-    _self_grams(_stack(family.bases))
     # mats[j, a, l]: entry l of vector a of basis j; norm2[j, a]: its squared norm
     mats = _complex(family._union[1]).reshape(d, d, d)
-    norm2 = (np.abs(mats) ** 2).sum(axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        norm2 = (np.abs(mats) ** 2).sum(axis=2)
+    if not np.isfinite(norm2).all():
+        raise ValueError("line set has a non-finite entry")
+    _refuse_zero(norm2)
     bound = _SPREAD_TOLS * tol + _C1_SLACK
     masks: dict[tuple[int, int], list[list[int]]] = {}
     perm: list[int] = []  # 0-based columns pi(1), ..., pi(len(perm))
@@ -381,24 +385,22 @@ def _family4() -> MubFamily:
 
 def construction2_family(a: float) -> LineSet:
     """64 lines in C^8 from the dimension-4 MUBs and the one-parameter
-    column blocks C_j(a), D_j(a); equals the (twisted) Hoggar set at a=0."""
-    bases = [basis.to_matrix() for basis in _family4().bases]
+    column blocks C_j(a), D_j(a); equals the (twisted) Hoggar set at a=0.
+    Basis j of the family's union gives four blocks of four lines in turn:
+    [B_j | c e_j], [B_j | -c e_j], [d e_j | B_j] and [-d e_j | B_j]."""
     # past |a| ~ 1.3e154, 1 + a * a overflows; |a| is then the rounded root
     root = math.sqrt(1 + a * a)
     root = root if math.isfinite(root) else abs(a)
     c = (a - 1 + 1j * (a + 1)) / root
     dval = (a + 1 + 1j * (a - 1)) / root
-    blocks = []
-    for j, basis in enumerate(bases):
-        col = np.zeros((4, 4), dtype=complex)
-        col[:, j] = 1.0
-        blocks += [
-            np.hstack([basis, c * col]),
-            np.hstack([basis, -c * col]),
-            np.hstack([dval * col, basis]),
-            np.hstack([-dval * col, basis]),
-        ]
-    mat = np.vstack(blocks)
+    # [j, kind, vector, entry]: the vectors of basis j once for the kinds
+    # 0, 1 and once for 2, 3, and each kind's column (c e_j, -c e_j, d e_j,
+    # -d e_j) once per vector
+    bases = np.broadcast_to(_complex(_family4()._union[1]).reshape(4, 1, 4, 4), (4, 2, 4, 4))
+    cols = np.multiply.outer(np.eye(4, dtype=complex), [c, -c, dval, -dval]).transpose(0, 2, 1)
+    cols = np.broadcast_to(cols[:, :, None], (4, 4, 4, 4))
+    mat = np.concatenate((np.concatenate((bases, cols[:, :2]), axis=3),
+                          np.concatenate((cols[:, 2:], bases), axis=3)), axis=1).reshape(64, 8)
     return LineSet.from_parts(np.stack([mat.real, mat.imag]), {"construction": "c2", "a": a})
 
 

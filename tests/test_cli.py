@@ -368,6 +368,39 @@ def test_bounds_below_1_exits_2(capsys):
     assert "d must be >= 1" in err
 
 
+@pytest.mark.parametrize("d", [10**77, 10**155, 10**400], ids=["1e77", "1e155", "1e400"])
+def test_bounds_beyond_float64_exit_2(capsys, d):
+    # special_bound_f(d) is inf from 10^77 (once printed as Infinity, which is
+    # not JSON) and overflows in float arithmetic from 10^155
+    code, out, err = run(capsys, "bounds", "--d", str(d))
+    assert (code, out, err) == (2, "", "error: --d is too large: its bounds exceed float64\n")
+
+
+@pytest.mark.parametrize("d, line", [
+    (4, '{"block_pair_angle": 0.3333333333333333, "d": 4, "max_angle": 0.4472135954999579, '
+        '"max_lines": 16, "mub_bound": 5, "special_bound_f": 64.0}'),
+    (64, '{"block_pair_angle": 0.1111111111111111, "d": 64, "max_angle": 0.12403473458920847, '
+         '"max_lines": 4096, "mub_bound": 65, "special_bound_f": 12096.703296703297}'),
+])
+def test_bounds_prints_its_one_line(capsys, d, line):
+    assert run(capsys, "bounds", "--d", str(d)) == (0, line + "\n", "")
+
+
+def test_search_c1_over_budget_exits_2_unless_forced(capsys):
+    code, out, err = run(capsys, "search", "c1", "--d", "4", "--budget", "10")
+    assert (code, out) == (2, "")
+    assert err == ("error: search space 96 exceeds budget 10; raise the budget to proceed "
+                   "(pass --force to override)\n")
+    assert (run(capsys, "search", "c1", "--d", "4", "--budget", "10", "--force")
+            == run(capsys, "search", "c1", "--d", "4"))
+
+
+def test_search_c1_d13_exceeds_the_default_budget(capsys):
+    code, out, err = run(capsys, "search", "c1", "--d", "13")
+    assert (code, out) == (2, "")
+    assert "exceeds budget 200000" in err and "--force" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("mubs", "--rds", "builtin:31"),
     ("construct", "hoggar"),

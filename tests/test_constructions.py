@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -304,6 +305,15 @@ def test_construction2_is_equiangular_where_1_plus_a_squared_overflows(a):
     assert report.equiangular
     assert abs(report.common_angle - 1 / 3) < 1e-9
     assert construction2_family(a).to_matrix()[0, 4] == complex(1, 1) * math.copysign(1, a)
+
+
+def test_construction2_parts_keep_their_bytes():
+    # the sha256 of the parts over these a, as the loop over the bases'
+    # matrices built them, signed zeros and the overflow rule included
+    digest = hashlib.sha256()
+    for a in (0.0, -0.0, 1.0, -1.0, 0.37, -3.0, 1e9, 1e200, -1e300):
+        digest.update(construction2_family(a).parts.tobytes())
+    assert digest.hexdigest() == "8d0cf5e9caef5277bede6e4c71f5db8b52e76cc63e73b6606208d32d3e57a82a"
 
 
 def test_hoggar_orbit():

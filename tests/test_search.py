@@ -7,6 +7,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -133,17 +134,46 @@ def test_c1_search_equals_brute_force_on_a_float_family(phase_roots, tol):
     assert hits == brute_force_c1_search(floated, phase_roots, tol)
 
 
-def test_c1_search_and_brute_force_raise_alike_on_a_nan_entry():
+def _scale(k):
+    def change(parts):
+        parts *= k
+    return change
+
+
+def _set(index, value):
+    def change(parts):
+        parts[index] = value
+    return change
+
+
+NON_FINITE = (ValueError, "line set has a non-finite entry")
+ZERO = (ZeroVectorError, "line sets may not contain the zero vector")
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({2: _set((1, 3, 0), math.nan)}, NON_FINITE),
+    ({1: _set((0, 2, 1), math.inf)}, NON_FINITE),
+    ({2: _scale(1e160)}, NON_FINITE),  # squared norms overflow to inf
+    ({1: _scale(1e-170)}, ZERO),  # squared norms underflow to 0
+    ({0: _set((slice(None), 1), 0.0), 3: _set((0, 3, 0), math.nan)}, NON_FINITE),
+], ids=["nan", "inf", "scaled-1e160", "scaled-1e-170", "zero-then-nan"])
+def test_c1_search_and_brute_force_raise_alike_on_a_malformed_family(changes, error):
+    # changes[j] edits the float parts of basis j; no warning comes first
     family = FAMILIES[4]
-    parts = family.bases[2].parts.astype(float)
-    parts[1, 3, 0] = math.nan
-    bad = MubFamily(4, family.bases[:2] + (LineSet.from_parts(parts),) + family.bases[3:],
-                    family.source_rds)
-    with pytest.raises(ValueError) as brute:
-        brute_force_c1_search(bad)
-    with pytest.raises(ValueError) as searched:
-        c1_search(bad)
+    bases = list(family.bases)
+    for j, change in changes.items():
+        parts = bases[j].parts.astype(float)
+        change(parts)
+        bases[j] = LineSet.from_parts(parts)
+    bad = MubFamily(4, tuple(bases), family.source_rds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as brute:
+            brute_force_c1_search(bad)
+        with pytest.raises(ValueError) as searched:
+            c1_search(bad)
     assert (type(searched.value), str(searched.value)) == (type(brute.value), str(brute.value))
+    assert (type(searched.value), str(searched.value)) == error
 
 
 def test_c1_search_memory_does_not_grow_with_the_survivors():

@@ -117,9 +117,3 @@ def test_wh_orbit_of_standard_basis_vector_degenerates():
     # every orbit vector is a standard basis vector up to phase
     assert np.allclose(np.abs(mat).max(axis=1), 1.0)
     assert not gram_analyze(orbit).equiangular
-
-
-def test_eigenspace_contains_fiducial():
-    # the published fiducial is an eigenvalue-1 eigenvector of the Zauner unitary
-    x = fiducial_d4().vector.to_array()
-    assert np.max(np.abs(zauner_unitary(4) @ x - x)) < 1e-8
