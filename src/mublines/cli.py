@@ -90,10 +90,8 @@ def _report_summary(report, fmt: str) -> None:
 def cmd_mubs(args) -> int:
     from . import abelian, constructions, framecore
 
-    family = constructions.mubs_from_rds(args.rds)
-    # mubs_from_rds has passed verify_mubs at DEFAULT_TOL, and a "yes" at
-    # one tol is a "yes" at every larger one
-    ok = args.tol >= DEFAULT_TOL or framecore.verify_mubs(list(family.bases), args.tol)
+    family = constructions._godsil_roy(args.rds)
+    ok = framecore.verify_mubs(list(family.bases), args.tol)
     payload = {
         "dim": family.dim,
         "rds": abelian.rds_to_json(args.rds),

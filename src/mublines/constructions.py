@@ -28,6 +28,7 @@ from .framecore import (
     _cmul,
     _complex,
     _float_reports,
+    _floats,
     _gram_stack,
     _refuse_zero,
     _roots,
@@ -38,6 +39,7 @@ from .framecore import (
 from .scalars import (
     _C1_BUDGET,
     Scalar,
+    _check_dimension,
     _columns,
     _gauss_if_integral,
     _is_odd_prime,
@@ -78,14 +80,13 @@ class MubFamily(_Record):
             return None
 
     @functools.cached_property
-    def _union(self) -> tuple[np.ndarray, np.ndarray]:
-        """The parts (2, d * d, d) of the union of the bases, as the bases
-        hold them and in float64, read-only: _l_blocks copies from them, and
-        c1_search and construction2_family read the float64 ones."""
+    def _union(self) -> np.ndarray:
+        """The parts (2, d * d, d) of the union of the bases, read-only, in
+        the dtype they hold: _l_blocks copies from them, and c1_search and
+        construction2_family read them by _complex."""
         parts = np.concatenate([b.parts for b in self.bases], axis=1)
-        floats = parts.astype(float, copy=False)
-        parts.flags.writeable = floats.flags.writeable = False
-        return parts, floats
+        parts.flags.writeable = False
+        return parts
 
 
 class ScalingSpec(_Record):
@@ -104,12 +105,20 @@ class BlockPairSpec(_Record):
 
 
 def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
-    """Godsil-Roy: rows (chi(r_1), ..., chi(r_d)) over all characters, grouped
-    into d bases by the character's restriction to the forbidden subgroup.
-    When the lcm L of the group's factor orders is an odd prime, every
-    basis keeps its phases (LineSet._of_phases), and the family's check,
-    here and in any later verify_mubs, is exact.  A group of order other
-    than d^2, for d elements, is refused before rds_verify enumerates N."""
+    """_godsil_roy's family of rds, once verify_mubs at DEFAULT_TOL says
+    "yes" to it; InvalidRds otherwise."""
+    family = _godsil_roy(rds)
+    if not verify_mubs(list(family.bases)):
+        raise InvalidRds("constructed bases failed the MUB check")
+    return family
+
+
+def _godsil_roy(rds: RelativeDifferenceSet) -> MubFamily:
+    """Godsil-Roy, unverified: rows (chi(r_1), ..., chi(r_d)) over all
+    characters, in d bases by each character's restriction to N.  When the
+    lcm L of the factor orders is an odd prime, every basis keeps its phases
+    (LineSet._of_phases), so verify_mubs of the family is exact.  A group of
+    order other than d^2 is refused (InvalidRds) before rds_verify runs."""
     d = len(rds.elements)
     if rds.group.order != d * d:
         raise InvalidRds(f"need a group of order d^2 = {d * d} for d = {d} elements, "
@@ -161,10 +170,7 @@ def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
         provenance = {"construction": "rds-mub", "basis": j, "rds": rds.label or "custom"}
         bases.append(LineSet._of_phases(ts, modulus, provenance) if phased else
                      LineSet.from_parts((ints if exact[ts].all() else floats)[:, ts], provenance))
-    family = MubFamily(d, tuple(bases), rds)
-    if not verify_mubs(list(family.bases)):
-        raise InvalidRds("constructed bases failed the MUB check")
-    return family
+    return MubFamily(d, tuple(bases), rds)
 
 
 def l_block(family: MubFamily, spec: ScalingSpec) -> LineSet:
@@ -182,18 +188,20 @@ def _l_blocks(family: MubFamily, cols, vs: list[Scalar]) -> np.ndarray:
     """The parts (2, S, d * d, d) of S L-blocks: block s is the union of the
     bases with entry cols[s][j] of each vector of basis j multiplied by vs[s]
     (cols 0-based, as _columns gives them).  The stack is exact iff every
-    basis and every v is: one float basis or v floats all.  An exact stack
+    basis and every v is: one float basis or v floats all, by _floats, and
+    only then is the family's union floated.  An exact stack
     is int64 while every product of a part M and a v, |M| (|re v| + |im v|),
     stays below framecore._PART_BOUND, so that no part can wrap or leave
     the bound a set holds in int64, and Python ints otherwise."""
     d = family.dim
-    held, floats = family._union
-    exact = all(v.exact for v in vs) and all(b.exact for b in family.bases)
-    if exact and held.dtype != object:
+    held = family._union
+    if not (all(v.exact for v in vs) and all(b.exact for b in family.bases)):
+        held = _floats(held)
+    elif held.dtype != object:
         big = max(int(held.max()), -int(held.min()), 1)
         if big * max((abs(v.re) + abs(v.im) for v in vs), default=0) >= _PART_BOUND:
             held = held.astype(object)
-    parts = np.repeat((held if exact else floats)[:, None], len(vs), axis=1)
+    parts = np.repeat(held[:, None], len(vs), axis=1)
     re, im = np.array([[v.re for v in vs], [v.im for v in vs]], dtype=parts.dtype)[:, :, None]
     entries = (slice(None), np.arange(len(vs))[:, None], np.arange(d * d),
                np.array(cols).repeat(d, axis=1))
@@ -204,8 +212,7 @@ def _l_blocks(family: MubFamily, cols, vs: list[Scalar]) -> np.ndarray:
 def c1_magnitudes(d: int) -> list[float]:
     """Admissible |v| values sqrt(2 +- sqrt(d+1)); the minus branch exists
     only while 2 - sqrt(d+1) >= 0 (d <= 3)."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dimension(d)
     root = math.sqrt(d + 1)
     mags = [math.sqrt(2 + root)]
     if 2 - root >= 0:
@@ -253,7 +260,7 @@ def c1_search(
     values = [cmath.exp(2j * cmath.pi * p / phase_roots) * mag
               for mag in mags for p in range(phase_roots) if mag != 0.0 or p == 0]
     # mats[j, a, l]: entry l of vector a of basis j; norm2[j, a]: its squared norm
-    mats = _complex(family._union[1]).reshape(d, d, d)
+    mats = _complex(family._union).reshape(d, d, d)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         norm2 = (np.abs(mats) ** 2).sum(axis=2)
     if not np.isfinite(norm2).all():
@@ -396,7 +403,7 @@ def construction2_family(a: float) -> LineSet:
     # [j, kind, vector, entry]: the vectors of basis j once for the kinds
     # 0, 1 and once for 2, 3, and each kind's column (c e_j, -c e_j, d e_j,
     # -d e_j) once per vector
-    bases = np.broadcast_to(_complex(_family4()._union[1]).reshape(4, 1, 4, 4), (4, 2, 4, 4))
+    bases = np.broadcast_to(_complex(_family4()._union).reshape(4, 1, 4, 4), (4, 2, 4, 4))
     cols = np.multiply.outer(np.eye(4, dtype=complex), [c, -c, dval, -dval]).transpose(0, 2, 1)
     cols = np.broadcast_to(cols[:, :, None], (4, 4, 4, 4))
     mat = np.concatenate((np.concatenate((bases, cols[:, :2]), axis=3),
@@ -481,8 +488,7 @@ def _block_pairs(family: MubFamily, specs: list[BlockPairSpec]) -> np.ndarray:
 def construction3_solve(d: int, samples: int = 0) -> list[tuple[float, float]]:
     """Parameter pairs on the circle b^2 + (a-1)^2 = sqrt(d), where both
     magnitude classes of the block pair coincide at 2*sqrt(d)."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dimension(d)
     radius = d ** 0.25
     points = [(1.0, radius), (1.0 - radius, 0.0)]
     for s in range(samples):

@@ -335,10 +335,19 @@ def _roots(order: int) -> np.ndarray:
 
 
 def _complex(parts: np.ndarray) -> np.ndarray:
-    """The complex array parts[0] + i parts[1]."""
+    """The complex array parts[0] + i parts[1], floated by _floats."""
     mat = np.empty(parts.shape[1:], dtype=complex)
-    mat.real, mat.imag = parts
+    mat.real, mat.imag = _floats(parts)
     return mat
+
+
+def _floats(parts: np.ndarray) -> np.ndarray:
+    """parts as float64: the one float conversion of an exact set's parts,
+    which raises ValueError, as an exact norm does, for a part past float64."""
+    try:
+        return parts.astype(float, copy=False)
+    except OverflowError:  # a Python int past float64
+        raise ValueError("line set has a norm beyond float64") from None
 
 
 def _cmul(x: np.ndarray, re, im) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +389,7 @@ def _stack(sets) -> np.ndarray:
     one is float."""
     parts = np.stack([s.parts for s in sets], axis=1)  # object if any set holds Python ints
     if not all(s.exact for s in sets):  # float the whole stack, exact sets too
-        parts = parts.astype(float, copy=False)
+        parts = _floats(parts)
     return _gram_stack(parts)
 
 
@@ -859,7 +868,7 @@ def apply_equivalence(lines: LineSet, transform: Transform) -> LineSet:
             raise ValueError(f"need one phase per {'vector' if vector else 'coordinate'}")
         phases = [_check_unit(p) for p in transform.phases]
         if not all(p.exact for p in phases):  # exact iff the set and every phase are
-            parts = parts.astype(float, copy=False)
+            parts = _floats(parts)
         re, im = np.array([[p.re for p in phases], [p.im for p in phases]], dtype=parts.dtype)
         parts = _cmul(parts, re[:, None], im[:, None]) if vector else _cmul(parts, re, im)
     else:

@@ -293,17 +293,21 @@ def root_of_unity(numerator: int, denominator: int) -> Scalar:
     return Scalar.from_complex(cmath.exp(2j * cmath.pi * numerator / order))
 
 
-def max_angle(d: int) -> float:
-    """The forced common angle 1/sqrt(d+1) of a d^2-line equiangular set."""
+def _check_dimension(d: int) -> None:
+    """The one rule for a dimension d of C^d here: d >= 2."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
+
+
+def max_angle(d: int) -> float:
+    """The forced common angle 1/sqrt(d+1) of a d^2-line equiangular set."""
+    _check_dimension(d)
     return 1.0 / math.sqrt(d + 1)
 
 
 def mub_bound(d: int) -> int:
     """Upper bound d+1 on the number of MUBs in C^d."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dimension(d)
     return d + 1
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .framecore import DEFAULT_TOL, CVector, LineSet
-from .scalars import _Record
+from .scalars import _check_dimension, _Record
 
 
 class Fiducial(_Record):
@@ -29,8 +29,7 @@ class Fiducial(_Record):
 def wh_generators(d: int) -> tuple[np.ndarray, np.ndarray]:
     """U = diag(1, w, ..., w^(d-1)) with w = e^(2*pi*i/d), and the cyclic
     shift V with (Vx)_j = x_(j+1 mod d)."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dimension(d)
     omega = cmath.exp(2j * cmath.pi / d)
     u = np.diag([omega ** j for j in range(d)]).astype(complex)
     return u, np.roll(np.eye(d, dtype=complex), 1, axis=1)
@@ -38,8 +37,7 @@ def wh_generators(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def zauner_unitary(d: int) -> np.ndarray:
     """z_jk = e^(pi*i*(d-1)/12)/sqrt(d) * e^(pi*i*(2jk+(d+1)k^2)/d)."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dimension(d)
     prefactor = cmath.exp(1j * cmath.pi * (d - 1) / 12) / math.sqrt(d)
     z = np.empty((d, d), dtype=complex)
     for j in range(d):
@@ -90,10 +88,9 @@ def normalizer_check(d: int, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _phase_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Does a = phase * b for some unit phase?"""
+    """Does a = phase * b for some unit phase?  b is a coset representative,
+    a monomial unitary, so its largest entry has modulus 1."""
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) < 0.5:
-        return False
     phase = a[idx] / b[idx]
     if abs(abs(phase) - 1.0) > tol:
         return False

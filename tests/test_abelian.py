@@ -337,3 +337,16 @@ def test_rds_verify_agrees_with_the_quotient_loop_in_large_groups(orders, forbid
     rds = RelativeDifferenceSet(group, tuple(map(group.element, forbidden)),
                                 tuple(map(group.element, elements)))
     assert verdict(rds_verify, rds) == verdict(rds_verify_by_loop, rds)
+
+
+def test_a_product_across_two_groups_is_refused():
+    g, h = FiniteAbelianGroup((4,)).element((1,)), FiniteAbelianGroup((2, 2)).element((1, 0))
+    with pytest.raises(ValueError) as exc:
+        g * h
+    assert exc.type is ValueError and str(exc.value) == "elements belong to different groups"
+
+
+def test_calling_a_character_evaluates_it():
+    group = FiniteAbelianGroup((4, 3))
+    for chi, g in itertools.product(characters(group), enumerate_elements(group)):
+        assert chi(g) == char_eval(chi, g)

@@ -280,7 +280,42 @@ def test_mubs_verifies_once_at_the_default_tolerance(capsys, monkeypatch):
     monkeypatch.setattr(constructions, "verify_mubs", counting)
     code, _, err = run(capsys, "mubs", "--rds", "builtin:3")
     assert code == 0 and "verify_mubs = True" in err
-    assert len(calls) == 1  # mubs_from_rds's own check
+    assert len(calls) == 1  # mubs' one verdict, at its --tol
+
+
+@pytest.mark.parametrize("tol", [None, "1e-300", "1e-3"])
+def test_mubs_gives_the_verdict_of_one_verify_mubs_at_its_tol(capsys, monkeypatch, tol):
+    from mublines import constructions, framecore
+
+    calls = []
+    real = framecore.verify_mubs
+
+    def counting(bases, tol=framecore.DEFAULT_TOL):
+        calls.append(tol)
+        return real(bases, tol)
+
+    monkeypatch.setattr(framecore, "verify_mubs", counting)
+    monkeypatch.setattr(constructions, "verify_mubs", counting)
+    code, out, _ = run(capsys, *(["--tol", tol] if tol else []), "mubs", "--rds", "builtin:5")
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert calls == [framecore.DEFAULT_TOL if tol is None else float(tol)]
+
+
+def test_mubs_exits_1_on_a_family_that_fails_its_check(capsys, monkeypatch):
+    from mublines import constructions, framecore
+
+    for module in (framecore, constructions):
+        monkeypatch.setattr(module, "verify_mubs", lambda bases, tol=framecore.DEFAULT_TOL: False)
+    code, out, err = run(capsys, "mubs", "--rds", "builtin:3")
+    assert code == 1 and json.loads(out)["verified"] is False
+    assert err == "3 MUBs in C^3: verify_mubs = False\n"
+
+
+def test_mubs_of_the_d1_rds_exits_2(capsys, tmp_path):
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps({"orders": [1], "forbidden": [], "elements": [[0]]}))
+    got = run(capsys, "mubs", "--rds", f"file:{path}")
+    assert got == (2, "", "error: need a (d,d,d,1)-RDS, got (1, 1, 1, 0)\n")
 
 
 def test_mubs_tighter_tolerance_still_checks(capsys):

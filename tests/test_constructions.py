@@ -3,12 +3,13 @@ import hashlib
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 import fixtures
-from mublines.abelian import FiniteAbelianGroup, RelativeDifferenceSet, builtin_rds
+from mublines.abelian import FiniteAbelianGroup, RelativeDifferenceSet, builtin_rds, rds_from_json
 from mublines.constructions import (
     BlockPairSpec,
     BudgetExceeded,
@@ -30,13 +31,16 @@ from mublines.framecore import (
     DEFAULT_TOL,
     DimensionMismatch,
     LineSet,
+    VectorPhases,
     ZeroVectorError,
+    apply_equivalence,
     gram_analyze,
     inner,
     lines_equal,
     verify_mubs,
 )
-from mublines.scalars import Scalar
+from mublines.scalars import Scalar, max_angle, mub_bound
+from mublines.weylheisenberg import wh_generators, zauner_unitary
 
 EIGHT_PERMS = [
     (1, 3, 4, 2), (1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 3, 1),
@@ -661,3 +665,83 @@ def test_a_failed_theorem46_table_is_built_once(fam4, monkeypatch):
     assert calls.count([64]) == 1
     assert calls.count([16]) == 24  # each permutation's own Gram decides
     assert vars(family)["_theorem46_table"] is None  # cached: the table is not built again
+
+
+@pytest.fixture(scope="module")
+def huge4(fam4):
+    """builtin:4 with its second basis scaled by 10^400: an exact family of
+    MUBs whose parts are past float64."""
+    bases = list(fam4.bases)
+    bases[1] = LineSet.from_parts(bases[1].parts.astype(object) * 10**400)
+    return MubFamily(4, tuple(bases), fam4.source_rds)
+
+
+def test_an_exact_family_past_float64_is_read_exactly(huge4):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_mubs(list(huge4.bases))
+        assert not any(theorem46_predicate(huge4, perm)
+                       for perm in itertools.permutations((1, 2, 3, 4)))
+        block = l_block(huge4, ScalingSpec((1, 3, 4, 2), Scalar.gauss(1, 1)))
+        pair = construction3_pair(huge4, BlockPairSpec((1, 3, 4, 2), 2, 1))
+    rows = huge4.bases[1].parts.copy()  # basis 2, its column pi(2) = 3 scaled by 1 + i
+    re, im = rows[:, :, 2]
+    rows[0, :, 2], rows[1, :, 2] = re - im, re + im
+    assert block.exact and np.array_equal(block.parts[:, 4:8], rows)
+    assert pair.exact and pair.parts.dtype == object
+
+
+#: every float conversion of the parts of huge4, each of which refuses them
+FLOAT_PATHS = {
+    "to_matrix": lambda fam: fam.bases[1].to_matrix(),
+    "to_array": lambda fam: fam.bases[1].vectors[0].to_array(),
+    "lines_equal": lambda fam: lines_equal(fam.bases[1], fam.bases[1]),
+    "apply_equivalence": lambda fam: apply_equivalence(
+        fam.bases[1], VectorPhases([Scalar.from_complex(cmath.exp(0.3j))] * 4)),
+    "mixed-stack": lambda fam: verify_mubs(
+        [LineSet.from_parts(fam.bases[0].parts.astype(float)), *fam.bases[1:]]),
+    "c1_search": lambda fam: c1_search(fam),
+    "l_block": lambda fam: l_block(fam, ScalingSpec((1, 3, 4, 2), Scalar.from_complex(0.5))),
+    "construction3_pair": lambda fam: construction3_pair(
+        fam, BlockPairSpec((1, 3, 4, 2), 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("path", FLOAT_PATHS)
+def test_a_float_path_refuses_an_exact_family_past_float64(huge4, path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            FLOAT_PATHS[path](huge4)
+    assert exc.type is ValueError and str(exc.value) == "line set has a norm beyond float64"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda fam: construction3_pair(fam, BlockPairSpec((1, 2, 3, 4), 1.0, 0.0, "twist")),
+                 ValueError, "unknown variant 'twist'", id="c3-variant"),
+    pytest.param(lambda fam: mubs_from_rds(rds_from_json(
+        {"orders": [1], "forbidden": [], "elements": [[0]]})),
+                 InvalidRds, "need a (d,d,d,1)-RDS, got (1, 1, 1, 0)", id="d1-rds"),
+])
+def test_a_refusal_names_its_rule(fam4, call, error, message):
+    with pytest.raises(error) as exc:
+        call(fam4)
+    assert exc.type is error and str(exc.value) == message
+
+
+def test_mubs_from_rds_refuses_a_family_that_fails_its_check(monkeypatch):
+    import mublines.constructions as constructions
+
+    monkeypatch.setattr(constructions, "verify_mubs", lambda bases, tol=DEFAULT_TOL: False)
+    with pytest.raises(InvalidRds) as exc:
+        mubs_from_rds(builtin_rds(3))
+    assert exc.type is InvalidRds and str(exc.value) == "constructed bases failed the MUB check"
+
+
+@pytest.mark.parametrize("func", [max_angle, mub_bound, c1_magnitudes, construction3_solve,
+                                  wh_generators, zauner_unitary],
+                         ids=lambda f: f.__name__)
+def test_a_dimension_below_2_is_refused(func):
+    with pytest.raises(ValueError) as exc:
+        func(1)
+    assert exc.type is ValueError and str(exc.value) == "dimension must be >= 2"

@@ -600,3 +600,40 @@ def test_lineset_from_json_refuses_an_unknown_field(field):
     data = {"dim": 2, "field": field, "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
     with pytest.raises(ValueError, match="line-set field must be gaussian-int or complex-f64"):
         lineset_from_json(data)
+
+
+#: two lines in C^2, the set the refusals below act on
+E2 = LineSet.from_parts(np.array([[[1, 0], [0, 1]], [[0, 0], [0, 0]]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: LineSet(2, (CVector.make([1, 0]), CVector.make([1, 0, 0]))),
+                 DimensionMismatch, "all vectors must share the set dimension", id="vector-dim"),
+    pytest.param(lambda: LineSet._of_phases(np.array([0, 1, 2]), 3),
+                 ValueError, "phases must have shape (n, dim)", id="phases-1d"),
+    pytest.param(lambda: LineSet.from_parts(np.zeros((3, 2, 2))),
+                 ValueError, "line-set parts must have shape (2, n, dim)", id="parts-3-2-2"),
+    pytest.param(lambda: gram_analyze(LineSet.from_parts(np.ones((2, 1, 2)))),
+                 ValueError, "need at least two vectors", id="one-vector"),
+    pytest.param(lambda: verify_mubs([]), ValueError, "no bases supplied", id="no-bases"),
+    pytest.param(lambda: apply_equivalence(E2, VectorPhases([Scalar.gauss(1)])),
+                 ValueError, "need one phase per vector", id="vector-phases"),
+    pytest.param(lambda: apply_equivalence(E2, CoordPhases([Scalar.gauss(1)] * 3)),
+                 ValueError, "need one phase per coordinate", id="coord-phases"),
+    pytest.param(lambda: apply_equivalence(E2, "flip"),
+                 TypeError, "unknown transform 'flip'", id="unknown-transform"),
+])
+def test_a_refusal_names_its_rule(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message
+
+
+def test_lines_equal_says_no_across_dims_and_lengths():
+    assert not lines_equal(E2, LineSet.from_parts(np.array([[[1, 0, 0], [0, 1, 0]], [[0] * 3] * 2])))
+    assert not lines_equal(E2, LineSet.from_parts(E2.parts[:, :1]))
+    assert lines_equal(E2, E2)
+
+
+def test_a_vector_equals_no_number():
+    assert (CVector.make([1]) == 1) is False

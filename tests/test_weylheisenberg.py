@@ -117,3 +117,13 @@ def test_wh_orbit_of_standard_basis_vector_degenerates():
     # every orbit vector is a standard basis vector up to phase
     assert np.allclose(np.abs(mat).max(axis=1), 1.0)
     assert not gram_analyze(orbit).equiangular
+
+
+def test_normalizer_check_says_no_outside_the_normalizer(monkeypatch):
+    # the unitary of test_normalizer_negative_control, in place of Zauner's
+    rng = np.random.default_rng(42)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    from mublines import weylheisenberg as wh
+
+    monkeypatch.setattr(wh, "zauner_unitary", lambda d: q)
+    assert not normalizer_check(4)
