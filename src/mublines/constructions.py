@@ -234,18 +234,21 @@ def c1_search(
     Block (j, k) of an L-block depends on pi only through (pi(j), pi(k)),
     and framecore._report says "no" to a float set whose values spread more
     than _SPREAD_TOLS * tol.  So the column pairs whose cross block spreads
-    more (_pair_masks, by its own expansion of the block, built on a basis
-    pair's first use) rule out every permutation through them, and
-    backtracking generates only the rest.  The self blocks are left to the
-    certifier: in an orthogonal basis of unimodular vectors each value is
-    ||v|^2 - 1| over equal norms, so they have no spread of their own, and
-    leaving them out can only let more survivors through.  The survivors
-    are generated first, then certified in tiles of _tile(d^4) survivors
-    (a survivor's Gram has d^4 entries) by _l_blocks and _float_reports,
-    which alone decide the hits and their reports: the masks can skip work,
-    never say "yes".  The certifier's input checks come first, in its order,
-    on the squared norms the masks read: a non-finite entry, or a norm that
-    overflows, raises ValueError, and then a zero vector ZeroVectorError.
+    more rule out every permutation through them, and backtracking generates
+    only the rest.  The masks of every basis pair (j, k), j < k, come from
+    one _level_masks call, by its own expansion of the block, when the
+    backtracking first reaches basis k; the candidate values are one array,
+    and each has one Scalar, shared by every survivor's ScalingSpec.  The
+    self blocks are left to the certifier: in an orthogonal basis of
+    unimodular vectors each value is ||v|^2 - 1| over equal norms, so they
+    have no spread of their own, and leaving them out can only let more
+    survivors through.  The survivors are generated first, then certified in
+    tiles of _tile(d^4) survivors (a survivor's Gram has d^4 entries) by
+    _l_blocks and _float_reports, which alone decide the hits and their
+    reports: the masks can skip work, never say "yes".  The certifier's
+    input checks come first, in its order, on the squared norms the masks
+    read: a non-finite entry, or a norm that overflows, raises ValueError,
+    and then a zero vector ZeroVectorError.
     """
     if phase_roots < 1:
         raise ValueError("phase_roots must be at least 1")
@@ -257,8 +260,9 @@ def c1_search(
             f"search space {space} exceeds budget {budget}; raise the budget "
             "to proceed"
         )
-    values = [cmath.exp(2j * cmath.pi * p / phase_roots) * mag
-              for mag in mags for p in range(phase_roots) if mag != 0.0 or p == 0]
+    values = np.array([cmath.exp(2j * cmath.pi * p / phase_roots) * mag
+                       for mag in mags for p in range(phase_roots) if mag != 0.0 or p == 0])
+    scalars = [Scalar.from_complex(v) for v in values.tolist()]
     # mats[j, a, l]: entry l of vector a of basis j; norm2[j, a]: its squared norm
     mats = _complex(family._union).reshape(d, d, d)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
@@ -267,24 +271,23 @@ def c1_search(
         raise ValueError("line set has a non-finite entry")
     _refuse_zero(norm2)
     bound = _SPREAD_TOLS * tol + _C1_SLACK
-    masks: dict[tuple[int, int], list[list[int]]] = {}
+    levels: dict[int, list[list[list[int]]]] = {0: []}  # levels[k][j]: the masks of pair (j, k)
     perm: list[int] = []  # 0-based columns pi(1), ..., pi(len(perm))
 
     def survivors(alive: int):
         k = len(perm)
         if k == d:
-            yield from (ScalingSpec(tuple(p + 1 for p in perm), Scalar.from_complex(v))
-                        for i, v in enumerate(values) if alive >> i & 1)
+            images = tuple(p + 1 for p in perm)
+            yield from (ScalingSpec(images, v) for i, v in enumerate(scalars) if alive >> i & 1)
             return
+        if k not in levels:
+            levels[k] = _level_masks(mats[:k], mats[k], norm2[:k], norm2[k], values, bound)
+        level = levels[k]
         for q in range(d):
             if q in perm:
                 continue
             mask = alive
-            for j, p in enumerate(perm):
-                pair = masks.get((j, k))
-                if pair is None:
-                    pair = masks[j, k] = _pair_masks(mats[j], mats[k], norm2[j], norm2[k],
-                                                     np.array(values), bound)
+            for pair, p in zip(level, perm):
                 mask &= pair[p][q]
                 if not mask:
                     break
@@ -312,33 +315,57 @@ def _pair_masks(x, y, nx, ny, values, bound: float) -> list[list[int]]:
     vectors have squared norms nx, ny: a bit mask over the candidates, bit i
     clear iff scaling column p of x and column q of y by values[i] spreads
     the normalized magnitudes of their cross block by more than bound.  An
-    undefined (NaN) spread keeps its bit.  Evaluated over (v, p, q, a, b) in
-    tiles of candidates v (d^4 entries each) by tiles of columns p (d^3
-    each), both by framecore._tile, so memory does not grow with the
-    candidates; only p != q is ever read."""
-    d = len(x)
+    undefined (NaN) spread keeps its bit.  The one-pair case of
+    _level_masks; only p != q is ever read."""
+    return _level_masks(x[None], y, nx[None], ny, values, bound)[0]
+
+
+def _level_masks(xs, y, nxs, ny, values, bound: float) -> list[list[list[int]]]:
+    """_pair_masks(xs[j], y, nxs[j], ny, values, bound) for every j, in one
+    pass.  The candidates of every pair form one axis c = (j, i), and the
+    block's entries lead: the tensor is indexed (a, b, c, p, q), so each
+    spread is a max minus a min over its first axis.  It is evaluated in
+    tiles of candidates c (d^4 entries each) by tiles of columns p (d^3
+    each), both by framecore._tile, so memory grows neither with the
+    candidates nor with the pairs.  Each mask is read from little-endian
+    64-bit words, one tolist() for all of them."""
+    pairs, d = len(xs), len(y)
+    count = len(values)
     w = np.abs(values) ** 2 - 1  # |v|^2 - 1
-    g = x @ y.conj().T
-    t = x.T[:, :, None] * y.conj().T[:, None, :]  # (p, a, b): x[a, p] conj(y[b, p])
-    x2, y2 = np.abs(x.T) ** 2, np.abs(y.T) ** 2  # (p, a): |x[a, p]|^2
-    ok = np.empty((len(values), d, d), dtype=bool)
-    step_v, step_p = _tile(d ** 4), _tile(d ** 3)
+    yc, y2 = y.conj(), np.abs(y) ** 2  # (b, q): conj(y[b, q]) and |y[b, q]|^2
+    g = (xs @ yc.T).transpose(1, 2, 0)  # (a, b, j)
+    ok = np.empty((pairs * count, d, d), dtype=bool)
+    step_c, step_p = _tile(d ** 4), _tile(d ** 3)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero norms read NaN
-        for v, p in itertools.product(range(0, len(values), step_v), range(0, d, step_p)):
-            vs, ps = slice(v, v + step_v), slice(p, p + step_p)
-            vm1 = (values[vs] - 1)[:, None, None, None, None]
-            # <x', y'> = G + (v - 1) x_p conj(y_p) + (conj v - 1) x_q conj(y_q),
-            # indexed (v, p, q, a, b)
-            inner = g + vm1 * t[ps, None] + vm1.conj() * t[None, :]
-            # (v, p, a): the norm of vector a with column p scaled by v
-            xn = np.sqrt(nx + w[vs, None, None] * x2[ps])
-            yn = np.sqrt(ny + w[vs, None, None] * y2)
-            cos = np.abs(inner)
-            cos /= xn[:, :, None, :, None] * yn[:, None, :, None, :]
-            ok[vs, ps] = ~(np.ptp(cos.reshape(*cos.shape[:3], -1), axis=3) > bound)
-    bits = np.packbits(ok, axis=0, bitorder="little")
-    return [[int.from_bytes(bits[:, p, q].tobytes(), "little") for q in range(d)]
-            for p in range(d)]
+        for c in range(0, pairs * count, step_c):
+            j, i = np.divmod(np.arange(c, min(c + step_c, pairs * count)), count)
+            x = xs[j].transpose(1, 0, 2)  # (a, c, l)
+            vm1, wc = values[i] - 1, w[i]
+            # t[a, b, c, l] = x[a, l] conj(y[b, l]); then
+            # <x', y'> = G + (v - 1) x_p conj(y_p) + (conj v - 1) x_q conj(y_q)
+            t = x[:, None] * yc[None, :, None]
+            tq = (vm1.conj()[:, None] * t)[:, :, :, None]
+            # (a, c, p) and (b, c, q): the norms with column p or q scaled by v
+            xn = np.sqrt(nxs[j].T[:, :, None] + wc[:, None] * np.abs(x) ** 2)
+            yn = np.sqrt(ny[:, None, None] + wc[:, None] * y2[:, None])
+            for p in range(0, d, step_p):
+                ps = slice(p, p + step_p)
+                inner = (g[:, :, j, None] + vm1[:, None] * t[..., ps])[..., None] + tq
+                cos = np.abs(inner)
+                cos /= xn[:, None, :, ps, None] * yn[None, :, :, None, :]
+                cos = cos.reshape(d * d, *cos.shape[2:])
+                ok[c:c + len(j), ps] = ~(cos.max(axis=0) - cos.min(axis=0) > bound)
+    # bit i of word k of a mask is candidate 64 k + i
+    words = np.zeros((pairs, d * d, -(-count // 64) * 8), dtype=np.uint8)
+    words[..., :-(-count // 8)] = np.packbits(
+        ok.reshape(pairs, count, d * d).transpose(0, 2, 1), axis=2, bitorder="little")
+    words = words.view("<u8")
+    masks = words[..., 0]
+    if words.shape[2] > 1:
+        masks = masks.astype(object)
+        for k in range(1, words.shape[2]):
+            masks |= words[..., k].astype(object) << 64 * k
+    return masks.reshape(pairs, d, d).tolist()
 
 
 def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:

@@ -111,7 +111,8 @@ class CVector:
     rows that are views into the set's parts, and CVector.make of a 1-D
     complex or float ndarray a row of its own.  .entries reads the row: a
     fresh Scalar per column on every read, float in a float row, so a vector
-    that mixes exact and float Scalars reads back float ones.  Equality,
+    that mixes exact and float Scalars reads back float ones (floated by
+    _floats, which refuses an exact entry past float64).  Equality,
     hashing and repr are those of the entries.  A vector of a set with
     phases carries them as _phases = ((phases, p), j), the set's own tuple
     and its row; any other vector holds None.
@@ -120,8 +121,11 @@ class CVector:
     __slots__ = ("_row", "_phases")
 
     def __init__(self, entries: tuple[Scalar, ...]):
+        exact = all(e.exact for e in entries)  # no entry: vacuously
         row = np.array([[e.re for e in entries], [e.im for e in entries]],
-                       dtype=object if all(e.exact for e in entries) else float)
+                       dtype=object if exact else None)
+        if not exact:  # a float vector floats its exact entries, by _floats
+            row = _floats(row)
         row.flags.writeable = False
         self._row, self._phases = row, None
 
@@ -206,11 +210,12 @@ class LineSet:
     could leave the bound, so no int64 wrap ever reaches a verdict.
 
     LineSet(dim, vectors, provenance) stacks the rows of CVectors (see
-    CVector), exact iff every vector is, and in int64 when every row is an
-    int64 view; LineSet.from_parts copies an array, exact iff it holds
-    integers: a numpy integer array or Python ints.  .vectors, built on
-    first use, holds one CVector per line whose row is a view into parts;
-    no Scalar is made until a vector's .entries is read.
+    CVector), exact iff every vector is (a float set floats its exact rows
+    by _floats), and in int64 when every row is an int64 view;
+    LineSet.from_parts copies an array, exact iff it holds integers: a
+    numpy integer array or Python ints.  .vectors, built on first use,
+    holds one CVector per line whose row is a view into parts; no Scalar is
+    made until a vector's .entries is read.
 
     A set built by _of_phases, whose every entry is a p-th root of unity
     for an odd prime p, is a float set that also keeps its integer phases
@@ -233,12 +238,11 @@ class LineSet:
             return
         rows = [v._row for v in vectors]
         if not all(v.exact for v in vectors):  # a float set floats its exact rows
-            dtype = float
+            parts = _floats(np.array(rows))  # object where a row holds Python ints
         elif all(row.dtype == np.int64 for row in rows):  # views into int64 sets
-            dtype = np.int64
+            parts = np.array(rows, dtype=np.int64)
         else:
-            dtype = object
-        parts = np.array(rows, dtype=dtype)
+            parts = np.array(rows, dtype=object)
         self._own(parts.reshape(len(vectors), 2, dim).transpose(1, 0, 2), provenance)
 
     #: (phases, p) of a set built by _of_phases, or by LineSet(dim, vectors)
@@ -731,7 +735,10 @@ def _group_code(rows: np.ndarray, p: int) -> tuple | None:
     one pivot (any nonzero entry left) at a time: coords[k] holds each
     row's coefficient of pivot k, taken before the row is reduced by it,
     and where[sum_k c_k p^k] is the row of coordinates c.  No step here or
-    in _orbit_squares uses np.unique or np.isin, which load numpy.ma."""
+    in _orbit_squares uses np.unique: on numpy 2.4.6 it loads numpy.ma when
+    asked for the values alone, in 1-D or along an axis (it checks
+    np.ma.is_masked), though not with return_index, return_inverse or
+    return_counts; np.isin does not load it."""
     n, d = rows.shape
     if not rows.size:
         return None

@@ -266,25 +266,13 @@ def test_seed_option_is_gone():
     assert exc.value.code == 2
 
 
-def test_mubs_verifies_once_at_the_default_tolerance(capsys, monkeypatch):
-    from mublines import constructions, framecore
-
-    calls = []
-    real = framecore.verify_mubs
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(framecore, "verify_mubs", counting)
-    monkeypatch.setattr(constructions, "verify_mubs", counting)
-    code, _, err = run(capsys, "mubs", "--rds", "builtin:3")
-    assert code == 0 and "verify_mubs = True" in err
-    assert len(calls) == 1  # mubs' one verdict, at its --tol
-
-
-@pytest.mark.parametrize("tol", [None, "1e-300", "1e-3"])
-def test_mubs_gives_the_verdict_of_one_verify_mubs_at_its_tol(capsys, monkeypatch, tol):
+@pytest.mark.parametrize("rds, tol", [
+    pytest.param("builtin:3", None, id="builtin3-default"),
+    pytest.param("builtin:5", None, id="None"),
+    pytest.param("builtin:5", "1e-300", id="1e-300"),
+    pytest.param("builtin:5", "1e-3", id="1e-3"),
+])
+def test_mubs_gives_the_verdict_of_one_verify_mubs_at_its_tol(capsys, monkeypatch, rds, tol):
     from mublines import constructions, framecore
 
     calls = []
@@ -296,8 +284,9 @@ def test_mubs_gives_the_verdict_of_one_verify_mubs_at_its_tol(capsys, monkeypatc
 
     monkeypatch.setattr(framecore, "verify_mubs", counting)
     monkeypatch.setattr(constructions, "verify_mubs", counting)
-    code, out, _ = run(capsys, *(["--tol", tol] if tol else []), "mubs", "--rds", "builtin:5")
+    code, out, err = run(capsys, *(["--tol", tol] if tol else []), "mubs", "--rds", rds)
     assert code == 0 and json.loads(out)["verified"] is True
+    assert "verify_mubs = True" in err
     assert calls == [framecore.DEFAULT_TOL if tol is None else float(tol)]
 
 

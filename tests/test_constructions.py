@@ -29,6 +29,7 @@ from mublines.constructions import (
 )
 from mublines.framecore import (
     DEFAULT_TOL,
+    CVector,
     DimensionMismatch,
     LineSet,
     VectorPhases,
@@ -704,6 +705,10 @@ FLOAT_PATHS = {
     "l_block": lambda fam: l_block(fam, ScalingSpec((1, 3, 4, 2), Scalar.from_complex(0.5))),
     "construction3_pair": lambda fam: construction3_pair(
         fam, BlockPairSpec((1, 3, 4, 2), 0.5, 1.0)),
+    # a float set or vector floats its exact rows and entries
+    "mixed-lineset": lambda fam: LineSet(
+        2, [CVector.gauss([(10**400, 0), (0, 0)]), CVector.make([0, 1.0])]),
+    "mixed-cvector": lambda fam: CVector((Scalar.gauss(10**400), Scalar.from_complex(0.5))),
 }
 
 

@@ -1,7 +1,9 @@
 """c1_search against the exhaustive loop it replaced, kept here as the
 reference: every permutation and every candidate v, each certified by
-l_block + gram_analyze; and its pair masks against a loop over the
-candidates and column pairs that scales the bases themselves."""
+l_block + gram_analyze; its pair masks against a loop over the
+candidates and column pairs that scales the bases themselves; and a
+search level's masks, built for all its basis pairs at once, against each
+pair's own."""
 
 import cmath
 import itertools
@@ -18,6 +20,7 @@ from mublines.abelian import builtin_rds
 from mublines.constructions import (
     MubFamily,
     ScalingSpec,
+    _level_masks,
     _pair_masks,
     c1_magnitudes,
     c1_search,
@@ -58,8 +61,9 @@ def brute_force_c1_search(family, phase_roots=4, tol=DEFAULT_TOL):
 FAMILIES = {d: mubs_from_rds(builtin_rds(d)) for d in (2, 3, 4, 5)}
 
 
-@pytest.mark.parametrize("phase_roots", [1, 4, 8])
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+# at 40 roots, d = 2 and 3 have 80 candidates, so every mask spans two words
+@pytest.mark.parametrize("d, phase_roots", [*itertools.product([2, 3, 4, 5], [1, 4, 8]),
+                                            (2, 40), (3, 40)])
 def test_c1_search_equals_brute_force(d, phase_roots, chunk):
     family = FAMILIES[d]
     assert c1_search(family, phase_roots) == brute_force_c1_search(family, phase_roots)
@@ -267,3 +271,49 @@ def test_pair_masks_of_a_family_equal_the_loop(d, chunk):
     masks = off_diagonal(_pair_masks(x, y, squared_norms(x), squared_norms(y), values, bound))
     assert masks == masks_of(spreads, bound)
     assert any(any(row) for row in masks) == (d < 5)
+
+
+def unitaries(rng, count, d):
+    """count random unitary d x d matrices: orthonormal bases of C^d."""
+    return np.array([np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                     for _ in range(count)])
+
+
+# the chunk fixture sets framecore._CHUNK once for all the examples, and
+# no example changes it
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(1, 70), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-8, 0.05, 0.2, 0.5]))
+def test_level_masks_equal_each_pairs_own_masks(chunk, d, pairs, count, seed, bound):
+    # past 64 candidates each mask spans two words
+    rng = np.random.default_rng(seed)
+    xs, (y,) = unitaries(rng, pairs, d), unitaries(rng, 1, d)
+    values = 2 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+    spreads = loop_spreads(xs[-1], y, values)
+    assume(not (np.abs(spreads[:, ~np.eye(d, dtype=bool)] - bound) < 1e-9).any())
+    level = _level_masks(xs, y, np.array([squared_norms(x) for x in xs]), squared_norms(y),
+                         values, bound)
+    assert level == [_pair_masks(x, y, squared_norms(x), squared_norms(y), values, bound)
+                     for x in xs]
+    assert off_diagonal(level[-1]) == masks_of(spreads, bound)
+
+
+def test_level_masks_memory_does_not_grow_with_the_pairs():
+    # d = 13 takes two candidates per tile; beyond the boolean output (one
+    # byte per pair, candidate and column pair), 12 pairs may hold no more
+    # than 1 pair does but 64 KiB
+    d, count = 13, 70
+    rng = np.random.default_rng(13)
+    xs, (y,) = unitaries(rng, 12, d), unitaries(rng, 1, d)
+    values = 2 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+    peaks = {}
+    for pairs in (1, 12):
+        tracemalloc.start()
+        try:
+            _level_masks(xs[:pairs], y, np.array([squared_norms(x) for x in xs[:pairs]]),
+                         squared_norms(y), values, 1e-8)
+            peaks[pairs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[12] - peaks[1] < 11 * count * d * d + 64 * 2**10
