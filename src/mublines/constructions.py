@@ -438,10 +438,6 @@ def construction2_family(a: float) -> LineSet:
     return LineSet.from_parts(np.stack([mat.real, mat.imag]), {"construction": "c2", "a": a})
 
 
-#: I, Z, X and ZX, the dimension-2 Weyl-Heisenberg coset representatives
-_PAULI_REPS = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
-                       dtype=complex)
-
 _HOGGAR_SEED = np.array(
     [
         0,
@@ -458,10 +454,14 @@ _HOGGAR_SEED = np.array(
 
 
 def hoggar_tensor_orbit() -> LineSet:
-    """Hoggar's 64 lines as the orbit of the given seed under the 3-fold
-    tensor power of the dimension-2 Weyl-Heisenberg coset representatives."""
-    reps = _PAULI_REPS  # the 64 kron(a, kron(b, c)) in one product
-    mat = np.einsum("xij,ykl,zmn->xyzikmjln", reps, reps, reps).reshape(64, 8, 8) @ _HOGGAR_SEED
+    """Hoggar's 64 lines: the Weyl-Heisenberg orbit over Z_2^3 of the seed,
+    in the published order of the 3-fold tensor powers of I, Z, X and ZX."""
+    from .weylheisenberg import _orbit  # here, so that no other builder loads it
+
+    # rows (j1, j2, j3, k1, k2, k3) to (k1, j1, k2, j2, k3, j3): Z^j X^k is
+    # the (2k + j)-th of I, Z, X, ZX
+    mat = _orbit(_HOGGAR_SEED, (2, 2, 2)).reshape(2, 2, 2, 2, 2, 2, 8)
+    mat = mat.transpose(3, 0, 4, 1, 5, 2, 6).reshape(64, 8)
     return LineSet.from_parts(np.stack([mat.real, mat.imag]), {"construction": "hoggar-orbit"})
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .framecore import DEFAULT_TOL, CVector, LineSet
+from .framecore import DEFAULT_TOL, CVector, LineSet, _roots
 from .scalars import _check_dimension, _Record
 
 
@@ -38,20 +38,16 @@ def wh_generators(d: int) -> tuple[np.ndarray, np.ndarray]:
 def zauner_unitary(d: int) -> np.ndarray:
     """z_jk = e^(pi*i*(d-1)/12)/sqrt(d) * e^(pi*i*(2jk+(d+1)k^2)/d)."""
     _check_dimension(d)
-    prefactor = cmath.exp(1j * cmath.pi * (d - 1) / 12) / math.sqrt(d)
-    z = np.empty((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            z[j, k] = prefactor * cmath.exp(
-                1j * cmath.pi * (2 * j * k + (d + 1) * k * k) / d
-            )
-    return z
+    j, k = np.ogrid[:d, :d]
+    return (cmath.exp(1j * cmath.pi * (d - 1) / 12) / math.sqrt(d)
+            * np.exp(1j * np.pi * (2 * j * k + (d + 1) * k * k) / d))
 
 
 def wh_orbit(fiducial: Fiducial) -> LineSet:
     """The d^2 vectors U^j V^k x over the coset representatives of the
     center, in (j, k)-lexicographic order."""
-    orbit = _coset_representatives(fiducial.dim) @ fiducial.vector.to_array()
+    _check_dimension(fiducial.dim)
+    orbit = _orbit(fiducial.vector.to_array(), (fiducial.dim,))
     return LineSet.from_parts(np.stack([orbit.real, orbit.imag]),
                               {"construction": "wh-orbit", "fiducial": fiducial.source})
 
@@ -67,31 +63,37 @@ def fiducial_d4() -> Fiducial:
     return Fiducial(CVector.make(c1 * first + c2 * second), source="builtin-d4")
 
 
-def _coset_representatives(d: int) -> np.ndarray:
-    """The d^2 products U^j V^k as one (d^2, d, d) array, in (j, k)-lexicographic order."""
-    u, v = wh_generators(d)
-    us, vs = ([np.linalg.matrix_power(m, j) for j in range(d)] for m in (u, v))
-    return np.array([uj @ vk for uj in us for vk in vs])
+def _orbit(x: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    """D_(j,k) x for every (j, k) of G x G, G = Z_(n_1) x ... x Z_(n_m), as
+    rows in (j, k)-lexicographic order: entry r of D_(j,k) x is
+    prod_i zeta_(n_i)^(j_i r_i) * x[r + k].  x is indexed along its first
+    axis in mixed radix, n_1 leading as in np.kron, so x = np.eye(d) gives
+    the matrices U^j V^k themselves.  The rows are one gather of x by the
+    shift table times phases read from _roots(lcm(n_i)), exact +-1, +-i
+    when the lcm divides 4; adding 0.0 turns the -0.0 of such a product into
+    the +0.0 that a matrix product's sum gives."""
+    size = len(x)
+    k = np.indices(orders).reshape(len(orders), size, 1)  # the digits of j or k, down
+    r = k.reshape(len(orders), 1, size)  # the digits of r, across
+    radix = np.reshape(orders, (-1, 1, 1))
+    lcm = math.lcm(*orders)
+    shift = np.ravel_multi_index(tuple((r + k) % radix), orders)
+    power = (lcm // radix * k * r).sum(axis=0) % lcm
+    re, im = _roots(lcm)
+    phases = (re + 1j * im)[power].reshape((size, 1, size) + (1,) * (x.ndim - 1))
+    return (phases * x[shift] + 0.0).reshape((size * size,) + x.shape)
 
 
 def normalizer_check(d: int, tol: float = DEFAULT_TOL) -> bool:
     """True iff conjugation by the Zauner unitary maps every coset
     representative U^j V^k to a unit phase times another representative."""
     z = zauner_unitary(d)
-    zdag = z.conj().T
-    reps = _coset_representatives(d)
-    for w in reps:
-        conj = z @ w @ zdag
-        if not any(_phase_match(conj, rep, tol) for rep in reps):
+    reps = _orbit(np.eye(d), (d,))
+    cols = np.arange(d * d) % d  # U^j V^k has its entry 1 at (0, k)
+    for conj in z @ reps @ z.conj().T:
+        phases = conj[0, cols]
+        match = (np.abs(np.abs(phases) - 1.0) <= tol) & (
+            np.abs(conj - phases[:, None, None] * reps).max(axis=(1, 2)) <= tol)
+        if not match.any():
             return False
     return True
-
-
-def _phase_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Does a = phase * b for some unit phase?  b is a coset representative,
-    a monomial unitary, so its largest entry has modulus 1."""
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    phase = a[idx] / b[idx]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(a - phase * b)) <= tol)

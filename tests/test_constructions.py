@@ -518,10 +518,13 @@ def test_theorem46_on_a_non_finite_family_raises_every_time_and_keeps_nothing(fa
 
 
 def test_hoggar_orbit_is_bit_identical_to_the_kron_loop():
-    from mublines.constructions import _HOGGAR_SEED, _PAULI_REPS
+    from mublines.constructions import _HOGGAR_SEED
 
+    # I, Z, X and ZX, the dimension-2 Weyl-Heisenberg coset representatives
+    paulis = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]],
+                      dtype=complex)
     mat = np.array([np.kron(a, np.kron(b, c)) @ _HOGGAR_SEED
-                    for a, b, c in itertools.product(_PAULI_REPS, repeat=3)])
+                    for a, b, c in itertools.product(paulis, repeat=3)])
     want = np.stack([mat.real, mat.imag])
     got = hoggar_tensor_orbit().parts
     assert got.shape == want.shape == (2, 64, 8)

@@ -1,13 +1,17 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
 from mublines.framecore import CVector, gram_analyze, lines_equal
 from mublines.weylheisenberg import (
     Fiducial,
+    _orbit,
     fiducial_d4,
     normalizer_check,
     wh_generators,
@@ -55,23 +59,8 @@ def test_zauner_identities():
 
 
 def test_normalizer_check():
-    for d in (2, 3, 4, 5):
+    for d in range(2, 11):
         assert normalizer_check(d)
-
-
-def test_normalizer_negative_control():
-    # a Haar-ish random unitary almost surely fails the conjugation test
-    rng = np.random.default_rng(42)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, _ = np.linalg.qr(m)
-    from mublines import weylheisenberg as wh
-
-    reps = wh._coset_representatives(4)
-    ok = all(
-        any(wh._phase_match(q @ w @ q.conj().T, rep, 1e-9) for rep in reps)
-        for w in reps
-    )
-    assert not ok
 
 
 def test_fiducial_d4_is_unit_eigenvector():
@@ -120,10 +109,52 @@ def test_wh_orbit_of_standard_basis_vector_degenerates():
 
 
 def test_normalizer_check_says_no_outside_the_normalizer(monkeypatch):
-    # the unitary of test_normalizer_negative_control, in place of Zauner's
+    # a Haar-ish random unitary, in place of Zauner's, almost surely fails
     rng = np.random.default_rng(42)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     from mublines import weylheisenberg as wh
 
     monkeypatch.setattr(wh, "zauner_unitary", lambda d: q)
     assert not normalizer_check(4)
+
+
+def _kron_orbit(x, orders):
+    """U^j V^k x in (j, k)-lexicographic order over G x G, G = Z_(n_1) x
+    ... x Z_(n_m), U^j V^k the kron of each factor's U^(j_i) V^(k_i)."""
+    gens = [wh_generators(n) for n in orders]
+    rows = []
+    for j in np.ndindex(*orders):
+        for k in np.ndindex(*orders):
+            mat = np.eye(1)
+            for (u, v), ji, ki in zip(gens, j, k):
+                mat = np.kron(mat, np.linalg.matrix_power(u, ji) @ np.linalg.matrix_power(v, ki))
+            rows.append(mat @ x)
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(d,) for d in range(2, 10)] + [(2, 2, 2), (3, 3), (2, 4)]),
+       st.integers(0, 2**32 - 1))
+def test_orbit_is_the_kron_products_of_the_factors_generators(orders, seed):
+    size = math.prod(orders)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=size) + 1j * rng.normal(size=size)
+    orbit = _orbit(x, orders)
+    assert orbit.shape == (size * size, size)
+    assert np.max(np.abs(orbit - _kron_orbit(x, orders))) <= 1e-12 * np.max(np.abs(x))
+    assert np.array_equal(orbit[0], x)
+
+
+def test_wh_orbit_memory_is_the_orbits_size():
+    # the orbit of 32^3 complex entries is 0.5 MiB; a stack of the 32^2
+    # matrices U^j V^k would be 16 MiB
+    rng = np.random.default_rng(32)
+    fiducial = Fiducial(CVector.make(rng.normal(size=32) + 1j * rng.normal(size=32)))
+    tracemalloc.start()
+    try:
+        orbit = wh_orbit(fiducial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbit) == 32 * 32
+    assert peak <= 8 * 2**20
