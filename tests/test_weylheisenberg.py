@@ -63,6 +63,18 @@ def test_normalizer_check():
         assert normalizer_check(d)
 
 
+def test_normalizer_negative_control():
+    # a Haar-ish random unitary almost surely fails the conjugation test:
+    # for unitaries A, B of size d, |tr(A^H B)| = d iff B is a phase times A
+    rng = np.random.default_rng(42)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, _ = np.linalg.qr(m)
+    reps = _orbit(np.eye(4), (4,))
+    overlaps = np.abs(np.einsum("aij,bij->ab", (q @ reps @ q.conj().T).conj(), reps))
+    ok = bool(np.all(np.any(np.abs(overlaps - 4) <= 1e-9, axis=1)))
+    assert not ok
+
+
 def test_fiducial_d4_is_unit_eigenvector():
     f = fiducial_d4()
     x = f.vector.to_array()
