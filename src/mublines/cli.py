@@ -28,6 +28,7 @@ import sys
 from .scalars import (
     _C1_BUDGET,
     DEFAULT_TOL,
+    _check_tol,
     _columns,
     _gauss_if_integral,
     _line_set_entries,
@@ -376,9 +377,10 @@ def main(argv=None) -> int:
         os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
     parser = build_parser()
     args = parser.parse_args(argv)
-    # an infinite tol would call every set equiangular, a NaN one fail every check
-    if args.tol is not None and not 0 <= args.tol < math.inf:
-        parser.error(f"argument --tol: must be a finite number >= 0, got {args.tol}")
+    try:  # the tol the command reads, refused as argparse words a bad option
+        _check_tol(DEFAULT_TOL if args.tol is None else args.tol)
+    except ValueError as exc:
+        parser.error(f"argument --{exc}")
     try:
         _check_options(args)
         return args.func(args)

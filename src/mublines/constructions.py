@@ -40,6 +40,7 @@ from .scalars import (
     _C1_BUDGET,
     Scalar,
     _check_dimension,
+    _check_tol,
     _columns,
     _gauss_if_integral,
     _is_odd_prime,
@@ -250,6 +251,7 @@ def c1_search(
     read: a non-finite entry, or a norm that overflows, raises ValueError,
     and then a zero vector ZeroVectorError.
     """
+    _check_tol(tol)
     if phase_roots < 1:
         raise ValueError("phase_roots must be at least 1")
     d = family.dim
@@ -310,19 +312,13 @@ def c1_search(
 _C1_SLACK = 1e-12
 
 
-def _pair_masks(x, y, nx, ny, values, bound: float) -> list[list[int]]:
-    """masks[p][q] for bases x, y (x[a, l]: entry l of vector a) whose
-    vectors have squared norms nx, ny: a bit mask over the candidates, bit i
-    clear iff scaling column p of x and column q of y by values[i] spreads
-    the normalized magnitudes of their cross block by more than bound.  An
-    undefined (NaN) spread keeps its bit.  The one-pair case of
-    _level_masks; only p != q is ever read."""
-    return _level_masks(x[None], y, nx[None], ny, values, bound)[0]
-
-
 def _level_masks(xs, y, nxs, ny, values, bound: float) -> list[list[list[int]]]:
-    """_pair_masks(xs[j], y, nxs[j], ny, values, bound) for every j, in one
-    pass.  The candidates of every pair form one axis c = (j, i), and the
+    """masks[j][p][q] of the bases xs[j], y (x[a, l]: entry l of vector a)
+    with squared norms nxs[j], ny: a bit mask over the candidates, bit i
+    clear iff scaling column p of xs[j] and column q of y by values[i]
+    spreads the normalized magnitudes of their cross block by more than
+    bound (a NaN spread keeps its bit).  Entries p = q are filled, never
+    read.  The candidates of every pair form one axis c = (j, i), and the
     block's entries lead: the tensor is indexed (a, b, c, p, q), so each
     spread is a max minus a min over its first axis.  It is evaluated in
     tiles of candidates c (d^4 entries each) by tiles of columns p (d^3
@@ -512,16 +508,12 @@ def _block_pairs(family: MubFamily, specs: list[BlockPairSpec]) -> np.ndarray:
     return np.concatenate((left, right), axis=3)
 
 
-def construction3_solve(d: int, samples: int = 0) -> list[tuple[float, float]]:
-    """Parameter pairs on the circle b^2 + (a-1)^2 = sqrt(d), where both
+def construction3_solve(d: int) -> list[tuple[float, float]]:
+    """Two parameter pairs on the circle b^2 + (a-1)^2 = sqrt(d), where both
     magnitude classes of the block pair coincide at 2*sqrt(d)."""
     _check_dimension(d)
     radius = d ** 0.25
-    points = [(1.0, radius), (1.0 - radius, 0.0)]
-    for s in range(samples):
-        theta = 2 * math.pi * s / samples
-        points.append((1.0 + radius * math.cos(theta), radius * math.sin(theta)))
-    return points
+    return [(1.0, radius), (1.0 - radius, 0.0)]
 
 
 def construction3_d4_extension() -> LineSet:

@@ -39,6 +39,7 @@ from .scalars import (  # noqa: F401
     DEFAULT_TOL,
     DimensionMismatch,
     Scalar,
+    _check_tol,
     _indices,
     _is_odd_prime,
     _Record,
@@ -209,7 +210,7 @@ class LineSet:
     L-block's scaling by an exact v) moves to Python ints before a product
     could leave the bound, so no int64 wrap ever reaches a verdict.
 
-    LineSet(dim, vectors, provenance) stacks the rows of CVectors (see
+    LineSet(dim, vectors) stacks the rows of CVectors (see
     CVector), exact iff every vector is (a float set floats its exact rows
     by _floats), and in int64 when every row is an int64 view;
     LineSet.from_parts copies an array, exact iff it holds integers: a
@@ -228,13 +229,13 @@ class LineSet:
     phases.
     """
 
-    def __init__(self, dim: int, vectors, provenance: dict | None = None):
+    def __init__(self, dim: int, vectors):
         if any(v.dim != dim for v in vectors):
             raise DimensionMismatch("all vectors must share the set dimension")
         marks = [v._phases for v in vectors]
         if marks and all(marks) and len({p for (_, p), _ in marks}) == 1:  # phases of one p
             phases = np.array([set_rows[j] for (set_rows, _), j in marks])
-            self._keep_phases(phases, marks[0][0][1], provenance)
+            self._keep_phases(phases, marks[0][0][1], None)
             return
         rows = [v._row for v in vectors]
         if not all(v.exact for v in vectors):  # a float set floats its exact rows
@@ -243,7 +244,7 @@ class LineSet:
             parts = np.array(rows, dtype=np.int64)
         else:
             parts = np.array(rows, dtype=object)
-        self._own(parts.reshape(len(vectors), 2, dim).transpose(1, 0, 2), provenance)
+        self._own(parts.reshape(len(vectors), 2, dim).transpose(1, 0, 2), None)
 
     #: (phases, p) of a set built by _of_phases, or by LineSet(dim, vectors)
     #: of vectors with phases of one p; None for every other set
@@ -288,6 +289,8 @@ class LineSet:
             if parts.dtype == object and not set(map(type, parts.flat)) <= {int}:
                 raise ValueError("an exact line set holds Python ints only")
             parts = _exact_parts(parts)
+        elif parts.dtype.kind == "c":  # astype(float) would drop every imaginary part
+            raise ValueError("line-set parts must be real, with re and im along the first axis")
         else:
             parts = parts.astype(float, copy=False)
         if parts.ndim != 3 or len(parts) != 2:
@@ -496,6 +499,7 @@ def gram_analyze(lines: LineSet, tol: float = DEFAULT_TOL) -> GramReport:
     (_phase_report), from its character sums and with no Gram.  Any other
     float set is the one-set case of _float_reports.
     """
+    _check_tol(tol)
     m = len(lines)
     if m < 2:
         raise ValueError("need at least two vectors")
@@ -649,6 +653,7 @@ def verify_mubs(bases: list[LineSet], tol: float = DEFAULT_TOL) -> bool:
     all later ones in one block row (_block_rows): n - 1 products in all,
     in O(d^3) memory.
     """
+    _check_tol(tol)
     if not bases:
         raise ValueError("no bases supplied")
     d = bases[0].dim
@@ -849,7 +854,7 @@ def _check_unit(phase: Scalar) -> Scalar:
     if phase.exact:
         if phase.abs2() != 1:
             raise NonUnitPhase(f"{phase} is not a Gaussian unit")
-    elif abs(math.sqrt(phase.abs2()) - 1.0) > DEFAULT_TOL:
+    elif not abs(math.sqrt(phase.abs2()) - 1.0) <= DEFAULT_TOL:  # NaN is no unit
         raise NonUnitPhase(f"{phase} does not have magnitude 1")
     return phase
 
@@ -887,6 +892,7 @@ def lines_equal(a: LineSet, b: LineSet, tol: float = 1e-8) -> bool:
     """True iff the lines of a can be matched one to one with those of b at
     rank-1 projector (Frobenius) distance at most tol, each vector up to a
     global phase."""
+    _check_tol(tol)
     if a.dim != b.dim or len(a) != len(b):
         return False
     # each row is first scaled by its largest |entry|, so that its norm

@@ -6,13 +6,14 @@ what lets the dimension-8 certificates run at zero tolerance.  Any arithmetic
 mixing an exact scalar with a float one silently degrades to float.
 
 This module imports no numpy, so it also holds what the CLI reads before
-numpy loads: the default tolerance, c1_search's default budget, the
-closed-form bounds, the permutation check and every rule of a line-set
-document (_line_set_entries), so that a malformed line-set or fiducial file
-is refused before numpy loads.  It also holds _Record, the base of every
-value class of the package (Scalar here, GramReport, the groups, the specs):
-a frozen record with no generated code, so that no module imports
-dataclasses, and with it inspect, ast and dis.
+numpy loads: the default tolerance and its rule (_check_tol), c1_search's
+default budget, the closed-form bounds, the permutation check and every
+rule of a line-set document (_line_set_entries), so that a malformed
+line-set or fiducial file is refused before numpy loads.  It also holds
+_Record, the base of every value class of the package (Scalar here,
+GramReport, the groups, the specs): a frozen record with no generated
+code, so that no module imports dataclasses, and with it inspect, ast and
+dis.
 """
 
 from __future__ import annotations
@@ -124,12 +125,10 @@ class Scalar(_Record):
             return value
         if isinstance(value, int):
             return Scalar.gauss(value, 0)
-        if isinstance(value, complex):
-            # integer-valued literals like 2+1j stay on the float path;
-            # exactness must be requested explicitly via gauss()
+        if isinstance(value, (complex, float)):
+            # integer-valued literals like 2.0 and 2+1j stay on the float
+            # path; exactness must be requested explicitly via gauss()
             return Scalar.from_complex(value)
-        if isinstance(value, float):
-            return Scalar(value, 0.0, False)
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -291,6 +290,13 @@ def root_of_unity(numerator: int, denominator: int) -> Scalar:
     if 4 % order == 0:
         return GAUSSIAN_UNITS[numerator * (4 // order)]
     return Scalar.from_complex(cmath.exp(2j * cmath.pi * numerator / order))
+
+
+def _check_tol(tol: float) -> None:
+    """The one rule for a tolerance: a finite number >= 0, ValueError
+    otherwise; an infinite tol would call every float set equiangular."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol: must be a finite number >= 0, got {tol}")
 
 
 def _check_dimension(d: int) -> None:

@@ -84,16 +84,16 @@ def _orbit(x: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
     return (phases * x[shift] + 0.0).reshape((size * size,) + x.shape)
 
 
-def normalizer_check(d: int, tol: float = DEFAULT_TOL) -> bool:
+def normalizer_check(d: int) -> bool:
     """True iff conjugation by the Zauner unitary maps every coset
-    representative U^j V^k to a unit phase times another representative."""
+    representative U^j V^k to a unit phase times another, within DEFAULT_TOL."""
     z = zauner_unitary(d)
     reps = _orbit(np.eye(d), (d,))
     cols = np.arange(d * d) % d  # U^j V^k has its entry 1 at (0, k)
     for conj in z @ reps @ z.conj().T:
         phases = conj[0, cols]
-        match = (np.abs(np.abs(phases) - 1.0) <= tol) & (
-            np.abs(conj - phases[:, None, None] * reps).max(axis=(1, 2)) <= tol)
+        match = (np.abs(np.abs(phases) - 1.0) <= DEFAULT_TOL) & (
+            np.abs(conj - phases[:, None, None] * reps).max(axis=(1, 2)) <= DEFAULT_TOL)
         if not match.any():
             return False
     return True

@@ -23,7 +23,6 @@ from mublines.constructions import (
     construction2_family,
     construction3_d4_extension,
     construction3_pair,
-    construction3_solve,
     hoggar_tensor_orbit,
     l_block,
     mubs_from_rds,
@@ -141,7 +140,7 @@ def test_05_one_parameter_64_line_family():
     conclude("one-parameter family of 64 lines in C^8, plus tensor orbit", ok)
 
 
-def test_06_block_pair_dichotomy():
+def test_06_block_pair_dichotomy(c3_circle):
     rng = random.Random(2026)
     ok = True
     for d in (2, 3, 4, 5):
@@ -163,7 +162,7 @@ def test_06_block_pair_dichotomy():
             ok = ok and len(mags) == 2
             ok = ok and abs(mags[0] - min(same, target)) < 1e-8
             ok = ok and abs(mags[1] - max(same, target)) < 1e-8
-        for a, b in construction3_solve(d, samples=3):
+        for a, b in c3_circle(d, 3):
             report = gram_analyze(
                 construction3_pair(family, BlockPairSpec(perm, a, b)), 1e-8
             )
@@ -197,7 +196,7 @@ def test_08_order_three_symmetry_unitary():
         z = zauner_unitary(d)
         ok = ok and np.max(np.abs(z @ z.conj().T - np.eye(d))) < 1e-9
         ok = ok and np.max(np.abs(np.linalg.matrix_power(z, 3) - np.eye(d))) < 1e-9
-        ok = ok and normalizer_check(d, 1e-9)
+        ok = ok and normalizer_check(d)
     ok = ok and np.max(np.abs(zauner_unitary(4) - fixtures.ZAUNER4_TABLE)) < 1e-12
     conclude("symmetry unitary: unitary, order 3, normalizes the group", ok)
 

@@ -392,9 +392,9 @@ def test_construction3_dichotomy_off_circle():
             assert mags == pytest.approx(sorted([same, target]), abs=1e-8)
 
 
-def test_construction3_solve_points_lie_on_circle():
+def test_construction3_solve_points_lie_on_circle(c3_circle):
     for d in (2, 3, 4, 5):
-        for a, b in construction3_solve(d, samples=5):
+        for a, b in c3_circle(d, 5):
             assert abs(b * b + (a - 1) ** 2 - math.sqrt(d)) < 1e-12
 
 
@@ -409,11 +409,11 @@ def test_construction3_solve_d4_canonical_points(fam4):
         assert abs(report.common_angle - 1 / 3) < 1e-9
 
 
-def test_construction3_on_circle_angle_all_dims():
+def test_construction3_on_circle_angle_all_dims(c3_circle):
     for d in (2, 3, 5):
         family = mubs_from_rds(builtin_rds(d))
         perm = tuple(range(1, d + 1))
-        for a, b in construction3_solve(d, samples=3):
+        for a, b in c3_circle(d, 3):
             report = gram_analyze(construction3_pair(family, BlockPairSpec(perm, a, b)))
             assert report.equiangular
             assert abs(report.common_angle - 1 / (1 + math.sqrt(d))) < 1e-9

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import fixtures
 from mublines import framecore
 from mublines.framecore import (
+    DEFAULT_TOL,
     Compose,
     CoordPhases,
     CVector,
@@ -209,6 +211,58 @@ def test_equivalence_rejects_non_unit_phase():
         apply_equivalence(lines, VectorPhases((2.0,) + (1.0,) * 15))
     with pytest.raises(NonUnitPhase):
         apply_equivalence(lines, CoordPhases((Scalar.gauss(1, 1),) * 4))
+
+
+@pytest.mark.parametrize("phase", [complex(math.nan, 0), complex(1, math.nan)],
+                         ids=["nan", "1+nan*i"])
+@pytest.mark.parametrize("transform", [VectorPhases, CoordPhases])
+def test_equivalence_rejects_a_nan_phase(transform, phase):
+    # abs(nan - 1) > tol is False, so a NaN phase once passed as a unit and
+    # gave a set of NaNs
+    lines = fixtures.sixteen_lines_d4()
+    count = len(lines) if transform is VectorPhases else lines.dim
+    with pytest.raises(NonUnitPhase, match="does not have magnitude 1"):
+        apply_equivalence(lines, transform([phase] * count))
+
+
+def test_from_parts_refuses_complex_parts():
+    # astype(float) once kept the real parts alone, with only a ComplexWarning
+    parts = np.stack([np.eye(2), np.eye(2)]) * (1 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="line-set parts must be real"):
+            LineSet.from_parts(parts)
+
+
+def random_lines(seed, n, d):
+    """n lines in C^d with normal random parts: a "no" to every verdict."""
+    return LineSet.from_parts(np.random.default_rng(seed).normal(size=(2, n, d)))
+
+
+def c1_hits(tol):
+    from mublines.abelian import builtin_rds
+    from mublines.constructions import c1_search, mubs_from_rds
+
+    return bool(c1_search(mubs_from_rds(builtin_rds(5)), 4, tol=tol))
+
+
+#: each library verdict at a given tol, on input it says "no" to at the
+#: default tol; at tol = inf each once said "yes"
+VERDICTS = {
+    "gram_analyze": lambda tol: gram_analyze(random_lines(0, 10, 3), tol).equiangular,
+    "verify_mubs": lambda tol: verify_mubs([random_lines(s, 5, 5) for s in range(5)], tol),
+    "c1_search": c1_hits,
+    "lines_equal": lambda tol: lines_equal(random_lines(1, 6, 3), random_lines(2, 6, 3), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+@pytest.mark.parametrize("verdict", VERDICTS)
+def test_a_verdict_refuses_a_tol_that_is_not_finite_and_non_negative(verdict, tol):
+    assert VERDICTS[verdict](DEFAULT_TOL) is False
+    with pytest.raises(ValueError) as exc:
+        VERDICTS[verdict](tol)
+    assert str(exc.value) == f"tol: must be a finite number >= 0, got {tol}"
 
 
 def test_lines_equal_reflexive_and_phase_invariant(chunk):

@@ -21,7 +21,6 @@ from mublines.constructions import (
     MubFamily,
     ScalingSpec,
     _level_masks,
-    _pair_masks,
     c1_magnitudes,
     c1_search,
     l_block,
@@ -232,6 +231,12 @@ def squared_norms(x):
     return (np.abs(x) ** 2).sum(axis=1)
 
 
+def pair_masks(x, y, values, bound):
+    """The masks of the one basis pair (x, y): the one-pair case of
+    _level_masks."""
+    return _level_masks(x[None], y, squared_norms(x)[None], squared_norms(y), values, bound)[0]
+
+
 # the chunk fixture sets framecore._CHUNK once for all the examples, and
 # no example changes it
 @settings(max_examples=60, deadline=None,
@@ -251,7 +256,7 @@ def test_pair_masks_equal_a_loop_over_candidates_and_columns(chunk, d, count, se
     # the two compute each magnitude in a different order, so a spread
     # within rounding of the bound may fall on either side
     assume(not (np.abs(spreads[:, ~np.eye(d, dtype=bool)] - bound) < 1e-9).any())
-    masks = off_diagonal(_pair_masks(x, y, squared_norms(x), squared_norms(y), values, bound))
+    masks = off_diagonal(pair_masks(x, y, values, bound))
     assert masks == masks_of(spreads, bound)
     if zero:
         assert masks == [[(1 << count) - 1] * (d - 1)] * d
@@ -268,7 +273,7 @@ def test_pair_masks_of_a_family_equal_the_loop(d, chunk):
     bound = 10 * DEFAULT_TOL + 1e-12
     spreads = loop_spreads(x, y, values)
     assert not (np.abs(spreads[:, ~np.eye(d, dtype=bool)] - bound) < 1e-9).any()
-    masks = off_diagonal(_pair_masks(x, y, squared_norms(x), squared_norms(y), values, bound))
+    masks = off_diagonal(pair_masks(x, y, values, bound))
     assert masks == masks_of(spreads, bound)
     assert any(any(row) for row in masks) == (d < 5)
 
@@ -294,8 +299,7 @@ def test_level_masks_equal_each_pairs_own_masks(chunk, d, pairs, count, seed, bo
     assume(not (np.abs(spreads[:, ~np.eye(d, dtype=bool)] - bound) < 1e-9).any())
     level = _level_masks(xs, y, np.array([squared_norms(x) for x in xs]), squared_norms(y),
                          values, bound)
-    assert level == [_pair_masks(x, y, squared_norms(x), squared_norms(y), values, bound)
-                     for x in xs]
+    assert level == [pair_masks(x, y, values, bound) for x in xs]
     assert off_diagonal(level[-1]) == masks_of(spreads, bound)
 
 
