@@ -10,13 +10,13 @@ import importlib
 #: submodule -> the public names it defines
 _PUBLIC = {
     "abelian": ("Character", "FiniteAbelianGroup", "GroupElement", "RelativeDifferenceSet",
-                "builtin_rds", "char_eval", "characters", "enumerate_elements", "rds_verify"),
+                "builtin_rds", "char_eval", "characters", "rds_verify"),
     "constructions": ("BlockPairSpec", "MubFamily", "ScalingSpec", "c1_magnitudes", "c1_search",
                       "construction2_family", "construction3_d4_extension",
                       "construction3_pair", "construction3_solve", "hoggar_tensor_orbit",
                       "l_block", "mubs_from_rds", "theorem46_predicate"),
     "framecore": ("CVector", "GramReport", "LineSet", "apply_equivalence", "gram_analyze",
-                  "inner", "lines_equal", "verify_mubs"),
+                  "lines_equal", "verify_mubs"),
     "scalars": ("Scalar", "max_angle", "mub_bound", "special_bound_f"),
     "weylheisenberg": ("Fiducial", "fiducial_d4", "normalizer_check",
                        "wh_generators", "wh_orbit", "zauner_unitary"),

@@ -47,9 +47,6 @@ class FiniteAbelianGroup(_Record):
     def element(self, exponents) -> "GroupElement":
         return GroupElement(self, tuple(_ints(exponents, "group element exponents")))
 
-    def identity(self) -> "GroupElement":
-        return self.element((0,) * len(self.orders))
-
 
 class GroupElement(_Record):
     """The element of group with the exponent tuple exponents, reduced."""
@@ -58,16 +55,6 @@ class GroupElement(_Record):
 
     def _check(self):
         _reduce(self, "exponent tuple length")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
-            raise ValueError("elements belong to different groups")
-        return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-e for e in self.exponents))
 
 
 class Character(_Record):
@@ -78,15 +65,6 @@ class Character(_Record):
 
     def _check(self):
         _reduce(self, "character exponent length")
-
-    def __call__(self, g: GroupElement) -> Scalar:
-        return char_eval(self, g)
-
-    def phase_fraction(self, g: GroupElement) -> Fraction:
-        """Exponent t of chi(g) = e^(2*pi*i*t), reduced into [0, 1)."""
-        from fractions import Fraction  # imported where used: ~2 ms with decimal
-
-        return Fraction(*_phase(self, g))
 
 
 def _reduce(item: GroupElement | Character, what: str) -> None:
@@ -113,19 +91,9 @@ def _phase(chi: Character, g: GroupElement) -> tuple[int, int]:
     return t % modulus, modulus
 
 
-def _lexicographic(kind, group: FiniteAbelianGroup) -> list:
-    """kind(group, e) for all |G| exponent tuples e, in lexicographic order."""
-    return [kind(group, exps) for exps in itertools.product(*(range(n) for n in group.orders))]
-
-
-def enumerate_elements(group: FiniteAbelianGroup) -> list[GroupElement]:
-    """All |G| elements in lexicographic order of their exponent tuples."""
-    return _lexicographic(GroupElement, group)
-
-
 def characters(group: FiniteAbelianGroup) -> list[Character]:
     """All |G| characters, lexicographic by exponent tuple."""
-    return _lexicographic(Character, group)
+    return [Character(group, exps) for exps in itertools.product(*map(range, group.orders))]
 
 
 def char_eval(chi: Character, g: GroupElement) -> Scalar:
@@ -198,7 +166,8 @@ def rds_verify(rds: RelativeDifferenceSet) -> tuple[int, int, int, int]:
     np.fill_diagonal(inside, False)
     if inside.any():
         i, j = divmod(int(inside.argmax()), k)
-        q = (rds.elements[i] * rds.elements[j].inverse()).exponents
+        q = tuple((a - b) % order for a, b, order in
+                  zip(rds.elements[i].exponents, rds.elements[j].exponents, orders))
         raise QuotientInN(
             f"quotient {q} of distinct elements lies in the forbidden subgroup"
         )

@@ -103,10 +103,9 @@ class CVector:
     """A vector of C^d, held as its row: a read-only (2, d) array of the real
     and imaginary parts, integers when every entry is exact and float64
     otherwise.  An exact row is int64 in a view into a set's int64 parts
-    (see LineSet), so every |part| is below _PART_BOUND and norm2 squares
-    each part in int64 without overflow; it is Python ints (dtype=object) in
-    a vector built from its Scalars and in a view into a set past that
-    bound.  dim, exact, is_zero, norm2 and to_array read it.
+    (see LineSet), so every |part| is below _PART_BOUND; it is Python ints
+    (dtype=object) in a vector built from its Scalars and in a view into a
+    set past that bound.  dim, exact, is_zero and to_array read it.
 
     CVector(entries) builds the row from its Scalars, LineSet.vectors gives
     rows that are views into the set's parts, and CVector.make of a 1-D
@@ -144,11 +143,6 @@ class CVector:
             return CVector._of_row(row)
         return CVector(tuple(Scalar.coerce(v) for v in values))
 
-    @staticmethod
-    def gauss(pairs) -> "CVector":
-        """Exact vector from (a, b) integer pairs."""
-        return CVector(tuple(Scalar.gauss(a, b) for a, b in pairs))
-
     @property
     def entries(self) -> tuple[Scalar, ...]:
         exact = self._row.dtype != float
@@ -176,28 +170,8 @@ class CVector:
     def is_zero(self) -> bool:
         return not self._row.any()
 
-    def norm2(self):
-        """Squared norm; an int on the exact path."""
-        re, im = self._row
-        with np.errstate(over="ignore"):  # inf, as Scalar.abs2 gives it
-            squares = (re * re + im * im).tolist()
-        total = 0
-        for square in squares:  # in order, as the float sum rounds
-            total = total + square
-        return total
-
     def to_array(self) -> np.ndarray:
         return _complex(self._row)
-
-
-def inner(x: CVector, y: CVector) -> Scalar:
-    """Standard Hermitian inner product sum x_l * conj(y_l)."""
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"dims {x.dim} and {y.dim}")
-    total = Scalar.gauss(0, 0)
-    for a, b in zip(x.entries, y.entries):
-        total = total + a * b.conj()
-    return total
 
 
 class LineSet:

@@ -112,8 +112,10 @@ class Scalar(_Record):
 
     @staticmethod
     def gauss(a: int, b: int = 0) -> "Scalar":
-        """Exact Gaussian integer a + bi."""
-        return Scalar(int(a), int(b), True)
+        """Exact Gaussian integer a + bi, whose parts are integers by _ints:
+        ValueError otherwise, never a truncation."""
+        a, b = _ints((a, b), "Gaussian integer parts")
+        return Scalar(a, b, True)
 
     @staticmethod
     def from_complex(z: complex) -> "Scalar":
@@ -121,15 +123,18 @@ class Scalar(_Record):
 
     @staticmethod
     def coerce(value) -> "Scalar":
+        """value as a Scalar by _integral's type rule: an integer (a numpy
+        one too) exact, any other complex number float, 2.0 and 2+1j
+        included; TypeError for a bool or any other value."""
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, int):
-            return Scalar.gauss(value, 0)
-        if isinstance(value, (complex, float)):
-            # integer-valued literals like 2.0 and 2+1j stay on the float
-            # path; exactness must be requested explicitly via gauss()
-            return Scalar.from_complex(value)
-        raise TypeError(f"cannot interpret {value!r} as a Scalar")
+        if type(value) is int:
+            return Scalar(value, 0, True)
+        if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+            raise TypeError(f"cannot interpret {value!r} as a Scalar")
+        if isinstance(value, numbers.Integral):
+            return Scalar(int(value), 0, True)
+        return Scalar.from_complex(complex(value))
 
     def __add__(self, other: "Scalar") -> "Scalar":
         other = Scalar.coerce(other)
@@ -141,9 +146,6 @@ class Scalar(_Record):
         im = self.re * other.im + self.im * other.re
         return Scalar(re, im, self.exact and other.exact)
 
-    def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im, self.exact)
-
     def abs2(self):
         """Squared magnitude; an int on the exact path."""
         return self.re * self.re + self.im * self.im
@@ -153,12 +155,6 @@ class Scalar(_Record):
 
     def __str__(self) -> str:
         return str(self.to_complex())
-
-
-#: the units of the Gaussian integers; the only phases that keep a line set
-#: on the exact arithmetic path
-GAUSSIAN_UNITS = (Scalar.gauss(1, 0), Scalar.gauss(0, 1),
-                  Scalar.gauss(-1, 0), Scalar.gauss(0, -1))
 
 
 def _integral(x) -> bool:
@@ -188,6 +184,12 @@ def _ints(values, what: str, types: set | None = None) -> list[int]:
     if not ok:
         raise ValueError(f"non-integer entry in {what}")
     return list(map(int, values))
+
+
+#: the units of the Gaussian integers; the only phases that keep a line set
+#: on the exact arithmetic path
+GAUSSIAN_UNITS = (Scalar.gauss(1, 0), Scalar.gauss(0, 1),
+                  Scalar.gauss(-1, 0), Scalar.gauss(0, -1))
 
 
 def _indices(values) -> list[int] | None:
@@ -271,7 +273,7 @@ def _gauss_if_integral(z: complex) -> Scalar:
     """Exact z when both its parts are integral, a float scalar otherwise
     (NaN and infinities included, which the Gram check then rejects)."""
     if _integral(z.real) and _integral(z.imag):
-        return Scalar.gauss(int(z.real), int(z.imag))
+        return Scalar.gauss(z.real, z.imag)
     return Scalar.from_complex(z)
 
 
@@ -293,9 +295,10 @@ def root_of_unity(numerator: int, denominator: int) -> Scalar:
 
 
 def _check_tol(tol: float) -> None:
-    """The one rule for a tolerance: a finite number >= 0, ValueError
-    otherwise; an infinite tol would call every float set equiangular."""
-    if not 0 <= tol < math.inf:
+    """The one rule for a tolerance: a real number (a numpy one included)
+    that is not a bool, finite and >= 0, ValueError otherwise; an infinite
+    tol would call every float set equiangular, and True would read as 1."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
         raise ValueError(f"tol: must be a finite number >= 0, got {tol}")
 
 

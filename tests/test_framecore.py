@@ -24,7 +24,6 @@ from mublines.framecore import (
     apply_equivalence,
     dump_json,
     gram_analyze,
-    inner,
     lines_equal,
     lineset_from_json,
     lineset_to_json,
@@ -34,6 +33,7 @@ from mublines.framecore import (
     verify_mubs,
 )
 from mublines.scalars import Scalar, _indices, _ints
+from reference import gauss_vector, inner
 
 
 def basis_lineset(rows):
@@ -52,8 +52,8 @@ def test_inner_orthogonal_basis_rows():
 
 
 def test_inner_exact_d8_rows():
-    x = CVector.gauss([(2, 1), (1, 0), (1, 0), (1, 0), (0, -1), (1, 0), (1, 0), (1, 0)])
-    y = CVector.gauss([(1, 0), (1, 0), (-1, 2), (0, -1), (1, 0), (1, 0), (1, 0), (0, -1)])
+    x = gauss_vector([(2, 1), (1, 0), (1, 0), (1, 0), (0, -1), (1, 0), (1, 0), (1, 0)])
+    y = gauss_vector([(1, 0), (1, 0), (-1, 2), (0, -1), (1, 0), (1, 0), (1, 0), (0, -1)])
     value = inner(x, y)
     assert value.exact
     assert value.abs2() == 16
@@ -247,7 +247,8 @@ def c1_hits(tol):
 
 
 #: each library verdict at a given tol, on input it says "no" to at the
-#: default tol; at tol = inf each once said "yes"
+#: default tol; at tol = inf each once said "yes", and all but lines_equal
+#: did at tol = True
 VERDICTS = {
     "gram_analyze": lambda tol: gram_analyze(random_lines(0, 10, 3), tol).equiangular,
     "verify_mubs": lambda tol: verify_mubs([random_lines(s, 5, 5) for s in range(5)], tol),
@@ -256,7 +257,8 @@ VERDICTS = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12, True,
+                                 pytest.param(np.True_, id="np.True_")])
 @pytest.mark.parametrize("verdict", VERDICTS)
 def test_a_verdict_refuses_a_tol_that_is_not_finite_and_non_negative(verdict, tol):
     assert VERDICTS[verdict](DEFAULT_TOL) is False
@@ -551,7 +553,7 @@ def test_lineset_exactness_belongs_to_the_set():
     assert exact.exact and exact.parts.dtype == np.int64
     # int64 while every |part| < 2^31, Python ints from the first part past it
     for top, dtype in ((2**31 - 1, np.int64), (2**31, object), (-2**31, object)):
-        lines = LineSet(2, (CVector.gauss([(1, 0), (0, top)]), CVector.gauss([(0, 0), (1, 0)])))
+        lines = LineSet(2, (gauss_vector([(1, 0), (0, top)]), gauss_vector([(0, 0), (1, 0)])))
         assert lines.exact and lines.parts.dtype == dtype
         assert LineSet.from_parts(np.array(lines.parts.tolist())).parts.dtype == dtype
 

@@ -22,7 +22,6 @@ from mublines.constructions import BlockPairSpec, MubFamily, ScalingSpec, mubs_f
 from mublines.framecore import (
     Compose,
     CoordPhases,
-    CVector,
     EntryPermutation,
     GramReport,
     VectorPhases,
@@ -30,11 +29,12 @@ from mublines.framecore import (
 )
 from mublines.scalars import Scalar, _Record
 from mublines.weylheisenberg import Fiducial
+from reference import gauss_vector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 G44 = FiniteAbelianGroup((4, 4))
-VECTOR = CVector.gauss([(1, 0), (0, 1)])
+VECTOR = gauss_vector([(1, 0), (0, 1)])
 FAMILY = mubs_from_rds(builtin_rds(3))
 REPORT = gram_analyze(FAMILY.bases[0])
 #: one record of each class
@@ -133,7 +133,7 @@ def test_defaults_apply():
      "RDS data must live in the stated group"),
     (lambda: MubFamily(3, FAMILY.bases[:2], FAMILY.source_rds),
      "a family in C\\^3 must have exactly 3 bases"),
-    (lambda: Fiducial(CVector.gauss([(0, 0), (0, 0)])), "fiducial vector must be nonzero"),
+    (lambda: Fiducial(gauss_vector([(0, 0), (0, 0)])), "fiducial vector must be nonzero"),
 ])
 def test_every_check_still_runs(call, message):
     with pytest.raises(ValueError, match=message):

@@ -30,7 +30,6 @@ from mublines.framecore import (
     DEFAULT_TOL,
     Compose,
     CoordPhases,
-    CVector,
     LineSet,
     VectorPhases,
     ZeroVectorError,
@@ -38,6 +37,7 @@ from mublines.framecore import (
     gram_analyze,
 )
 from mublines.scalars import GAUSSIAN_UNITS, Scalar
+from reference import gauss_vector
 
 
 def brute_force_c1_search(family, phase_roots=4, tol=DEFAULT_TOL):
@@ -99,7 +99,7 @@ def test_c1_search_memory_does_not_grow_with_the_candidates():
 def test_c1_search_rejects_a_zero_vector():
     family = FAMILIES[3]
     first = family.bases[0]
-    zeroed = LineSet(3, (CVector.gauss([(0, 0)] * 3),) + first.vectors[1:])
+    zeroed = LineSet(3, (gauss_vector([(0, 0)] * 3),) + first.vectors[1:])
     bad = MubFamily(3, (zeroed,) + family.bases[1:], family.source_rds)
     with pytest.raises(ZeroVectorError):
         brute_force_c1_search(bad)
