@@ -43,6 +43,7 @@ from .scalars import (
     _check_tol,
     _columns,
     _gauss_if_integral,
+    _indices,
     _is_odd_prime,
     _Record,
     root_of_unity,
@@ -228,9 +229,9 @@ def c1_search(
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[ScalingSpec, GramReport]]:
     """Exhaustive Construction-1 search over all permutations and all
-    v = zeta * |v| on the grid of phase_roots >= 1 phases (ValueError
-    otherwise); returns the equiangular hits in lexicographic (perm,
-    magnitude-desc, phase) order.
+    v = zeta * |v| on the grid of phase_roots phases, an integer >= 1 by
+    _indices (ValueError otherwise); returns the equiangular hits in
+    lexicographic (perm, magnitude-desc, phase) order.
 
     Block (j, k) of an L-block depends on pi only through (pi(j), pi(k)),
     and framecore._report says "no" to a float set whose values spread more
@@ -252,6 +253,10 @@ def c1_search(
     and then a zero vector ZeroVectorError.
     """
     _check_tol(tol)
+    roots = _indices([phase_roots])  # a bool or a float is no count of roots
+    if roots is None:
+        raise ValueError(f"phase_roots must be an integer >= 1, got {phase_roots!r}")
+    (phase_roots,) = roots
     if phase_roots < 1:
         raise ValueError("phase_roots must be at least 1")
     d = family.dim

@@ -145,8 +145,7 @@ class CVector:
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
-        exact = self._row.dtype != float
-        return tuple(Scalar(re, im, exact) for re, im in zip(*self._row.tolist()))
+        return tuple(Scalar(re, im) for re, im in zip(*self._row.tolist()))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -973,8 +972,7 @@ def dump_json(obj, path) -> None:
             fh.truncate()
 
 
-#: the fewest items in a block of a list that _encode cuts (~170 KB at d = 31):
-#: every block of a table with two pairs per row holds _TABLE_MIN floats or more
+#: the fewest items in a block of a list that _encode cuts (~170 KB at d = 31)
 _BLOCK = 128
 
 
@@ -1012,26 +1010,18 @@ def _leaf(rows: list) -> str:
     return json.dumps(rows, sort_keys=True) if text is None else text
 
 
-#: the fewest floats a table needs to leave json.dumps.  Measured on tables
-#: of roots of unity, numpy's fixed cost (~0.15 ms) loses below about 256
-#: floats (the d = 4 WH orbit has 128) and wins above (Hoggar's 1,024 take
-#: about half the time); 512 leaves a margin
-_TABLE_MIN = 512
-
-
 def _float_table(rows: list) -> str | None:
     """The JSON text of rows, at most a block of them (_encode), if it is a
-    table of _table_entries with nonempty rows and at least _TABLE_MIN
-    entries, all floats; None otherwise.  json.dumps sees each distinct
-    float once, keyed by its bits (0.0 and -0.0 apart)."""
+    table of _table_entries with nonempty rows, all floats; None otherwise.
+    json.dumps sees each distinct float once, keyed by its bits (0.0 and
+    -0.0 apart)."""
     try:  # an int table goes back before any pass over it
         if type(rows[0][0][0]) is not float:
             return None
     except (IndexError, KeyError, TypeError):
         return None
     flat = _table_entries(rows)
-    if (flat is None or len(flat) < _TABLE_MIN or not all(rows)
-            or set(map(type, flat)) != {float}):
+    if flat is None or not all(rows) or set(map(type, flat)) != {float}:
         return None
     bits = np.fromiter(flat, float, len(flat)).view(np.uint64)
     values, inverse = np.unique(bits, return_inverse=True)

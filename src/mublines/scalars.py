@@ -1,9 +1,12 @@
 """Complex scalars carried either exactly (Gaussian integers) or as doubles.
 
-The exact representation a+bi with integer a, b supports addition,
-multiplication, conjugation and squared magnitude without rounding, which is
-what lets the dimension-8 certificates run at zero tolerance.  Any arithmetic
-mixing an exact scalar with a float one silently degrades to float.
+A Scalar(a, b) is exact iff both a and b are Python ints (a bool is not
+one); any other part, a float or a numpy number, makes it a float scalar.
+The exact representation a+bi supports addition, multiplication and
+squared magnitude without rounding, which is what lets the dimension-8
+certificates run at zero tolerance.  + and * follow Python's own int/float
+promotion, so any arithmetic mixing an exact scalar with a float one
+silently degrades to float.
 
 This module imports no numpy, so it also holds what the CLI reads before
 numpy loads: the default tolerance and its rule (_check_tol), c1_search's
@@ -39,6 +42,8 @@ class _Record:
     it may give the trailing fields defaults in _DEFAULTS, compare only the
     fields in _COMPARE (all of them by default), and check or normalize a
     new record in a _check method, which sets a field by object.__setattr__.
+    A subclass may also hold a derived slot, in __slots__ but not in
+    _FIELDS, which its _check sets and _COMPARE may name.
     A record is built by position or by keyword.  It equals a record of the
     same class whose compared fields are equal (NotImplemented for another
     class), hashes as those fields, refuses assignment and deletion with
@@ -107,19 +112,23 @@ class _Record:
 
 
 class Scalar(_Record):
-    __slots__ = _FIELDS = ("re", "im", "exact")
-    _DEFAULTS = (False,)
+    __slots__ = ("re", "im", "exact")
+    _FIELDS = ("re", "im")
+    _COMPARE = ("re", "im", "exact")  # so 1 and 1.0 are unequal
+
+    def _check(self):
+        _set_exact(self, type(self.re) is int and type(self.im) is int)
 
     @staticmethod
     def gauss(a: int, b: int = 0) -> "Scalar":
         """Exact Gaussian integer a + bi, whose parts are integers by _ints:
         ValueError otherwise, never a truncation."""
         a, b = _ints((a, b), "Gaussian integer parts")
-        return Scalar(a, b, True)
+        return Scalar(a, b)
 
     @staticmethod
     def from_complex(z: complex) -> "Scalar":
-        return Scalar(float(z.real), float(z.imag), False)
+        return Scalar(float(z.real), float(z.imag))
 
     @staticmethod
     def coerce(value) -> "Scalar":
@@ -129,22 +138,22 @@ class Scalar(_Record):
         if isinstance(value, Scalar):
             return value
         if type(value) is int:
-            return Scalar(value, 0, True)
+            return Scalar(value, 0)
         if isinstance(value, bool) or not isinstance(value, numbers.Complex):
             raise TypeError(f"cannot interpret {value!r} as a Scalar")
         if isinstance(value, numbers.Integral):
-            return Scalar(int(value), 0, True)
+            return Scalar(int(value), 0)
         return Scalar.from_complex(complex(value))
 
     def __add__(self, other: "Scalar") -> "Scalar":
         other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im, self.exact and other.exact)
+        return Scalar(self.re + other.re, self.im + other.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         other = Scalar.coerce(other)
         re = self.re * other.re - self.im * other.im
         im = self.re * other.im + self.im * other.re
-        return Scalar(re, im, self.exact and other.exact)
+        return Scalar(re, im)
 
     def abs2(self):
         """Squared magnitude; an int on the exact path."""
@@ -155,6 +164,11 @@ class Scalar(_Record):
 
     def __str__(self) -> str:
         return str(self.to_complex())
+
+
+#: the setter of Scalar's derived slot, as _Record sets a field; about 0.1 us
+#: a Scalar cheaper than object.__setattr__
+_set_exact = Scalar.exact.__set__
 
 
 def _integral(x) -> bool:

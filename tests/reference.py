@@ -19,7 +19,7 @@ def inner(x: CVector, y: CVector) -> Scalar:
         raise DimensionMismatch(f"dims {x.dim} and {y.dim}")
     total = Scalar.gauss(0, 0)
     for a, b in zip(x.entries, y.entries):
-        total = total + a * Scalar(b.re, -b.im, b.exact)
+        total = total + a * Scalar(b.re, -b.im)
     return total
 
 

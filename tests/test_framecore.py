@@ -422,8 +422,6 @@ def test_a_long_list_is_written_in_near_equal_blocks(n, monkeypatch):
     assert sum(sizes) == n
     assert sizes == [n] if n < 2 * block else (block <= min(sizes) <= max(sizes) < 2 * block
                                                and max(sizes) - min(sizes) <= 1)
-    # as _BLOCK promises: a block of rows of two pairs holds _TABLE_MIN floats or more
-    assert 4 * block >= framecore._TABLE_MIN
 
 
 def test_lineset_json_roundtrip_float():
@@ -529,8 +527,11 @@ def test_exact_lineset_refuses_anything_but_python_ints(bad):
     parts[0, 0, 1] = bad
     with pytest.raises(ValueError, match="Python ints"):
         LineSet.from_parts(parts)
-    with pytest.raises(ValueError, match="Python ints"):
-        LineSet(2, (CVector((Scalar.gauss(1), Scalar(bad, 0, True))),))
+    # a Scalar with such a part is a float one, and its set a float set
+    assert not Scalar(bad, 0).exact
+    lines = LineSet(2, (CVector((Scalar.gauss(1), Scalar(bad, 0))),))
+    assert not lines.exact and lines.parts.dtype == np.float64
+    assert lines.parts.tolist() == [[[1.0, 1.0]], [[0.0, 0.0]]]
 
 
 def test_lineset_array_is_owned_and_read_only():

@@ -6,10 +6,12 @@ array against its CVector view, of Theorem 4.6's column-pair table, of the
 line matching, of the JSON encoder and of the exact norm's rounding."""
 
 import cmath
+import copy
 import decimal
 import itertools
 import json
 import math
+import pickle
 import random
 import struct
 import tracemalloc
@@ -502,7 +504,7 @@ def raw_sets(draw, nan=True):
 
 def scalar_backed(vector):
     """The vector rebuilt entry by entry from fresh Scalars."""
-    return CVector(tuple(Scalar(z.re, z.im, z.exact) for z in vector.entries))
+    return CVector(tuple(Scalar(z.re, z.im) for z in vector.entries))
 
 
 def same_bits(a, b):
@@ -601,12 +603,37 @@ def test_coerce_refuses_a_bool(value):
 
 
 @pytest.mark.parametrize("bad", [2.0, True, np.int64(2)], ids=["float", "bool", "int64"])
-def test_an_exact_scalar_holding_no_python_int_cannot_enter_a_set(bad):
-    with pytest.raises(ValueError, match="Python ints"):
-        LineSet(2, (CVector((Scalar.gauss(1), Scalar(bad, 0, True))),))
-    with pytest.raises(ValueError, match="Python ints"):  # next to a row-backed vector
-        LineSet(2, (LineSet.from_parts(np.array([[[1, 0]], [[0, 0]]], dtype=object)).vectors[0],
-                    CVector((Scalar.gauss(1), Scalar(bad, 0, True)))))
+def test_a_scalar_holding_no_python_int_enters_a_set_as_float(bad):
+    vector = CVector((Scalar.gauss(1), Scalar(bad, 0)))
+    assert not Scalar(bad, 0).exact and not vector.exact
+    row_backed = LineSet.from_parts(np.array([[[1, 0]], [[0, 0]]], dtype=object)).vectors[0]
+    alone = LineSet(2, (vector,))
+    assert not alone.exact and alone.parts.dtype == np.float64
+    assert alone.parts.tolist() == [[[1.0, float(bad)]], [[0.0, 0.0]]]
+    beside = LineSet(2, (row_backed, vector))  # next to a row-backed exact vector
+    assert not beside.exact and beside.parts.dtype == np.float64
+    assert beside.parts.tolist() == [[[1.0, 0.0], [1.0, float(bad)]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+#: parts of every type a Scalar may be given: only a Python int is an exact
+#: one.  Small enough that no sum or product overflows a numpy part
+scalar_parts = st.one_of(
+    st.integers(-2**20, 2**20), st.floats(-1e6, 1e6), st.booleans(),
+    st.integers(-9, 9).map(np.int64), st.floats(-9, 9).map(np.float64))
+
+
+@given(scalar_parts, scalar_parts, scalar_parts, scalar_parts)
+@example(2, 1, 2.5, 0)
+def test_a_scalar_is_exact_iff_both_parts_are_python_ints(a, b, c, e):
+    x, y = Scalar(a, b), Scalar(c, e)
+    assert x.exact is (type(a) is int and type(b) is int)
+    assert y.exact is (type(c) is int and type(e) is int)
+    if bool not in {type(a), type(b), type(c), type(e)}:  # True + True is the int 2
+        assert (x + y).exact is (x * y).exact is (x.exact and y.exact)
+    for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        twin = clone(x)
+        assert twin == x and twin.exact is x.exact
+        assert (type(twin.re), type(twin.im)) == (type(a), type(b))
 
 
 # --- scaled entries against Scalar.__mul__ ----------------------------------
@@ -627,7 +654,7 @@ def scaled_union(family, cols, c, exact, twist=False):
     rows = []
     for j, basis in enumerate(family.bases):
         for re_row, im_row in zip(*basis.parts.tolist()):
-            row = [Scalar(re, im, True) if exact else Scalar(float(re), float(im))
+            row = [Scalar(re, im) if exact else Scalar(float(re), float(im))
                    for re, im in zip(re_row, im_row)]
             row[cols[j]] = row[cols[j]] * c
             rows.append([(bits(z.re), bits(z.im))
@@ -895,7 +922,7 @@ def held_as(parts):
 
 def python_entries(lines):
     """Each vector's exact Scalars from the set's parts as Python ints."""
-    return [tuple(Scalar(re, im, True) for re, im in zip(*row))
+    return [tuple(Scalar(re, im) for re, im in zip(*row))
             for row in np.array(lines.parts.tolist(), dtype=object).transpose(1, 0, 2).tolist()]
 
 
@@ -1157,10 +1184,10 @@ SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.i
 
 @st.composite
 def tables(draw):
-    """A table of rows of [re, im] pairs from a small pool of floats, often
-    past _TABLE_MIN entries, sometimes with a flaw: an int, bool or big int
-    among the floats, a ragged or empty row, a pair of one or three, a tuple
-    or a dict for a pair."""
+    """A table of rows of [re, im] pairs from a small pool of floats,
+    sometimes with a flaw: an int, bool or big int among the floats, a
+    ragged or empty row, a pair of one or three, a tuple or a dict for a
+    pair."""
     pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
                          min_size=1, max_size=8))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -1229,14 +1256,12 @@ def test_json_encoder_writes_what_json_dumps_writes(doc):
 
 
 @settings(max_examples=300, deadline=None)
-@given(documents, st.integers(1, 5), st.sampled_from([1, 6, 40, framecore._TABLE_MIN]))
-def test_json_encoder_writes_what_json_dumps_writes_block_by_block(doc, block, table_min):
+@given(documents, st.integers(1, 5))
+def test_json_encoder_writes_what_json_dumps_writes_block_by_block(doc, block):
     # a _BLOCK of 1-5 cuts lists into blocks of 1-9 items, which put flaws,
     # -0.0, NaN payloads, tuples and dicts in later blocks, and give blocks
-    # of ints or floats only; below the shipped _TABLE_MIN, blocks of a few
-    # rows take the float-table path
-    with mock.patch.object(framecore, "_BLOCK", block), \
-            mock.patch.object(framecore, "_TABLE_MIN", table_min):
+    # of ints or floats only
+    with mock.patch.object(framecore, "_BLOCK", block):
         assert (encoded(lambda obj: "".join(_encode(obj)), doc)
                 == encoded(lambda obj: json.dumps(obj, sort_keys=True), doc))
 

@@ -62,7 +62,8 @@ def test_equal_fields_of_two_classes_are_unequal():
 
 def test_hash_agrees_with_equality():
     pairs = [
-        (Scalar(1.0, 2.0), Scalar(1.0, 2.0, False)),
+        (Scalar(1.0, 2.0), Scalar.from_complex(1 + 2j)),
+        (Scalar(1, 2), Scalar.gauss(1, 2)),
         (FiniteAbelianGroup((4, 4)), FiniteAbelianGroup([4.0, 4])),  # normalized by _check
         (FiniteAbelianGroup((4, 4)).element((5, -1)), G44.element((1, 3))),
         (builtin_rds(5), builtin_rds(5)),
@@ -70,7 +71,8 @@ def test_hash_agrees_with_equality():
     ]
     for x, y in pairs:
         assert x is not y and x == y and hash(x) == hash(y)
-    assert Scalar(1.0, 2.0) != Scalar(1.0, 2.0, True)
+    assert Scalar(1.0, 2.0) != Scalar(1, 2)  # equal parts, but one is exact
+    assert hash(Scalar(1, 2)) == hash((1, 2, True))
     nan = Scalar(float("nan"), 0.0)
     assert nan == nan  # as the tuple of its fields equals itself
 
@@ -97,6 +99,8 @@ def test_assignment_and_deletion_raise_attribute_error(record):
 @pytest.mark.parametrize("call", [
     lambda: Scalar(1.0),
     lambda: Scalar(1.0, 2.0, True, 4),
+    lambda: Scalar(2.5, 0, True),  # exactness is read from the parts, never given
+    lambda: Scalar(2.5, 0, exact=True),
     lambda: Scalar(1.0, 2.0, exactly=True),
     lambda: GroupElement(G44),
     lambda: GroupElement(G44, (1, 2), (3, 4)),
@@ -118,7 +122,6 @@ def test_defaults_apply():
     assert BlockPairSpec(b=1.0, a=2.0, perm=(1, 2)) == BlockPairSpec((1, 2), 2.0, 1.0)
     assert Fiducial(VECTOR).source == "user"
     assert Fiducial(VECTOR, source="builtin-d4").source == "builtin-d4"
-    assert Scalar(1.0, 2.0).exact is False
     rds = builtin_rds(3)
     assert RelativeDifferenceSet(rds.group, rds.forbidden, rds.elements).label == ""
 
@@ -147,7 +150,7 @@ def test_checks_normalize_the_fields():
 
 
 def test_repr_names_the_class_and_its_fields():
-    assert repr(Scalar(1, 2)) == "Scalar(re=1, im=2, exact=False)"
+    assert repr(Scalar(1, 2)) == "Scalar(re=1, im=2)"
     assert repr(G44.element((1, 2))) == (
         "GroupElement(group=FiniteAbelianGroup(orders=(4, 4)), exponents=(1, 2))")
     assert repr(BlockPairSpec((1, 2), 2.0, 1.0)) == (

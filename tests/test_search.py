@@ -8,6 +8,7 @@ pair's own."""
 import cmath
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -94,6 +95,20 @@ def test_c1_search_memory_does_not_grow_with_the_candidates():
         tracemalloc.stop()
     assert hits == []
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("roots", [True, 4.0, np.float64(4), "4"],
+                         ids=["bool", "float", "float64", "str"])
+def test_c1_search_refuses_phase_roots_that_are_not_an_integer(roots):
+    # True once searched a grid of one root, 4 hits at d = 2 against 16
+    message = f"phase_roots must be an integer >= 1, got {roots!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        c1_search(FAMILIES[2], roots)
+
+
+def test_c1_search_reads_a_numpy_integer_as_phase_roots():
+    hits = c1_search(FAMILIES[2], np.int64(4))
+    assert len(hits) == 16 and hits == c1_search(FAMILIES[2], 4)
 
 
 def test_c1_search_rejects_a_zero_vector():
