@@ -105,8 +105,8 @@ def cmd_mubs(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-#: the options that each command, and each kind of `construct` (and `wh`),
-#: reads; any other one given exits 2, as it would change nothing
+#: the options that each command, each kind of `construct` and `wh` read;
+#: any other one given exits 2, as it would change nothing
 _READS = {
     "bounds": {"d"},
     "mubs": {"tol", "out", "rds"},
@@ -138,7 +138,7 @@ def _check_options(args) -> None:
     and the form of --fiducial; the first to fail raises."""
     kind = getattr(args, "kind", None)
     row = kind or args.command
-    what = f"construct {kind}" if kind else row
+    what = f"construct {kind}" if args.command == "construct" else row
     reads = _READS[row]
     if "rds" in reads:
         from . import abelian
@@ -188,7 +188,7 @@ def _check_options(args) -> None:
 
 
 def _build_lines(args):
-    """The LineSet of `construct <kind>`, or of `wh`."""
+    """The LineSet of `construct <kind>`, or of `wh` (its kind)."""
     kind = args.kind
     if kind == "wh":
         fiducial = _resolve_fiducial(args.fiducial)
@@ -239,7 +239,7 @@ def cmd_verify(args) -> int:
     from . import framecore
 
     report = framecore.gram_analyze(lines, args.tol)
-    print(json.dumps(report.to_json(), sort_keys=True))
+    _report_summary(report, "json")
     return EXIT_OK if report.equiangular else EXIT_FAILED
 
 
@@ -247,11 +247,10 @@ def cmd_search(args) -> int:
     from . import constructions
 
     family = constructions.mubs_from_rds(args.rds)
-    budget = math.inf if args.force else args.budget
     try:
-        hits = constructions.c1_search(family, args.phase_roots, budget, args.tol)
+        hits = constructions.c1_search(family, args.phase_roots, args.budget, args.tol)
     except constructions.BudgetExceeded as exc:
-        raise CliError(f"{exc} (pass --force to override)")
+        raise CliError(str(exc))
     for spec, report in hits:
         print(json.dumps({
             "perm": list(spec.perm),
@@ -330,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mubs)
 
     p = sub.add_parser("construct", help="run one of the line constructions")
-    p.add_argument("kind", choices=["c1", "c2", "c3", "c3ext", "hoggar", "wh"])
+    p.add_argument("kind", choices=["c1", "c2", "c3", "c3ext", "hoggar"])
     p.add_argument("--d", type=int, default=None, help="4 unless --rds gives d")
     p.add_argument("--rds", default=None)
     p.add_argument("--perm", default=None, help="e.g. 1,3,4,2")
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--variant", choices=["default", "i-twist"], default=None)
-    p.add_argument("--fiducial", default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="analyze a line-set JSON file")
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rds", default=None)
     p.add_argument("--phase-roots", type=int, default=4)
     p.add_argument("--budget", type=int, default=_C1_BUDGET)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bounds", help="print the line and MUB bounds for d")

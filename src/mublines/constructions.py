@@ -45,6 +45,7 @@ from .scalars import (
     _gauss_if_integral,
     _indices,
     _is_odd_prime,
+    _real,
     _Record,
     root_of_unity,
 )
@@ -72,14 +73,19 @@ class MubFamily(_Record):
         _check_bases(self.bases, self.dim)
 
     @functools.cached_property
-    def _theorem46_table(self) -> np.ndarray | None:
-        """_zeroed_table whose copy p zeroes column p of every basis, so that
-        it holds every zeroed basis once; None, built once too, where that
-        Gram raises (a zero line or a non-finite entry)."""
-        try:
-            return _zeroed_table(self, [[p] * self.dim for p in range(self.dim)])
-        except ValueError:
-            return None
+    def _theorem46_table(self) -> np.ndarray:
+        """ok[p, j, q, k]: every inner product of basis j with column p zeroed
+        and basis k with column q zeroed has magnitude sqrt(2); one Gram of
+        the d L-blocks L((p, ..., p), 0), which hold every zeroed basis once,
+        as _l_blocks zeroes them: a product with 0, which keeps a non-finite
+        entry non-finite, in float as soon as one basis is.  Where that Gram
+        raises, nothing is cached and every read raises."""
+        d = self.dim
+        parts = _l_blocks(self, [[p] * d for p in range(d)], [Scalar.gauss(0)] * d)
+        (mag,), _ = _self_grams(_gram_stack(parts.reshape(2, 1, -1, d)))
+        # exact blocks hold squared magnitudes, float blocks magnitudes
+        ok = mag == 2 if parts.dtype != float else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
+        return ok.reshape((d, d, d) * 2).all(axis=(2, 5))
 
     @functools.cached_property
     def _union(self) -> np.ndarray:
@@ -99,11 +105,15 @@ class ScalingSpec(_Record):
 
 
 class BlockPairSpec(_Record):
-    """Permutation perm, the floats a and b, and variant, "default" or
-    "i-twist"."""
+    """Permutation perm, the real numbers a and b, read by scalars._real,
+    and variant, "default" or "i-twist"."""
 
     __slots__ = _FIELDS = ("perm", "a", "b", "variant")
     _DEFAULTS = ("default",)
+
+    def _check(self):
+        object.__setattr__(self, "a", _real(self.a))
+        object.__setattr__(self, "b", _real(self.b))
 
 
 def mubs_from_rds(rds: RelativeDifferenceSet) -> MubFamily:
@@ -181,7 +191,7 @@ def l_block(family: MubFamily, spec: ScalingSpec) -> LineSet:
     cols = _columns(spec.perm, family.dim)
     v = Scalar.coerce(spec.v)
     return LineSet.from_parts(_l_blocks(family, [cols], [v])[:, 0],
-                              {"construction": "c1-lblock", "perm": list(spec.perm),
+                              {"construction": "c1-lblock", "perm": [c + 1 for c in cols],
                                "rds": family.source_rds.label or "custom",
                                "v": [v.re, v.im]})
 
@@ -378,33 +388,17 @@ def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
     Block (j, k) of L(pi, 0) depends on pi only through the columns pi(j),
     pi(k) it zeroes, so one Gram of the 4 x 4 zeroed bases (64 lines)
     tabulates every block once per family, and pi reads its six blocks j < k
-    there.  Where the family has no table (its Gram raised), L(pi, 0)'s own
-    Gram decides, or raises."""
+    there.  Where that Gram raises (a zero line or a non-finite entry in a
+    zeroed basis), every pi raises its error."""
     if family.dim != 4:
         raise ValueError("the criterion applies only in dimension 4")
     cols = _columns(perm, 4)
-    ok, copy = family._theorem46_table, cols  # the table's copy p zeroes column p
-    if ok is None:
-        ok, copy = _zeroed_table(family, [cols]), [0] * 4
-    return all(ok[copy[j], j, copy[k], k] for j, k in _PAIRS)
+    ok = family._theorem46_table
+    return all(ok[cols[j], j, cols[k], k] for j, k in _PAIRS)
 
 
 #: the basis pairs j < k of theorem46_predicate
 _PAIRS = [(j, k) for j in range(4) for k in range(j + 1, 4)]
-
-
-def _zeroed_table(family: MubFamily, cols) -> np.ndarray:
-    """ok[s, j, t, k]: every inner product of basis j with column cols[s][j]
-    zeroed and basis k with column cols[t][k] zeroed has magnitude sqrt(2);
-    one Gram of the L-blocks L(cols[s], 0), as _l_blocks zeroes them: a
-    product with 0, which keeps a non-finite entry non-finite, in float as
-    soon as one basis is."""
-    d = family.dim
-    parts = _l_blocks(family, cols, [Scalar.gauss(0)] * len(cols))
-    (mag,), _ = _self_grams(_gram_stack(parts.reshape(2, 1, -1, d)))
-    # exact blocks hold squared magnitudes, float blocks magnitudes
-    ok = mag == 2 if parts.dtype != float else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
-    return ok.reshape((len(cols), d, d) * 2).all(axis=(2, 5))
 
 
 # --- Construction 2 (dimension 8) -------------------------------------------
@@ -420,9 +414,11 @@ def _family4() -> MubFamily:
 
 def construction2_family(a: float) -> LineSet:
     """64 lines in C^8 from the dimension-4 MUBs and the one-parameter
-    column blocks C_j(a), D_j(a); equals the (twisted) Hoggar set at a=0.
-    Basis j of the family's union gives four blocks of four lines in turn:
-    [B_j | c e_j], [B_j | -c e_j], [d e_j | B_j] and [-d e_j | B_j]."""
+    column blocks C_j(a), D_j(a), a read by scalars._real; equals the
+    (twisted) Hoggar set at a=0.  Basis j of the family's union gives four
+    blocks of four lines in turn: [B_j | c e_j], [B_j | -c e_j],
+    [d e_j | B_j] and [-d e_j | B_j]."""
+    a = _real(a)
     # past |a| ~ 1.3e154, 1 + a * a overflows; |a| is then the rounded root
     root = math.sqrt(1 + a * a)
     root = root if math.isfinite(root) else abs(a)
@@ -481,7 +477,7 @@ def construction3_pair(family: MubFamily, spec: BlockPairSpec) -> LineSet:
         {
             "construction": "c3-pair",
             "rds": family.source_rds.label or "custom",
-            "perm": list(spec.perm),
+            "perm": [c + 1 for c in _columns(spec.perm, family.dim)],
             "a": spec.a,
             "b": spec.b,
             "variant": spec.variant,

@@ -964,12 +964,20 @@ def dump_json(obj, path) -> None:
     """Write obj as JSON and a newline to path in pieces of at most a block
     (_encode), in place: an existing file is not truncated on open, which on
     ext4 makes its close flush the new data, but cut at the end of what was
-    written; only a regular file, as ftruncate fails on e.g. /dev/null."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.writelines(_encode(obj))
-        fh.write("\n")
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    written; only a regular file, as ftruncate fails on e.g. /dev/null.  A
+    failed write leaves a regular file empty, not the new start on the old tail."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    try:
+        with open(fd, "w") as fh:
+            fh.writelines(_encode(obj))
+            fh.write("\n")
+            if regular:
+                fh.truncate()
+    except BaseException:
+        if regular:  # after the close, which flushed what it could
+            os.truncate(path, 0)
+        raise
 
 
 #: the fewest items in a block of a list that _encode cuts (~170 KB at d = 31)

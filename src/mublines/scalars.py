@@ -1,7 +1,8 @@
 """Complex scalars carried either exactly (Gaussian integers) or as doubles.
 
 A Scalar(a, b) is exact iff both a and b are Python ints (a bool is not
-one); any other part, a float or a numpy number, makes it a float scalar.
+one); any other part, a float or a numpy number, makes it a float scalar,
+whose parts are read by _real: so every Scalar holds Python ints and floats.
 The exact representation a+bi supports addition, multiplication and
 squared magnitude without rounding, which is what lets the dimension-8
 certificates run at zero tolerance.  + and * follow Python's own int/float
@@ -117,7 +118,12 @@ class Scalar(_Record):
     _COMPARE = ("re", "im", "exact")  # so 1 and 1.0 are unequal
 
     def _check(self):
-        _set_exact(self, type(self.re) is int and type(self.im) is int)
+        re, im = self.re, self.im
+        exact = type(re) is int and type(im) is int
+        if not (exact or type(re) is float and type(im) is float):
+            object.__setattr__(self, "re", _real(re))
+            object.__setattr__(self, "im", _real(im))
+        _set_exact(self, exact)
 
     @staticmethod
     def gauss(a: int, b: int = 0) -> "Scalar":
@@ -177,6 +183,18 @@ def _integral(x) -> bool:
     not one."""
     return (isinstance(x, numbers.Integral) and not isinstance(x, bool)) or (
         isinstance(x, float) and x.is_integer())
+
+
+def _real(x) -> int | float:
+    """The one rule for a real constant a record or a provenance holds: a
+    Python int or float as it is, any other real number (a numpy one, a
+    bool) as the Python float it equals, so that JSON can write it;
+    TypeError otherwise."""
+    if type(x) in (int, float):
+        return x
+    if not isinstance(x, numbers.Real):
+        raise TypeError(f"cannot read {x!r} as a real number")
+    return float(x)
 
 
 def _ints(values, what: str, types: set | None = None) -> list[int]:

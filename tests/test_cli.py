@@ -88,10 +88,18 @@ def test_construct_c2_and_hoggar(capsys):
     assert run(capsys, "construct", "hoggar")[0] == 0
 
 
-def test_construct_wh(capsys):
-    code, out, _ = run(capsys, "construct", "wh")
+def test_wh_builds_the_orbit_and_construct_wh_is_refused(capsys):
+    code, out, _ = run(capsys, "wh")
     assert code == 0
     assert "16 vectors: equiangular" in out
+    with pytest.raises(SystemExit) as exc:  # wh is the one way to the orbit
+        main(["construct", "wh"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'wh'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # and the one command that reads --fiducial
+        main(["construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", "1", "--fiducial", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fiducial x" in capsys.readouterr().err
 
 
 def test_verify_roundtrip(capsys, tmp_path):
@@ -410,19 +418,23 @@ def test_bounds_prints_its_one_line(capsys, d, line):
     assert run(capsys, "bounds", "--d", str(d)) == (0, line + "\n", "")
 
 
-def test_search_c1_over_budget_exits_2_unless_forced(capsys):
+def test_search_c1_over_budget_exits_2_until_the_budget_is_raised(capsys):
     code, out, err = run(capsys, "search", "c1", "--d", "4", "--budget", "10")
     assert (code, out) == (2, "")
-    assert err == ("error: search space 96 exceeds budget 10; raise the budget to proceed "
-                   "(pass --force to override)\n")
-    assert (run(capsys, "search", "c1", "--d", "4", "--budget", "10", "--force")
+    assert err == "error: search space 96 exceeds budget 10; raise the budget to proceed\n"
+    assert (run(capsys, "search", "c1", "--d", "4", "--budget", str(10**18))
             == run(capsys, "search", "c1", "--d", "4"))
+    with pytest.raises(SystemExit) as exc:  # --budget is the one limit
+        main(["search", "c1", "--d", "4", "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_search_c1_d13_exceeds_the_default_budget(capsys):
     code, out, err = run(capsys, "search", "c1", "--d", "13")
     assert (code, out) == (2, "")
-    assert "exceeds budget 200000" in err and "--force" in err
+    assert err == ("error: search space 24908083200 exceeds budget 200000; raise the budget "
+                   "to proceed\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -573,10 +585,7 @@ def test_a_bad_construct_permutation_exits_without_numpy(tmp_path, argv, message
     (("construct", "c2", "--b", "5", "--perm", "9,9"), "c2 does not read --b, --perm"),
     (("construct", "hoggar", "--perm", "1,2"), "hoggar does not read --perm"),
     (("construct", "c3ext", "--v", "7", "--a", "3"), "c3ext does not read --a, --v"),
-    (("construct", "wh", "--perm", "1,2"), "wh does not read --perm"),
     (("construct", "c2", "--d", "4", "--rds", "builtin:4"), "c2 does not read --d, --rds"),
-    (("construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", "1", "--fiducial", "x"),
-     "c1 does not read --fiducial"),
     (("construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", "1", "--variant", "default"),
      "c1 does not read --variant"),
 ])
@@ -806,7 +815,6 @@ README_READS = {
     "construct c3": {"tol", "out", "format", "d", "rds", "perm", "a", "b", "variant"},
     "construct c3ext": {"tol", "out", "format"},
     "construct hoggar": {"tol", "out", "format"},
-    "construct wh": {"tol", "out", "format", "fiducial"},
     "wh": {"tol", "out", "format", "fiducial"},
 }
 #: each row's command line with its required options, and the options its
@@ -818,10 +826,9 @@ ROW_ARGV = {
     "verify": (("verify", "lines.json"), set()),
     "wh": (("wh",), {"fiducial"}),
     **{f"construct {kind}": (("construct", kind, *required),
-                             {"d", "rds", "perm", "v", "a", "b", "variant", "fiducial"})
+                             {"d", "rds", "perm", "v", "a", "b", "variant"})
        for kind, required in [("c1", ("--perm", "1,3,4,2", "--v", "1")), ("c2", ()),
-                              ("c3", ("--perm", "1,3,4,2")), ("c3ext", ()), ("hoggar", ()),
-                              ("wh", ())]},
+                              ("c3", ("--perm", "1,3,4,2")), ("c3ext", ()), ("hoggar", ())]},
 }
 OPTION_VALUES = {"tol": "1e-3", "out": "o.json", "format": "json", "d": "4",
                  "rds": "builtin:4", "perm": "1,2", "v": "1", "a": "1", "b": "1",
@@ -852,7 +859,7 @@ def test_every_option_a_row_does_not_read_exits_2_without_numpy(tmp_path):
             option = (f"--{name}", OPTION_VALUES[name])
             cases.append((row, name, [*option, *argv] if name in ("tol", "out", "format")
                           else [*argv, *option]))
-    assert len(cases) == 44
+    assert len(cases) == 32
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _FRESH_MANY, json.dumps([c[2] for c in cases])],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),

@@ -482,18 +482,28 @@ def test_a_theorem46_sweep_takes_one_gram_per_family(fam4, monkeypatch):
         assert calls == [[64]]
 
 
-def test_theorem46_raises_only_for_the_permutations_that_zero_a_line(fam4):
-    # vector 0 of basis 1 becomes e_3: only pi(1) = 3 zeroes all of it
+def test_theorem46_raises_for_every_permutation_when_a_zeroed_basis_has_a_zero_line(
+        fam4, monkeypatch):
+    import mublines.constructions as constructions
+
+    calls, self_grams = [], constructions._self_grams
+
+    def counting(stack):  # the lines of each set of the stack, as _self_grams reads it
+        calls.append([stack.shape[-2]] * stack.shape[-3])
+        return self_grams(stack)
+
+    monkeypatch.setattr(constructions, "_self_grams", counting)
+    # vector 0 of basis 1 becomes e_3, so the table's copy that zeroes
+    # column 3 holds a zero line and its Gram raises
     parts = fam4.bases[0].parts.copy()
     parts[:, 0] = 0
     parts[0, 0, 2] = 1
     family = MubFamily(4, (LineSet.from_parts(parts),) + fam4.bases[1:], fam4.source_rds)
     for perm in itertools.permutations((1, 2, 3, 4)):
-        if perm[0] == 3:
-            with pytest.raises(ZeroVectorError):
-                theorem46_predicate(family, perm)
-        else:
-            assert not theorem46_predicate(family, perm)
+        with pytest.raises(ZeroVectorError):
+            theorem46_predicate(family, perm)
+    assert calls == [[64]] * 24  # the table's Gram alone, tried again on each read
+    assert "_theorem46_table" not in vars(family)
 
 
 def test_theorem46_on_a_non_finite_family_raises_every_time_and_keeps_nothing(fam4):
@@ -504,7 +514,7 @@ def test_theorem46_on_a_non_finite_family_raises_every_time_and_keeps_nothing(fa
     for perm in itertools.permutations((1, 2, 3, 4)):
         with pytest.raises(ValueError, match="non-finite"):
             theorem46_predicate(family, perm)
-    assert vars(family)["_theorem46_table"] is None  # cached: the table is not built again
+    assert "_theorem46_table" not in vars(family)
 
 
 def test_hoggar_orbit_is_bit_identical_to_the_kron_loop():
@@ -617,33 +627,6 @@ def test_a_family_of_the_wrong_shape_is_refused(fam4, fam3, entry, shape, error,
              "a basis of 3 vectors": fam4.bases[:1] + (short,) + fam4.bases[2:]}[shape]
     with pytest.raises(error, match=message):
         FAMILY_ENTRIES[entry](MubFamily(4, bases, fam4.source_rds))
-
-
-def test_a_failed_theorem46_table_is_built_once(fam4, monkeypatch):
-    import mublines.constructions as constructions
-
-    calls, self_grams = [], constructions._self_grams
-
-    def counting(stack):  # the lines of each set of the stack, as _self_grams reads it
-        calls.append([stack.shape[-2]] * stack.shape[-3])
-        return self_grams(stack)
-
-    monkeypatch.setattr(constructions, "_self_grams", counting)
-    # vector 0 of basis 1 becomes e_3, so the table's copy that zeroes
-    # column 3 holds a zero line and its Gram raises
-    parts = fam4.bases[0].parts.copy()
-    parts[:, 0] = 0
-    parts[0, 0, 2] = 1
-    family = MubFamily(4, (LineSet.from_parts(parts),) + fam4.bases[1:], fam4.source_rds)
-    for perm in itertools.permutations((1, 2, 3, 4)):
-        if perm[0] == 3:
-            with pytest.raises(ZeroVectorError):
-                theorem46_predicate(family, perm)
-        else:
-            assert not theorem46_predicate(family, perm)
-    assert calls.count([64]) == 1
-    assert calls.count([16]) == 24  # each permutation's own Gram decides
-    assert vars(family)["_theorem46_table"] is None  # cached: the table is not built again
 
 
 @pytest.fixture(scope="module")

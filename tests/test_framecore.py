@@ -1,4 +1,5 @@
 import cmath
+import errno
 import json
 import math
 import random
@@ -392,6 +393,30 @@ def test_dump_json_over_a_longer_file_writes_what_a_fresh_file_gets(tmp_path):
     dump_json(data, old)
     assert old.read_bytes() == fresh.read_bytes()
     assert fresh.read_text() == json.dumps(data, sort_keys=True) + "\n"
+
+
+def _written_then(error):
+    """An _encode that gives its document some 30 KB of pieces, more than
+    the file's buffer, then raises error."""
+    def encode(obj):
+        yield from ("{", '"a": ', json.dumps(list(range(5000))))
+        raise error
+    return encode
+
+
+@pytest.mark.parametrize("case", ["unwritable-object", "full-device"])
+def test_a_failed_dump_json_leaves_an_empty_file_not_a_splice(tmp_path, monkeypatch, case):
+    path = tmp_path / "old.json"
+    dump_json(lineset_to_json(fixtures.sixteen_lines_d4()), path)
+    if case == "full-device":
+        monkeypatch.setattr(framecore, "_encode",
+                            _written_then(OSError(errno.ENOSPC, "No space left on device")))
+        doc, error = {}, OSError
+    else:  # an object JSON cannot hold, after a long first member
+        doc, error = {"a": list(range(5000)), "z": object()}, TypeError
+    with pytest.raises(error):
+        dump_json(doc, path)
+    assert path.read_bytes() == b""
 
 
 def test_dump_json_of_the_d31_union_holds_a_block_at_a_time(tmp_path):

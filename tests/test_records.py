@@ -2,6 +2,7 @@
 14 classes that were frozen dataclasses, one property per test."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -18,7 +19,15 @@ from mublines.abelian import (
     RelativeDifferenceSet,
     builtin_rds,
 )
-from mublines.constructions import BlockPairSpec, MubFamily, ScalingSpec, mubs_from_rds
+from mublines.constructions import (
+    BlockPairSpec,
+    MubFamily,
+    ScalingSpec,
+    construction2_family,
+    construction3_pair,
+    l_block,
+    mubs_from_rds,
+)
 from mublines.framecore import (
     Compose,
     CoordPhases,
@@ -26,6 +35,7 @@ from mublines.framecore import (
     GramReport,
     VectorPhases,
     gram_analyze,
+    lineset_to_json,
 )
 from mublines.scalars import Scalar, _Record
 from mublines.weylheisenberg import Fiducial
@@ -147,6 +157,45 @@ def test_checks_normalize_the_fields():
     assert FiniteAbelianGroup([4.0, 4]).orders == (4, 4)
     assert G44.element((5, -1)).exponents == (1, 3)
     assert Character(G44, (7, 4)).exponents == (3, 0)
+
+
+@pytest.mark.parametrize("given, held", [
+    ((np.int64(2), 0), (2.0, 0)), ((True, np.float32(0.5)), (1.0, 0.5)),
+    ((np.float64(2.5), np.int32(-1)), (2.5, -1.0)), ((2.5, 0), (2.5, 0)), ((2, 1), (2, 1)),
+])
+def test_a_scalar_and_a_block_pair_hold_python_numbers(given, held):
+    scalar, spec = Scalar(*given), BlockPairSpec((1, 2), *given)
+    for got in ((scalar.re, scalar.im), (spec.a, spec.b)):
+        assert got == held and tuple(map(type, got)) == tuple(map(type, held))
+
+
+@pytest.mark.parametrize("part", ["2", None, 1j], ids=["str", "None", "complex"])
+def test_a_part_that_is_no_real_number_raises_type_error(part):
+    with pytest.raises(TypeError, match="as a real number"):
+        Scalar(part, 0)
+    with pytest.raises(TypeError, match="as a real number"):
+        BlockPairSpec((1, 2), 1.0, part)
+
+
+def test_numpy_constants_give_line_sets_json_can_write():
+    fam4, perm = mubs_from_rds(builtin_rds(4)), tuple(np.array([1, 3, 4, 2]))
+    provenances = [lineset_to_json(lines)["provenance"] for lines in (
+        l_block(fam4, ScalingSpec((1, 3, 4, 2), Scalar(np.int64(2), 0))),
+        l_block(fam4, ScalingSpec(perm, Scalar.gauss(2, 1))),
+        construction3_pair(fam4, BlockPairSpec((1, 2, 3, 4), np.int64(2), np.int64(1))),
+        construction3_pair(fam4, BlockPairSpec(perm, 2, 1)),
+        construction2_family(np.int64(1)))]
+    assert [json.dumps(p, sort_keys=True) for p in provenances] == [
+        '{"construction": "c1-lblock", "perm": [1, 3, 4, 2], "rds": "builtin:4", "v": [2.0, 0]}',
+        '{"construction": "c1-lblock", "perm": [1, 3, 4, 2], "rds": "builtin:4", "v": [2, 1]}',
+        '{"a": 2.0, "b": 1.0, "construction": "c3-pair", "perm": [1, 2, 3, 4], "rds": '
+        '"builtin:4", "variant": "default"}',
+        '{"a": 2, "b": 1, "construction": "c3-pair", "perm": [1, 3, 4, 2], "rds": "builtin:4", '
+        '"variant": "default"}',
+        '{"a": 1.0, "construction": "c2"}']
+    # Python constants keep the provenance they had
+    assert construction2_family(1).provenance == {"construction": "c2", "a": 1}
+    assert l_block(fam4, ScalingSpec([1, 3, 4, 2], Scalar(2.5, 0))).provenance["v"] == [2.5, 0]
 
 
 def test_repr_names_the_class_and_its_fields():
