@@ -6,6 +6,8 @@ device, a closed descriptor); a failed write to stderr changes neither the
 exit code nor stdout.  A `mublines` process runs `console_entry`,
 which ends the process by os._exit once stdout and stderr are flushed,
 skipping the interpreter's teardown; `main` returns its code, in-process.
+Every command's stdout is JSON lines: `construct` and `wh` print the line
+set (unless --out is given) and then the report `verify` prints.
 
 `main` checks the options of every command in one place, `_check_options`,
 before the command runs; each command then imports the library modules it
@@ -76,16 +78,17 @@ def _emit(data, out_path: str | None) -> None:  # a dict or a LineSet
         sys.stdout.write("\n")
 
 
-def _report_summary(report, fmt: str) -> None:
-    """Print a framecore.GramReport as JSON or as one summary line."""
-    if fmt == "json":
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        verdict = "equiangular" if report.equiangular else "NOT equiangular"
-        clusters = ", ".join(
-            f"{mag:.12g} x{mult}" for mag, mult in report.angle_clusters
-        )
-        print(f"{report.size} vectors: {verdict}; angle clusters: {clusters}")
+def _verdict(args, lines, emit: bool) -> int:
+    """The framecore.GramReport of lines at --tol, taken first, so that a
+    Gram error exits 2 before anything is written; then the line set (if
+    emit) and the report as one JSON line.  0 if equiangular, 1 if not."""
+    from . import framecore
+
+    report = framecore.gram_analyze(lines, args.tol)
+    if emit:
+        _emit(lines, args.out)
+    print(json.dumps(report.to_json(), sort_keys=True))
+    return EXIT_OK if report.equiangular else EXIT_FAILED
 
 
 def cmd_mubs(args) -> int:
@@ -112,12 +115,12 @@ _READS = {
     "mubs": {"tol", "out", "rds"},
     "search": {"tol", "d", "rds"},
     "verify": {"tol"},
-    "c1": {"tol", "out", "format", "d", "rds", "perm", "v"},
-    "c2": {"tol", "out", "format", "a"},
-    "c3": {"tol", "out", "format", "d", "rds", "perm", "a", "b", "variant"},
-    "c3ext": {"tol", "out", "format"},
-    "hoggar": {"tol", "out", "format"},
-    "wh": {"tol", "out", "format", "fiducial"},
+    "c1": {"tol", "out", "d", "rds", "perm", "v"},
+    "c2": {"tol", "out", "a"},
+    "c3": {"tol", "out", "d", "rds", "perm", "a", "b", "variant"},
+    "c3ext": {"tol", "out"},
+    "hoggar": {"tol", "out"},
+    "wh": {"tol", "out", "fiducial"},
 }
 
 #: the options a row cannot run without
@@ -125,8 +128,8 @@ _REQUIRES = {"c1": ("perm", "v"), "c3": ("perm",)}
 
 #: the value of an option its row reads when it is not given; c3's --a and
 #: --b stay unset, for the first point of construction3_solve
-_DEFAULTS = {"tol": DEFAULT_TOL, "format": "summary", "variant": "default",
-             "fiducial": "builtin:d4", ("c2", "a"): 0.0}
+_DEFAULTS = {"tol": DEFAULT_TOL, "variant": "default", "fiducial": "builtin:d4",
+             ("c2", "a"): 0.0}
 
 
 def _check_options(args) -> None:
@@ -216,13 +219,7 @@ def _build_lines(args):
 
 
 def cmd_construct(args) -> int:
-    lines = _build_lines(args)
-    from . import framecore
-
-    report = framecore.gram_analyze(lines, args.tol)
-    _emit(lines, args.out)
-    _report_summary(report, args.format)
-    return EXIT_OK if report.equiangular else EXIT_FAILED
+    return _verdict(args, _build_lines(args), emit=True)
 
 
 def _lineset_from_json(data: dict):
@@ -235,12 +232,7 @@ def _lineset_from_json(data: dict):
 
 
 def cmd_verify(args) -> int:
-    lines = _load(args.input, "line set", _lineset_from_json)
-    from . import framecore
-
-    report = framecore.gram_analyze(lines, args.tol)
-    _report_summary(report, "json")
-    return EXIT_OK if report.equiangular else EXIT_FAILED
+    return _verdict(args, _load(args.input, "line set", _lineset_from_json), emit=False)
 
 
 def cmd_search(args) -> int:
@@ -321,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     # option given from one not given, then fills in _DEFAULTS
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--out", default=None, help="write JSON output here")
-    parser.add_argument("--format", choices=["json", "summary"], default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mubs", help="build MUBs from a relative difference set")

@@ -73,16 +73,20 @@ class MubFamily(_Record):
         _check_bases(self.bases, self.dim)
 
     @functools.cached_property
-    def _theorem46_table(self) -> np.ndarray:
+    def _theorem46_table(self) -> np.ndarray | ValueError:
         """ok[p, j, q, k]: every inner product of basis j with column p zeroed
         and basis k with column q zeroed has magnitude sqrt(2); one Gram of
         the d L-blocks L((p, ..., p), 0), which hold every zeroed basis once,
         as _l_blocks zeroes them: a product with 0, which keeps a non-finite
         entry non-finite, in float as soon as one basis is.  Where that Gram
-        raises, nothing is cached and every read raises."""
+        raises, the table is its error, which theorem46_predicate raises
+        anew on every read."""
         d = self.dim
         parts = _l_blocks(self, [[p] * d for p in range(d)], [Scalar.gauss(0)] * d)
-        (mag,), _ = _self_grams(_gram_stack(parts.reshape(2, 1, -1, d)))
+        try:
+            (mag,), _ = _self_grams(_gram_stack(parts.reshape(2, 1, -1, d)))
+        except ValueError as exc:  # ZeroVectorError, or a non-finite entry
+            return exc
         # exact blocks hold squared magnitudes, float blocks magnitudes
         ok = mag == 2 if parts.dtype != float else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
         return ok.reshape((d, d, d) * 2).all(axis=(2, 5))
@@ -389,11 +393,14 @@ def theorem46_predicate(family: MubFamily, perm: tuple[int, ...]) -> bool:
     pi(k) it zeroes, so one Gram of the 4 x 4 zeroed bases (64 lines)
     tabulates every block once per family, and pi reads its six blocks j < k
     there.  Where that Gram raises (a zero line or a non-finite entry in a
-    zeroed basis), every pi raises its error."""
+    zeroed basis), every pi raises an error of its class and message, and
+    the Gram is not taken again."""
     if family.dim != 4:
         raise ValueError("the criterion applies only in dimension 4")
     cols = _columns(perm, 4)
     ok = family._theorem46_table
+    if isinstance(ok, ValueError):
+        raise type(ok)(*ok.args)
     return all(ok[cols[j], j, cols[k], k] for j, k in _PAIRS)
 
 

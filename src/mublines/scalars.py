@@ -1,8 +1,8 @@
 """Complex scalars carried either exactly (Gaussian integers) or as doubles.
 
-A Scalar(a, b) is exact iff both a and b are Python ints (a bool is not
-one); any other part, a float or a numpy number, makes it a float scalar,
-whose parts are read by _real: so every Scalar holds Python ints and floats.
+A Scalar(a, b) is exact iff both a and b are Python ints; any other part,
+a float or a numpy number, makes it a float scalar, whose parts are read by
+_real, which refuses a bool: so every Scalar holds Python ints and floats.
 The exact representation a+bi supports addition, multiplication and
 squared magnitude without rounding, which is what lets the dimension-8
 certificates run at zero tolerance.  + and * follow Python's own int/float
@@ -187,12 +187,12 @@ def _integral(x) -> bool:
 
 def _real(x) -> int | float:
     """The one rule for a real constant a record or a provenance holds: a
-    Python int or float as it is, any other real number (a numpy one, a
-    bool) as the Python float it equals, so that JSON can write it;
-    TypeError otherwise."""
+    Python int or float as it is, any other real number (a numpy one) as
+    the Python float it equals, so that JSON can write it; TypeError for a
+    bool (Python's or numpy's) or any other value."""
     if type(x) in (int, float):
         return x
-    if not isinstance(x, numbers.Real):
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise TypeError(f"cannot read {x!r} as a real number")
     return float(x)
 

@@ -22,6 +22,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def report_of(out: str) -> dict:
+    """The GramReport a `construct` or `wh` run without --out prints, the
+    second of its two JSON lines, after the line set."""
+    _, report = out.splitlines()
+    return json.loads(report)
+
+
 def test_mubs_builtin_d4(capsys, tmp_path):
     out = tmp_path / "mubs4.json"
     code, _, err = run(capsys, "--out", str(out), "mubs", "--rds", "builtin:4")
@@ -51,7 +58,7 @@ def test_construct_c1_good_scaling(capsys):
         "--perm", "1,3,4,2", "--v", "sqrt(2+sqrt(5))",
     )
     assert code == 0
-    assert "equiangular" in out and "NOT" not in out
+    assert report_of(out)["equiangular"] is True
 
 
 def test_construct_c1_bad_permutation(capsys):
@@ -60,7 +67,7 @@ def test_construct_c1_bad_permutation(capsys):
         "--perm", "1,2,3,4", "--v", "sqrt(2+sqrt(5))",
     )
     assert code == 1
-    assert "NOT equiangular" in out
+    assert report_of(out)["equiangular"] is False
 
 
 def test_construct_c1_missing_args(capsys):
@@ -91,7 +98,8 @@ def test_construct_c2_and_hoggar(capsys):
 def test_wh_builds_the_orbit_and_construct_wh_is_refused(capsys):
     code, out, _ = run(capsys, "wh")
     assert code == 0
-    assert "16 vectors: equiangular" in out
+    report = report_of(out)
+    assert report["size"] == 16 and report["equiangular"] is True
     with pytest.raises(SystemExit) as exc:  # wh is the one way to the orbit
         main(["construct", "wh"])
     assert exc.value.code == 2
@@ -110,6 +118,35 @@ def test_verify_roundtrip(capsys, tmp_path):
     report = json.loads(text.strip().splitlines()[-1])
     assert report["equiangular"] is True
     assert report["size"] == 64
+
+
+#: the constructions of the paper and their kin, each at a point that
+#: verifies and, for c1, at one that does not
+VERDICT_ARGVS = [
+    ("construct", "c1", "--d", "4", "--perm", "1,3,4,2", "--v", "sqrt(2+sqrt(5))"),
+    ("construct", "c1", "--d", "4", "--perm", "1,2,3,4", "--v", "sqrt(2+sqrt(5))"),
+    ("construct", "c2", "--a", "0"),
+    ("construct", "c2", "--a", "0.37"),
+    ("construct", "c3", "--d", "4", "--perm", "1,3,4,2", "--a", "2", "--b", "1"),
+    ("construct", "c3", "--d", "4", "--perm", "1,3,4,2", "--variant", "i-twist"),
+    ("construct", "c3", "--d", "5", "--perm", "1,3,5,2,4"),
+    ("construct", "c3ext"),
+    ("construct", "hoggar"),
+    ("wh",),
+]
+
+
+@pytest.mark.parametrize("argv", VERDICT_ARGVS, ids=" ".join)
+def test_construct_prints_the_report_verify_prints_of_its_set(capsys, tmp_path, argv):
+    path = tmp_path / "lines.json"
+    code, out, err = run(capsys, "--out", str(path), *argv)
+    assert run(capsys, "verify", str(path)) == (code, out, err)
+    assert code == (1 if "1,2,3,4" in argv else 0)
+    code_plain, plain, _ = run(capsys, *argv)
+    lines = plain.splitlines(keepends=True)
+    assert code_plain == code and len(lines) == 2
+    assert lines[0] == path.read_text() and lines[1] == out
+    assert all(json.loads(line) for line in lines)
 
 
 def test_verify_rejects_truncated_json(capsys, tmp_path):
@@ -158,7 +195,7 @@ def test_wh_subcommand_with_fiducial_file(capsys, tmp_path):
     fid.write_text(json.dumps({"vector": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
     code, out, _ = run(capsys, "wh", "--fiducial", f"file:{fid}")
     assert code == 1  # basis-vector orbit is not equiangular
-    assert "NOT equiangular" in out
+    assert report_of(out)["equiangular"] is False
 
 
 def test_output_is_deterministic(capsys, tmp_path):
@@ -233,7 +270,8 @@ def test_exact_constructs_past_float64_report_or_exit_2(capsys):
     code, out, err = run(capsys, "construct", "c1", "--d", "4", "--perm", "1,3,4,2",
                          "--v", "1e200")
     assert (code, err) == (1, "")
-    assert out.splitlines()[-1].startswith("16 vectors: NOT equiangular; angle clusters: ")
+    report = report_of(out)
+    assert report["size"] == 16 and report["equiangular"] is False and report["angle_clusters"]
     got = run(capsys, "construct", "c3", "--d", "4", "--perm", "1,3,4,2",
               "--a", "1e308", "--b", "1e308")
     assert got == (2, "", "error: line set has a norm beyond float64\n")
@@ -381,8 +419,8 @@ def test_fiducial_file_reads_the_builtin_vector_exactly(capsys, tmp_path):
 
     fid = tmp_path / "d4.json"
     fid.write_text(json.dumps({"vector": [[e.re, e.im] for e in fiducial_d4().vector.entries]}))
-    code, out, _ = run(capsys, "--format", "json", "wh", "--fiducial", f"file:{fid}")
-    builtin_code, builtin_out, _ = run(capsys, "--format", "json", "wh")
+    code, out, _ = run(capsys, "wh", "--fiducial", f"file:{fid}")
+    builtin_code, builtin_out, _ = run(capsys, "wh")
     assert code == builtin_code == 0
     assert out.replace('"user"', '"builtin-d4"') == builtin_out
 
@@ -599,10 +637,6 @@ def test_an_option_the_kind_does_not_read_exits_2_without_numpy(tmp_path, argv, 
     (("--out", "o.json", "verify", "lines.json"), "verify does not read --out"),
     (("--out", "o.json", "search", "c1"), "search does not read --out"),
     (("--out", "o.json", "bounds", "--d", "4"), "bounds does not read --out"),
-    (("--format", "json", "mubs", "--rds", "builtin:3"), "mubs does not read --format"),
-    (("--format", "summary", "verify", "lines.json"), "verify does not read --format"),
-    (("--format", "json", "search", "c1"), "search does not read --format"),
-    (("--format", "json", "bounds", "--d", "4"), "bounds does not read --format"),
     (("--tol", "1e-3", "bounds", "--d", "4"), "bounds does not read --tol"),
     (("--tol", "0", "--out", "o.json", "bounds", "--d", "4"), "bounds does not read --out, --tol"),
 ])
@@ -611,6 +645,22 @@ def test_a_global_option_the_command_does_not_read_exits_2_without_numpy(tmp_pat
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {unread}\n")
     assert "numpy" not in modules
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("--format", "json", "mubs", "--rds", "builtin:3"), "json"),
+    (("--format", "summary", "verify", "lines.json"), "summary"),
+    (("--format", "json", "search", "c1"), "json"),
+    (("--format", "json", "bounds", "--d", "4"), "json"),
+    (("--format", "json", "construct", "c3ext"), "json"),
+])
+def test_format_is_no_option_and_exits_2_through_argparse_without_numpy(tmp_path, argv, word):
+    # --format is unknown, so argparse reads its value as the command
+    proc, modules = fresh_process(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: mublines ")
+    assert f"error: argument command: invalid choice: '{word}'" in proc.stderr
+    assert "numpy" not in modules
 
 
 def test_construct_c3_variant_default_is_the_default(capsys):
@@ -810,15 +860,15 @@ README_READS = {
     "mubs": {"tol", "out", "rds"},
     "search": {"tol", "d", "rds"},
     "verify": {"tol"},
-    "construct c1": {"tol", "out", "format", "d", "rds", "perm", "v"},
-    "construct c2": {"tol", "out", "format", "a"},
-    "construct c3": {"tol", "out", "format", "d", "rds", "perm", "a", "b", "variant"},
-    "construct c3ext": {"tol", "out", "format"},
-    "construct hoggar": {"tol", "out", "format"},
-    "wh": {"tol", "out", "format", "fiducial"},
+    "construct c1": {"tol", "out", "d", "rds", "perm", "v"},
+    "construct c2": {"tol", "out", "a"},
+    "construct c3": {"tol", "out", "d", "rds", "perm", "a", "b", "variant"},
+    "construct c3ext": {"tol", "out"},
+    "construct hoggar": {"tol", "out"},
+    "wh": {"tol", "out", "fiducial"},
 }
 #: each row's command line with its required options, and the options its
-#: subcommand takes besides the global --tol, --out and --format
+#: subcommand takes besides the global --tol and --out
 ROW_ARGV = {
     "bounds": (("bounds", "--d", "4"), {"d"}),
     "mubs": (("mubs", "--rds", "builtin:4"), {"rds"}),
@@ -830,7 +880,7 @@ ROW_ARGV = {
        for kind, required in [("c1", ("--perm", "1,3,4,2", "--v", "1")), ("c2", ()),
                               ("c3", ("--perm", "1,3,4,2")), ("c3ext", ()), ("hoggar", ())]},
 }
-OPTION_VALUES = {"tol": "1e-3", "out": "o.json", "format": "json", "d": "4",
+OPTION_VALUES = {"tol": "1e-3", "out": "o.json", "d": "4",
                  "rds": "builtin:4", "perm": "1,2", "v": "1", "a": "1", "b": "1",
                  "variant": "default", "fiducial": "builtin:d4"}
 
@@ -855,11 +905,11 @@ print(json.dumps([results, "numpy" in sys.modules]))
 def test_every_option_a_row_does_not_read_exits_2_without_numpy(tmp_path):
     cases = []
     for row, (argv, own) in ROW_ARGV.items():
-        for name in sorted(({"tol", "out", "format"} | own) - README_READS[row]):
+        for name in sorted(({"tol", "out"} | own) - README_READS[row]):
             option = (f"--{name}", OPTION_VALUES[name])
-            cases.append((row, name, [*option, *argv] if name in ("tol", "out", "format")
+            cases.append((row, name, [*option, *argv] if name in ("tol", "out")
                           else [*argv, *option]))
-    assert len(cases) == 32
+    assert len(cases) == 28
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _FRESH_MANY, json.dumps([c[2] for c in cases])],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),

@@ -500,21 +500,26 @@ def test_theorem46_raises_for_every_permutation_when_a_zeroed_basis_has_a_zero_l
     parts[0, 0, 2] = 1
     family = MubFamily(4, (LineSet.from_parts(parts),) + fam4.bases[1:], fam4.source_rds)
     for perm in itertools.permutations((1, 2, 3, 4)):
-        with pytest.raises(ZeroVectorError):
+        with pytest.raises(ZeroVectorError) as exc:
             theorem46_predicate(family, perm)
-    assert calls == [[64]] * 24  # the table's Gram alone, tried again on each read
-    assert "_theorem46_table" not in vars(family)
+        assert type(exc.value) is ZeroVectorError
+        assert str(exc.value) == "line sets may not contain the zero vector"
+    assert calls == [[64]]  # the table's Gram alone, taken once: the family keeps its failure
+    assert type(vars(family)["_theorem46_table"]) is ZeroVectorError
 
 
-def test_theorem46_on_a_non_finite_family_raises_every_time_and_keeps_nothing(fam4):
+def test_theorem46_on_a_non_finite_family_raises_every_time_and_keeps_the_failure(fam4):
     parts = fam4.bases[2].parts.astype(float)
     parts[1, 3, 0] = math.nan
     family = MubFamily(4, fam4.bases[:2] + (LineSet.from_parts(parts),) + fam4.bases[3:],
                        fam4.source_rds)
     for perm in itertools.permutations((1, 2, 3, 4)):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError) as exc:
             theorem46_predicate(family, perm)
-    assert "_theorem46_table" not in vars(family)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "line set has a non-finite entry"
+    kept = vars(family)["_theorem46_table"]
+    assert type(kept) is ValueError and str(kept) == "line set has a non-finite entry"
 
 
 def test_hoggar_orbit_is_bit_identical_to_the_kron_loop():

@@ -552,6 +552,10 @@ def test_exact_lineset_refuses_anything_but_python_ints(bad):
     parts[0, 0, 1] = bad
     with pytest.raises(ValueError, match="Python ints"):
         LineSet.from_parts(parts)
+    if type(bad) is bool:  # a Scalar refuses a bool part
+        with pytest.raises(TypeError, match="as a real number"):
+            Scalar(bad, 0)
+        return
     # a Scalar with such a part is a float one, and its set a float set
     assert not Scalar(bad, 0).exact
     lines = LineSet(2, (CVector((Scalar.gauss(1), Scalar(bad, 0))),))

@@ -160,10 +160,18 @@ def test_checks_normalize_the_fields():
 
 
 @pytest.mark.parametrize("given, held", [
-    ((np.int64(2), 0), (2.0, 0)), ((True, np.float32(0.5)), (1.0, 0.5)),
+    ((np.int64(2), 0), (2.0, 0)), ((True, np.float32(0.5)), TypeError),
     ((np.float64(2.5), np.int32(-1)), (2.5, -1.0)), ((2.5, 0), (2.5, 0)), ((2, 1), (2, 1)),
+    ((1.0, np.True_), TypeError),
 ])
 def test_a_scalar_and_a_block_pair_hold_python_numbers(given, held):
+    if held is TypeError:  # a bool, Python's or numpy's, is refused, never read as 1.0
+        flag = next(x for x in given if isinstance(x, (bool, np.bool_)))
+        for call in (lambda: Scalar(*given), lambda: BlockPairSpec((1, 2), *given),
+                     lambda: construction2_family(flag)):
+            with pytest.raises(TypeError, match="as a real number"):
+                call()
+        return
     scalar, spec = Scalar(*given), BlockPairSpec((1, 2), *given)
     for got in ((scalar.re, scalar.im), (spec.a, spec.b)):
         assert got == held and tuple(map(type, got)) == tuple(map(type, held))
