@@ -85,8 +85,8 @@ class MubFamily(_Record):
         parts = _l_blocks(self, [[p] * d for p in range(d)], [Scalar.gauss(0)] * d)
         try:
             (mag,), _ = _self_grams(_gram_stack(parts.reshape(2, 1, -1, d)))
-        except ValueError as exc:  # ZeroVectorError, or a non-finite entry
-            return exc
+        except ValueError as exc:  # ZeroVectorError, or a non-finite entry;
+            return exc.with_traceback(None)  # its frames would keep the Gram's arrays
         # exact blocks hold squared magnitudes, float blocks magnitudes
         ok = mag == 2 if parts.dtype != float else np.abs(mag ** 2 - 2) <= DEFAULT_TOL
         return ok.reshape((d, d, d) * 2).all(axis=(2, 5))
